@@ -159,7 +159,8 @@ def _eigvalsh(mats: np.ndarray) -> np.ndarray:
 
 
 def _rebuild(basis: np.ndarray, eigs: np.ndarray) -> np.ndarray:
-    out = np.einsum("...ij,...j,...kj->...ik", basis, eigs, basis)
+    """Symmetric U diag(w) U^T for stacks of bases and eigenvalue vectors."""
+    out = (basis * eigs[..., None, :]) @ np.swapaxes(basis, -1, -2)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 

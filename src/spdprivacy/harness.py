@@ -7,6 +7,11 @@ independent RNG substreams keyed by (seed, cell, trial), so thread count
 does not affect results, and records are sorted canonically before
 emission.
 
+Releases run in the coordinates the mechanism adds noise in (the log chart,
+or the matrix entries for the extrinsic baseline): each group's summary is
+a d-vector ``c`` computed once, each release is a d-vector ``z``, and the
+utility is ``||z - c||^2``, so no SPD matrix is built per trial.
+
 Wall-clock timing of the privatization call is optional (``record_timing``)
 because real timings are not reproducible; with timing off the
 ``wall_time_ns`` column is zero and the CSV is byte-stable across runs.
@@ -30,19 +35,19 @@ from .descriptors import (
     load_pnm,
 )
 from .errors import DomainError
-from .geometry import SpdMatrix, ball_radius, frechet_mean_le, le_distance
+from .geometry import expm_stack, logm_stack, vecd_stack
 from .mechanisms import (
     PrivacyBudget,
     Sensitivity,
+    acceptance_warning,
     calibrate_analytic,
     calibrate_classical,
-    extrinsic_gaussian,
-    riemannian_laplace,
+    gaussian_release,
+    laplace_release,
     sensitivity_extrinsic,
     sensitivity_frechet_le,
-    tangent_gaussian,
 )
-from .sampling import RngState, sample_synthetic_spd
+from .sampling import RngState, sample_synthetic_logs
 
 log = logging.getLogger(__name__)
 
@@ -124,9 +129,13 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class _Group:
-    """One summary to privatize: the whole dataset (synthetic) or a class."""
+    """One summary to privatize: the whole dataset (synthetic) or a class.
 
-    mean: SpdMatrix
+    ``center`` is the summary in the coordinates the mechanism releases in
+    (see :func:`_center`).
+    """
+
+    center: np.ndarray
     n: int
     k: int
     radius: float
@@ -151,38 +160,53 @@ def _sensitivity(mechanism: str, n: int, radius: float) -> Sensitivity:
     return sensitivity_frechet_le(n, radius)
 
 
-def _privatize(
-    spec: ExperimentSpec, rng: RngState, mean: SpdMatrix, sigma: float
-) -> tuple[float, int, float | None]:
-    """Run one privatization; returns (utility, wall_time_ns, acceptance)."""
-    mechanism = spec.mechanism
-    start = time.perf_counter_ns() if spec.record_timing else 0
-    if mechanism in ("tangent_classical", "tangent_analytic"):
-        out = tangent_gaussian(rng, mean, sigma)
-        elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
-        return le_distance(mean, out) ** 2, elapsed, None
+def _center(mechanism: str, logs: np.ndarray) -> np.ndarray:
+    """Release center of the Fréchet mean of a stack of log-matrices: its
+    log-chart vector, or for the extrinsic baseline, vecd of the mean itself."""
+    mean_log = logs.mean(axis=0)
     if mechanism == "extrinsic_analytic":
-        out = extrinsic_gaussian(rng, mean, sigma)
-        elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
-        deviation = float(np.linalg.norm(out.entries - mean.entries))
-        return deviation**2, elapsed, None
-    draw = riemannian_laplace(rng, mean, sigma, burn_in=spec.burn_in)
+        return vecd_stack(expm_stack(mean_log))
+    return vecd_stack(mean_log)
+
+
+def _privatize(
+    spec: ExperimentSpec, rng: RngState, center: np.ndarray, sigma: float
+) -> tuple[float, int, float | None]:
+    """Run one release around ``center``; returns (utility, wall_time_ns,
+    acceptance).  The utility is the squared distance ||z - center||^2 in
+    the release coordinates."""
+    start = time.perf_counter_ns() if spec.record_timing else 0
+    acceptance = None
+    if spec.mechanism == "riemannian_laplace":
+        z, acceptance = laplace_release(rng, center, sigma, burn_in=spec.burn_in)
+    else:
+        z = gaussian_release(rng, center, sigma)
     elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
-    if draw.warning:
-        log.warning("%s", draw.warning)
-    return le_distance(mean, draw.sample) ** 2, elapsed, draw.acceptance_ratio
-
-
-def _synthetic_dataset(spec: ExperimentSpec, rng: RngState) -> list[SpdMatrix]:
-    return [sample_synthetic_spd(rng, spec.k, spec.r) for _ in range(spec.n)]
+    if acceptance is not None:
+        warning = acceptance_warning(acceptance)
+        if warning:
+            log.warning("%s", warning)
+    deviation = z - center
+    return float(deviation @ deviation), elapsed, acceptance
 
 
 def _run_cells(
     spec: ExperimentSpec, base: RngState, groups: list[_Group], threads: int
 ) -> list[TrialRecord]:
-    """Fan out over (group, epsilon, delta) cells and trials."""
+    """Fan out over (group, epsilon, delta) cells and trials; the noise
+    scale is calibrated once per cell."""
     cells = [
-        (group, eps, delta)
+        (
+            group,
+            eps,
+            delta,
+            _noise_scale(
+                spec.mechanism,
+                eps,
+                delta,
+                _sensitivity(spec.mechanism, group.n, group.radius),
+            ),
+        )
         for group in groups
         for eps in spec.epsilon_grid
         for delta in spec.delta_grid
@@ -190,18 +214,15 @@ def _run_cells(
 
     def one_trial(args: tuple[int, int]) -> TrialRecord:
         cell_index, trial = args
-        group, eps, delta = cells[cell_index]
-        sens = _sensitivity(spec.mechanism, group.n, group.radius)
-        sigma = _noise_scale(spec.mechanism, eps, delta, sens)
+        group, eps, delta, sigma = cells[cell_index]
         rng = base.substream(_NOISE_STREAM, cell_index, trial)
         if spec.kind == "synthetic" and spec.resample_data:
-            data = _synthetic_dataset(
-                spec, base.substream(_DATA_STREAM, cell_index, trial)
-            )
-            mean = frechet_mean_le(data)
+            data_rng = base.substream(_DATA_STREAM, cell_index, trial)
+            logs = sample_synthetic_logs(data_rng, spec.k, spec.r, spec.n)
+            center = _center(spec.mechanism, logs)
         else:
-            mean = group.mean
-        utility, elapsed, acceptance = _privatize(spec, rng, mean, sigma)
+            center = group.center
+        utility, elapsed, acceptance = _privatize(spec, rng, center, sigma)
         return TrialRecord(
             mechanism=spec.mechanism,
             k=group.k,
@@ -234,12 +255,13 @@ def run_synthetic(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     if spec.kind != "synthetic":
         raise DomainError("run_synthetic requires a synthetic spec")
     base = RngState(spec.seed)
-    data = _synthetic_dataset(spec, base.substream(_DATA_STREAM))
-    mean = frechet_mean_le(data)
+    logs = sample_synthetic_logs(base.substream(_DATA_STREAM), spec.k, spec.r, spec.n)
     radius = math.sqrt(spec.k) * spec.r
     if spec.measured_radius:
-        radius = ball_radius(data, SpdMatrix(np.eye(spec.k)))
-    group = _Group(mean=mean, n=spec.n, k=spec.k, radius=radius)
+        radius = float(np.max(np.linalg.norm(logs, axis=(1, 2))))
+    group = _Group(
+        center=_center(spec.mechanism, logs), n=spec.n, k=spec.k, radius=radius
+    )
     return _run_cells(spec, base, [group], threads)
 
 
@@ -288,9 +310,10 @@ def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
             descriptors.append(covariance_descriptor(image, params))
         if not descriptors:
             raise DomainError(f"class {name!r} contains no parseable images")
+        logs = logm_stack(np.stack([x.entries for x in descriptors]))
         groups.append(
             _Group(
-                mean=frechet_mean_le(descriptors),
+                center=_center(spec.mechanism, logs),
                 n=len(descriptors),
                 k=descriptors[0].dim,
                 radius=descriptor_radius_bound(channels, spec.eta),

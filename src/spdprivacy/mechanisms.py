@@ -115,14 +115,19 @@ def sensitivity_frechet_le(n: int, r: float) -> Sensitivity:
 
 
 def sensitivity_extrinsic(n: int, r: float) -> Sensitivity:
-    """Euclidean sensitivity 2(e^r - 1)/n of the Fréchet mean viewed as an
-    element of SYM(k), for data in a log-Euclidean ball of radius r."""
+    """Euclidean sensitivity 2r e^r/n of the Fréchet mean viewed as an
+    element of SYM(k), for data in a log-Euclidean ball of radius r.
+
+    Swapping one point moves the mean log by at most 2r/n inside the ball of
+    radius r, and the matrix exponential is e^r-Lipschitz in Frobenius norm
+    there (Higham, Functions of Matrices, 2008).
+    """
     n = int(n)
     if n < 1:
         raise DomainError("n must be >= 1")
     if not (r > 0):
         raise DomainError("r must be positive")
-    return Sensitivity(value=2.0 * math.expm1(r) / n, kind=SensitivityKind.EXTRINSIC)
+    return Sensitivity(value=2.0 * r * math.exp(r) / n, kind=SensitivityKind.EXTRINSIC)
 
 
 def _std_normal_cdf(x: float) -> float:
@@ -180,15 +185,24 @@ def calibrate_analytic(sensitivity: Sensitivity, budget: PrivacyBudget) -> float
     return hi
 
 
-def tangent_gaussian(rng: RngState, summary: SpdMatrix, sigma: float) -> SpdMatrix:
-    """Privatize ``summary`` with isotropic Gaussian noise in the log chart."""
+def gaussian_release(rng: RngState, center: np.ndarray, sigma: float) -> np.ndarray:
+    """Core of both Gaussian mechanisms: ``center + sigma * N(0, I_d)``.
+
+    ``center`` is vecd(log summary) for the tangent mechanism, whose
+    utility ||z - center||^2 is then the squared log-Euclidean deviation,
+    and vecd(summary) for the extrinsic baseline.
+    """
     if not (sigma > 0):
         raise DomainError("sigma must be positive")
-    k = summary.dim
-    d = k * (k + 1) // 2
-    center = vecd_stack(logm_stack(summary.entries))
-    z = gaussian_vector(rng, d, center, sigma)
-    return SpdMatrix(expm_stack(invvecd_stack(z, k)))
+    center = np.asarray(center, dtype=float)
+    return gaussian_vector(rng, center.size, center, sigma)
+
+
+def tangent_gaussian(rng: RngState, summary: SpdMatrix, sigma: float) -> SpdMatrix:
+    """Privatize ``summary`` with isotropic Gaussian noise in the log chart:
+    :func:`gaussian_release` around vecd(log summary), mapped back by expm."""
+    z = gaussian_release(rng, vecd_stack(logm_stack(summary.entries)), sigma)
+    return SpdMatrix(expm_stack(invvecd_stack(z, summary.dim)))
 
 
 def tangent_gaussian_stack(
@@ -217,12 +231,8 @@ def extrinsic_gaussian(rng: RngState, summary: SpdMatrix, sigma: float) -> SymMa
     The noise acts on vecd(summary), not on vecd(log summary), so the output
     is symmetric but in general not positive definite.
     """
-    if not (sigma > 0):
-        raise DomainError("sigma must be positive")
-    k = summary.dim
-    d = k * (k + 1) // 2
-    z = gaussian_vector(rng, d, vecd_stack(summary.entries), sigma)
-    return SymMatrix(invvecd_stack(z, k))
+    z = gaussian_release(rng, vecd_stack(summary.entries), sigma)
+    return SymMatrix(invvecd_stack(z, summary.dim))
 
 
 @dataclass(frozen=True)
@@ -234,13 +244,23 @@ class LaplaceDraw:
     warning: str | None = None
 
 
+def _ambient_dim(center: np.ndarray) -> int:
+    """The k with k(k+1)/2 == len(center), for a log-chart vector."""
+    d = center.shape[0] if center.ndim == 1 else 0
+    k = (math.isqrt(8 * d + 1) - 1) // 2
+    if k < 1 or k * (k + 1) // 2 != d:
+        raise DimensionError(
+            f"center of shape {center.shape} is not a vector of length k(k+1)/2"
+        )
+    return k
+
+
 def _laplace_chains(
     rng: RngState,
     center: np.ndarray,
-    dim: int,
     sigma: float,
     burn_in: int,
-    proposal_sigma: float,
+    proposal_sigma: float | None,
     n_chains: int,
     jacobian_correction: bool,
 ) -> tuple[np.ndarray, float]:
@@ -255,6 +275,18 @@ def _laplace_chains(
     dimension; starting near the center instead leaves the chain with an
     exponentially small escape rate in high dimension.
     """
+    if not (sigma > 0):
+        raise DomainError("sigma must be positive")
+    if burn_in < 1:
+        raise DomainError("burn_in must be >= 1")
+    if n_chains < 1:
+        raise DomainError("n_chains must be >= 1")
+    if proposal_sigma is None:
+        proposal_sigma = sigma
+    if not (proposal_sigma > 0):
+        raise DomainError("proposal_sigma must be positive")
+    center = np.asarray(center, dtype=float)
+    dim = _ambient_dim(center)
     d = center.shape[0]
     gen = rng.generator
     direction = gen.standard_normal((n_chains, d))
@@ -285,6 +317,38 @@ def _laplace_chains(
     return states, accepted / (int(burn_in) * n_chains)
 
 
+def acceptance_warning(ratio: float) -> str | None:
+    """A warning text when a chain's acceptance ratio leaves
+    :data:`ACCEPTANCE_BAND`, else None."""
+    if ACCEPTANCE_BAND[0] <= ratio <= ACCEPTANCE_BAND[1]:
+        return None
+    return (
+        f"acceptance ratio {ratio:.3f} outside "
+        f"[{ACCEPTANCE_BAND[0]}, {ACCEPTANCE_BAND[1]}]; "
+        "check proposal_sigma and burn_in"
+    )
+
+
+def laplace_release(
+    rng: RngState,
+    center: np.ndarray,
+    sigma: float,
+    burn_in: int = 50000,
+    proposal_sigma: float | None = None,
+    jacobian_correction: bool = False,
+) -> tuple[np.ndarray, float]:
+    """Core of :func:`riemannian_laplace`: one Metropolis chain targeting
+    exp(-||z - center||/sigma) in log-chart coordinates.
+
+    Returns the final state z (so the utility is ||z - center||^2) and the
+    chain's acceptance ratio.
+    """
+    states, ratio = _laplace_chains(
+        rng, center, sigma, burn_in, proposal_sigma, 1, jacobian_correction
+    )
+    return states[0], ratio
+
+
 def riemannian_laplace(
     rng: RngState,
     summary: SpdMatrix,
@@ -296,33 +360,24 @@ def riemannian_laplace(
     """Privatize ``summary`` by Metropolis sampling of the Laplace density
     exp(-rho(X, summary)/sigma); a fresh chain per release.
 
+    :func:`laplace_release` around vecd(log summary), mapped back by expm.
     ``proposal_sigma`` defaults to ``sigma``.  ``jacobian_correction``
     switches on an alternative acceptance rule that weighs the candidate and
     current states by the log-chart volume term, for sensitivity analysis of
     the plain target-ratio rule; it is off by default.
     """
-    if not (sigma > 0):
-        raise DomainError("sigma must be positive")
-    if burn_in < 1:
-        raise DomainError("burn_in must be >= 1")
-    if proposal_sigma is None:
-        proposal_sigma = sigma
-    if not (proposal_sigma > 0):
-        raise DomainError("proposal_sigma must be positive")
-    k = summary.dim
-    center = vecd_stack(logm_stack(summary.entries))
-    states, ratio = _laplace_chains(
-        rng, center, k, sigma, burn_in, proposal_sigma, 1, jacobian_correction
+    z, ratio = laplace_release(
+        rng,
+        vecd_stack(logm_stack(summary.entries)),
+        sigma,
+        burn_in,
+        proposal_sigma,
+        jacobian_correction,
     )
-    sample = SpdMatrix(expm_stack(invvecd_stack(states[0], k)))
-    warning = None
-    if not (ACCEPTANCE_BAND[0] <= ratio <= ACCEPTANCE_BAND[1]):
-        warning = (
-            f"acceptance ratio {ratio:.3f} outside "
-            f"[{ACCEPTANCE_BAND[0]}, {ACCEPTANCE_BAND[1]}]; "
-            "check proposal_sigma and burn_in"
-        )
-    return LaplaceDraw(sample=sample, acceptance_ratio=ratio, warning=warning)
+    sample = SpdMatrix(expm_stack(invvecd_stack(z, summary.dim)))
+    return LaplaceDraw(
+        sample=sample, acceptance_ratio=ratio, warning=acceptance_warning(ratio)
+    )
 
 
 def laplace_chains_stack(
@@ -336,20 +391,11 @@ def laplace_chains_stack(
 ) -> tuple[np.ndarray, float]:
     """Final states of ``n_chains`` independent Laplace chains as a
     (n_chains, k, k) SPD stack, plus the pooled acceptance ratio."""
-    if not (sigma > 0):
-        raise DomainError("sigma must be positive")
-    if burn_in < 1:
-        raise DomainError("burn_in must be >= 1")
-    if n_chains < 1:
-        raise DomainError("n_chains must be >= 1")
-    if proposal_sigma is None:
-        proposal_sigma = sigma
-    k = summary.dim
     center = vecd_stack(logm_stack(summary.entries))
     states, ratio = _laplace_chains(
-        rng, center, k, sigma, burn_in, proposal_sigma, int(n_chains), jacobian_correction
+        rng, center, sigma, burn_in, proposal_sigma, int(n_chains), jacobian_correction
     )
-    return expm_stack(invvecd_stack(states, k)), ratio
+    return expm_stack(invvecd_stack(states, summary.dim)), ratio
 
 
 def privacy_loss(

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .geometry import (
     SpdMatrix,
+    _rebuild,
     expm_stack,
     invvecd_stack,
     logm_stack,
@@ -107,11 +108,16 @@ def haar_orthogonal(rng: RngState, k: int) -> np.ndarray:
     k = int(k)
     if k < 1:
         raise DimensionError("k must be >= 1")
-    gauss = rng.generator.standard_normal((k, k))
+    return _haar_from_gaussian(rng.generator.standard_normal((k, k)))
+
+
+def _haar_from_gaussian(gauss: np.ndarray) -> np.ndarray:
+    """Sign-corrected Q factors of a stack (..., k, k) of Gaussian matrices."""
     q, r = np.linalg.qr(gauss)
-    signs = np.sign(np.diagonal(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    q *= signs[..., None, :]
+    return q
 
 
 def sample_log_gaussian(rng: RngState, params: LogGaussianParams) -> SpdMatrix:
@@ -204,6 +210,22 @@ def log_gaussian_logdensity(
     return float(log_jacobian(w) - 0.5 * d * np.log(2.0 * np.pi) - scale_term - quad)
 
 
+def _synthetic_factors(rng: RngState, k: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The draws behind one synthetic matrix, in stream order: k eigenvalues
+    uniform in [e^-r, e^r], then the k x k Gaussian block of its basis."""
+    lam = rng.generator.uniform(np.exp(-r), np.exp(r), size=k)
+    return lam, rng.generator.standard_normal((k, k))
+
+
+def _check_synthetic_args(k: int, r: float) -> int:
+    k = int(k)
+    if k < 1:
+        raise DimensionError("k must be >= 1")
+    if not (r > 0):
+        raise DomainError("r must be positive")
+    return k
+
+
 def sample_synthetic_spd(rng: RngState, k: int, r: float) -> SpdMatrix:
     """Draw a random SPD matrix E diag(l) E^T with eigenvalues uniform in
     [e^-r, e^r] and E Haar orthogonal.
@@ -211,12 +233,29 @@ def sample_synthetic_spd(rng: RngState, k: int, r: float) -> SpdMatrix:
     Every draw lies in the log-Euclidean ball of radius sqrt(k) * r around
     the identity, since ||log X||_F^2 = sum (ln l_i)^2 <= k r^2.
     """
-    k = int(k)
-    if k < 1:
-        raise DimensionError("k must be >= 1")
-    if not (r > 0):
-        raise DomainError("r must be positive")
-    lam = rng.generator.uniform(np.exp(-r), np.exp(r), size=k)
-    basis = haar_orthogonal(rng, k)
+    k = _check_synthetic_args(k, r)
+    lam, gauss = _synthetic_factors(rng, k, r)
+    basis = _haar_from_gaussian(gauss)
     mat = (basis * lam) @ basis.T
     return SpdMatrix(0.5 * (mat + mat.T))
+
+
+def sample_synthetic_logs(rng: RngState, k: int, r: float, n: int) -> np.ndarray:
+    """Matrix logarithms E diag(ln l) E^T of ``n`` successive
+    :func:`sample_synthetic_spd` draws, as an (n, k, k) stack.
+
+    The draws consume ``rng`` exactly as ``n`` calls of
+    :func:`sample_synthetic_spd` do; the logs come from the factors, so no
+    eigendecomposition is needed.
+    """
+    k = _check_synthetic_args(k, r)
+    n = int(n)
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    lam = np.empty((n, k))
+    gauss = np.empty((n, k, k))
+    for i in range(n):
+        lam[i], gauss[i] = _synthetic_factors(rng, k, r)
+    basis = _haar_from_gaussian(gauss)
+    del gauss
+    return _rebuild(basis, np.log(lam, out=lam))

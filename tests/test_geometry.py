@@ -127,6 +127,16 @@ class TestLogExp:
         s = SymMatrix(np.diag([1.0, -1.0]))
         assert np.allclose(expm(s).entries, np.diag([math.e, 1.0 / math.e]), atol=1e-12)
 
+    def test_rebuild_matches_einsum_form(self, nprng):
+        from spdprivacy.geometry import _rebuild
+
+        for k in (2, 10, 30):
+            basis = np.linalg.qr(nprng.standard_normal((50, k, k)))[0]
+            eigs = 3.0 * nprng.standard_normal((50, k))
+            ref = np.einsum("...ij,...j,...kj->...ik", basis, eigs, basis)
+            ref = 0.5 * (ref + np.swapaxes(ref, -1, -2))
+            assert np.allclose(_rebuild(basis, eigs), ref, rtol=0.0, atol=1e-13)
+
     def test_logm_rejects_non_spd_array(self):
         from spdprivacy.geometry import logm_stack
 

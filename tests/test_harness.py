@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spdprivacy import harness
 from spdprivacy.cli import main, read_matrix
 from spdprivacy.descriptors import RasterImage, covariance_descriptor, save_pnm
 from spdprivacy.errors import DomainError
@@ -115,10 +116,32 @@ class TestRunSynthetic:
         with pytest.raises(DomainError, match="analytic"):
             run_synthetic(spec)
 
-    def test_resample_data_changes_utilities(self):
-        fixed = run_synthetic(small_spec())
-        resampled = run_synthetic(small_spec(resample_data=True))
-        assert [r.utility for r in fixed] != [r.utility for r in resampled]
+    def test_resample_data_redraws_summary_not_utilities(self, monkeypatch):
+        # the noise substream does not depend on the data and the utility
+        # ||z - c||^2 is translation invariant, so redrawing the summary c
+        # per trial leaves every utility unchanged up to rounding
+        centers = []
+        release = harness.gaussian_release
+
+        def spy(rng, center, sigma):
+            centers.append(center)
+            return release(rng, center, sigma)
+
+        monkeypatch.setattr(harness, "gaussian_release", spy)
+        for mechanism in ("tangent_analytic", "extrinsic_analytic"):
+            centers.clear()
+            fixed = run_synthetic(small_spec(mechanism=mechanism))
+            fixed_centers = list(centers)
+            centers.clear()
+            resampled = run_synthetic(small_spec(mechanism=mechanism, resample_data=True))
+            trials = len(fixed)
+            assert len(fixed_centers) == len(centers) == trials
+            assert all(c is fixed_centers[0] for c in fixed_centers)
+            distinct = {tuple(c) for c in centers}
+            assert len(distinct) == trials and tuple(fixed_centers[0]) not in distinct
+            assert [r.utility for r in resampled] == pytest.approx(
+                [r.utility for r in fixed], rel=1e-12, abs=0.0
+            )
 
     def test_measured_radius_shrinks_noise(self):
         # observed radius <= sqrt(k) r, so sensitivity and mean utility drop
@@ -213,6 +236,22 @@ class TestRunImage:
         bound = descriptor_radius_bound(1, 1e-6)
         sens = _sensitivity("tangent_analytic", 1000, bound)
         assert sens.value == pytest.approx(2.0 * bound / 1000, rel=1e-15)
+
+    def test_tiny_class_releases_at_any_noise_scale(self, tmp_path):
+        # sigma ~ 70 here; exporting such a release as an SPD matrix
+        # overflows float64, but the harness scores it in the log chart
+        from spdprivacy.descriptors import descriptor_radius_bound
+        from spdprivacy.mechanisms import sensitivity_frechet_le
+
+        rng = np.random.default_rng(8)
+        for i in range(5):
+            arr = rng.integers(0, 256, size=(8, 8, 1)) / 255.0
+            save_pnm(RasterImage(arr), tmp_path / f"{i}.pgm")
+        records = run_image(image_spec(tmp_path, epsilon_grid=(0.1,), trials=20))
+        sens = sensitivity_frechet_le(5, descriptor_radius_bound(1, 1e-6))
+        sigma = calibrate_analytic(sens, PrivacyBudget(0.1, 1e-6))
+        scaled = np.mean([r.utility for r in records]) / sigma**2
+        assert abs(scaled - 45.0) / 45.0 <= 0.3  # chi^2_45 mean; sd of the ratio ~0.047
 
     def test_utility_decreases_with_class_size(self, tmp_path):
         rng = np.random.default_rng(31)

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spdprivacy.errors import DomainError
+from spdprivacy.errors import DimensionError, DomainError
 from spdprivacy.geometry import (
     SpdMatrix,
     SymMatrix,
     expm,
+    expm_stack,
+    frechet_mean_le,
     identity,
     invvecd_stack,
     le_add,
@@ -28,7 +30,9 @@ from spdprivacy.mechanisms import (
     calibrate_analytic,
     calibrate_classical,
     extrinsic_gaussian,
+    gaussian_release,
     laplace_chains_stack,
+    laplace_release,
     privacy_loss,
     riemannian_laplace,
     sensitivity_extrinsic,
@@ -36,7 +40,12 @@ from spdprivacy.mechanisms import (
     tangent_gaussian,
     tangent_gaussian_stack,
 )
-from spdprivacy.sampling import LogGaussianParams, RngState, sample_log_gaussian_stack
+from spdprivacy.sampling import (
+    LogGaussianParams,
+    RngState,
+    sample_log_gaussian_stack,
+    sample_synthetic_spd,
+)
 
 
 def le_sens(value):
@@ -87,8 +96,43 @@ class TestSensitivities:
 
     def test_extrinsic_formula(self):
         sens = sensitivity_extrinsic(500, 1.0)
-        assert sens.value == pytest.approx(2.0 * (math.e - 1.0) / 500, rel=1e-15)
+        assert sens.value == pytest.approx(2.0 * math.e / 500, rel=1e-15)
         assert sens.kind == SensitivityKind.EXTRINSIC
+
+    def test_extrinsic_edge_swap_counterexample(self):
+        # nine points at log = diag(1, 1), the tenth swapped to diag(-1, -1):
+        # the mean moves 0.697 in Frobenius norm, above the old 2(e^r - 1)/n
+        k, n, r = 2, 10, math.sqrt(2.0)
+        edge = expm(SymMatrix(np.eye(k)))
+        data = [edge] * n
+        swapped = data[:-1] + [expm(SymMatrix(-np.eye(k)))]
+        moved = np.linalg.norm(
+            frechet_mean_le(data).entries - frechet_mean_le(swapped).entries
+        )
+        assert moved == pytest.approx(0.697, abs=1e-3)
+        assert moved > 2.0 * math.expm1(r) / n
+        assert moved <= sensitivity_extrinsic(n, r).value
+
+    def test_extrinsic_brute_force_adjacent(self, nprng):
+        # mirrors the log-Euclidean brute force with Frobenius distance of
+        # the means in SYM(k); the adversarial pairs sit on the ball's edge:
+        # n - 1 points at one edge point, the last swapped to another
+        k, n, r = 2, 10, math.sqrt(2.0)
+        d = 3
+        bound = sensitivity_extrinsic(n, r).value + 1e-10
+
+        def edge_point():
+            direction = nprng.standard_normal(d)
+            direction /= np.linalg.norm(direction)
+            return expm(SymMatrix(invvecd_stack(r * direction, k)))
+
+        for _ in range(200):
+            data = [edge_point()] * n
+            swapped = data[:-1] + [edge_point()]
+            moved = np.linalg.norm(
+                frechet_mean_le(data).entries - frechet_mean_le(swapped).entries
+            )
+            assert moved <= bound
 
     def test_extrinsic_close_to_intrinsic_for_tiny_radius(self):
         r = 1e-9
@@ -346,6 +390,47 @@ class TestRiemannianLaplace:
             riemannian_laplace(RngState(1), identity(2), 1.0, burn_in=0)
         with pytest.raises(DomainError):
             laplace_chains_stack(RngState(1), identity(2), 1.0, burn_in=10, n_chains=0)
+
+
+class TestLogChartCores:
+    @pytest.mark.parametrize("k", [2, 10, 30])
+    def test_tangent_utility_is_log_euclidean_deviation(self, k):
+        summary = sample_synthetic_spd(RngState(60), k, 0.25)
+        center = vecd_stack(logm_stack(summary.entries))
+        z = gaussian_release(RngState(61).substream(k), center, 0.3)
+        out = tangent_gaussian(RngState(61).substream(k), summary, 0.3)
+        utility = float((z - center) @ (z - center))
+        assert utility == pytest.approx(le_distance(summary, out) ** 2, rel=1e-9)
+
+    def test_wrappers_are_core_plus_export(self):
+        summary = SpdMatrix([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.7]])
+        center = vecd_stack(logm_stack(summary.entries))
+
+        out = tangent_gaussian(RngState(62), summary, 0.5)
+        z = gaussian_release(RngState(62), center, 0.5)
+        assert isinstance(out, SpdMatrix)
+        assert np.array_equal(out.entries, expm_stack(invvecd_stack(z, 3)))
+
+        ext = extrinsic_gaussian(RngState(63), summary, 0.5)
+        z = gaussian_release(RngState(63), vecd_stack(summary.entries), 0.5)
+        assert isinstance(ext, SymMatrix) and not isinstance(ext, SpdMatrix)
+        assert np.array_equal(ext.entries, invvecd_stack(z, 3))
+
+        draw = riemannian_laplace(RngState(64), summary, 0.5, burn_in=300)
+        z, ratio = laplace_release(RngState(64), center, 0.5, burn_in=300)
+        assert isinstance(draw.sample, SpdMatrix)
+        assert np.array_equal(draw.sample.entries, expm_stack(invvecd_stack(z, 3)))
+        assert draw.acceptance_ratio == ratio
+
+    def test_cores_validate(self):
+        with pytest.raises(DomainError):
+            gaussian_release(RngState(1), np.zeros(3), 0.0)
+        with pytest.raises(DimensionError):
+            gaussian_release(RngState(1), np.zeros((1, 3)), 1.0)
+        with pytest.raises(DimensionError):
+            laplace_release(RngState(1), np.zeros(4), 1.0, burn_in=10)
+        with pytest.raises(DomainError):
+            laplace_release(RngState(1), np.zeros(3), 1.0, burn_in=0)
 
 
 class TestPrivacyLoss:

@@ -23,6 +23,7 @@ from spdprivacy.sampling import (
     log_jacobian,
     sample_log_gaussian,
     sample_log_gaussian_stack,
+    sample_synthetic_logs,
     sample_synthetic_spd,
 )
 
@@ -283,3 +284,23 @@ class TestSyntheticGenerator:
             sample_synthetic_spd(RngState(1), 3, 0.0)
         with pytest.raises(DimensionError):
             sample_synthetic_spd(RngState(1), 0, 1.0)
+
+    @pytest.mark.parametrize("k", [2, 10, 30])
+    def test_logs_match_logm_of_single_draws(self, k):
+        singles_rng, batch_rng = RngState(71), RngState(71)
+        singles = np.stack(
+            [sample_synthetic_spd(singles_rng, k, 0.25).entries for _ in range(50)]
+        )
+        logs = sample_synthetic_logs(batch_rng, k, 0.25, 50)
+        assert logs.shape == (50, k, k)
+        assert np.allclose(logs, logm_stack(singles), rtol=0.0, atol=1e-12)
+        # both leave the stream at the same position
+        assert singles_rng.generator.random() == batch_rng.generator.random()
+
+    def test_logs_parameter_validation(self):
+        with pytest.raises(DomainError):
+            sample_synthetic_logs(RngState(1), 3, 0.25, 0)
+        with pytest.raises(DomainError):
+            sample_synthetic_logs(RngState(1), 3, 0.0, 5)
+        with pytest.raises(DimensionError):
+            sample_synthetic_logs(RngState(1), 0, 0.25, 5)
