@@ -228,17 +228,22 @@ def _read_pnm_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 def load_pnm(path: str | Path) -> RasterImage:
     """Read a binary PGM (P5) or PPM (P6) file with 8-bit samples."""
-    data = Path(path).read_bytes()
+    return _decode_pnm(Path(path).read_bytes())
+
+
+def _decode_pnm(data: bytes) -> RasterImage:
+    """Decode binary PGM/PPM bytes; samples scale by the header's maxval,
+    and any other content raises :class:`DomainError`."""
     magic, pos = _read_pnm_token(data, 0)
     if magic not in (b"P5", b"P6"):
         raise DomainError(f"unsupported PNM magic {magic!r}; only binary P5/P6")
     fields = []
     for _ in range(3):
         token, pos = _read_pnm_token(data, pos)
-        try:
-            fields.append(int(token))
-        except ValueError as exc:
-            raise DomainError(f"invalid PNM header token {token!r}") from exc
+        # the spec allows ASCII decimal digits only (no sign, no underscores)
+        if not token.isdigit() or len(token) > 9:
+            raise DomainError(f"invalid PNM header token {token[:20]!r}")
+        fields.append(int(token))
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise DomainError(f"invalid PNM dimensions {width}x{height}")
@@ -253,7 +258,9 @@ def load_pnm(path: str | Path) -> RasterImage:
             f"truncated PNM payload: expected {expected} bytes, got {len(raw)}"
         )
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, channels)
-    return RasterImage(intensities=pixels.astype(float) / 255.0)
+    if int(pixels.max()) > maxval:
+        raise DomainError(f"PNM sample {int(pixels.max())} exceeds maxval {maxval}")
+    return RasterImage(intensities=pixels.astype(float) / float(maxval))
 
 
 def save_pnm(image: RasterImage, path: str | Path) -> None:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdprivacy.descriptors import (
     KERNEL_DX,
@@ -10,6 +12,7 @@ from spdprivacy.descriptors import (
     KERNEL_DYY,
     DescriptorParams,
     RasterImage,
+    _decode_pnm,
     covariance_descriptor,
     descriptor_radius_bound,
     extract_features,
@@ -18,6 +21,24 @@ from spdprivacy.descriptors import (
 )
 from spdprivacy.errors import DomainError
 from spdprivacy.geometry import identity, le_distance, logm_stack
+
+
+@st.composite
+def pnm_like_bytes(draw):
+    """Byte strings shaped like a P5/P6 file: a magic, three header tokens
+    (mostly small integers, sometimes junk), separators with optional
+    comments, and a payload whose length is near the announced size."""
+    magic = draw(st.sampled_from([b"P5", b"P6", b"P5", b"P6", b"P4", b"5P"]))
+    sep = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\n# c 7\n", b"#x", b""])
+    junk = st.sampled_from([b"1_0", b"+3", b"-1", b"0", b"0x10", b"\xff", b"9" * 5000, b"256"])
+    fields = [draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 255))]
+    tokens = [draw(st.one_of(st.just(str(v).encode()), junk)) if draw(st.booleans())
+              else str(v).encode() for v in fields]
+    head = magic + b"".join(draw(sep) + t for t in tokens)
+    head += draw(st.sampled_from([b"\n", b"\n", b" ", b""]))
+    size = fields[0] * fields[1] * (1 if magic == b"P5" else 3) + draw(st.integers(-1, 1))
+    payload = draw(st.binary(min_size=max(size, 0), max_size=max(size, 0)))
+    return head + payload
 
 
 def gray_image(rng, h=12, w=12):
@@ -249,6 +270,36 @@ class TestPnmIO:
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(DomainError, match="8-bit"):
             load_pnm(path)
+
+    def test_samples_scale_by_maxval(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 1\n100\n" + bytes([100, 50]))
+        img = load_pnm(path)
+        assert np.array_equal(img.intensities[0, :, 0], [1.0, 0.5])
+
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 1\n100\n" + bytes([100, 200]))
+        with pytest.raises(DomainError, match="exceeds maxval"):
+            load_pnm(path)
+
+    @pytest.mark.parametrize("token", [b"+2", b"1_0", b"0x2", b"9" * 5000])
+    def test_non_decimal_header_token_rejected(self, tmp_path, token):
+        path = tmp_path / "n.pgm"
+        path.write_bytes(b"P5\n" + token + b" 1\n255\n" + bytes(16))
+        with pytest.raises(DomainError, match="header token"):
+            load_pnm(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=64), pnm_like_bytes()))
+    def test_header_fuzz_gives_image_or_domain_error(self, data):
+        try:
+            img = _decode_pnm(data)
+        except DomainError:
+            return
+        assert isinstance(img, RasterImage)
+        assert img.height * img.width * img.channels <= len(data)
+        assert 0.0 <= img.intensities.min() <= img.intensities.max() <= 1.0
 
     def test_descriptor_from_file(self, tmp_path):
         rng = np.random.default_rng(17)

@@ -7,9 +7,10 @@ computed but not what it releases passes; a change of numbers (an RNG
 stream, a sensitivity formula) fails until the fixture is deliberately
 rewritten.
 
-Rewrite the fixtures with ``python tests/test_golden.py`` from the
-repository root (with ``src`` on ``PYTHONPATH``), and note the reason next
-to the change.
+Rewrite fixtures with ``python tests/test_golden.py [case ...]`` from the
+repository root (with ``src`` on ``PYTHONPATH``); it rewrites only the named
+cases, or all of them when none is named.  Note the reason next to the
+change.
 """
 
 import sys
@@ -91,8 +92,12 @@ def test_matches_golden(name, workdir):
 if __name__ == "__main__":
     import tempfile
 
+    cases = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s) {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
+        for case in cases:
             (GOLDEN_DIR / f"{case}.csv").write_text(run_case(case, Path(tmp)))
             print(f"wrote {GOLDEN_DIR / case}.csv", file=sys.stderr)

@@ -27,6 +27,8 @@ from spdprivacy.mechanisms import (
     Sensitivity,
     SensitivityKind,
     _analytic_condition,
+    _laplace_chain,
+    _laplace_chains,
     calibrate_analytic,
     calibrate_classical,
     extrinsic_gaussian,
@@ -376,13 +378,6 @@ class TestRiemannianLaplace:
         assert ratio == pytest.approx(0.6, abs=0.15)
         assert abs(rho.mean() - expected) / expected <= 0.05
 
-    def test_jacobian_corrected_mode_runs(self):
-        draw = riemannian_laplace(
-            RngState(18), identity(2), 0.5, burn_in=300, jacobian_correction=True
-        )
-        assert isinstance(draw.sample, SpdMatrix)
-        assert 0.0 <= draw.acceptance_ratio <= 1.0
-
     def test_parameters_validated(self):
         with pytest.raises(DomainError):
             riemannian_laplace(RngState(1), identity(2), 0.0)
@@ -390,6 +385,81 @@ class TestRiemannianLaplace:
             riemannian_laplace(RngState(1), identity(2), 1.0, burn_in=0)
         with pytest.raises(DomainError):
             laplace_chains_stack(RngState(1), identity(2), 1.0, burn_in=10, n_chains=0)
+
+
+def reference_chain(rng, center, sigma, burn_in):
+    """Plain single-chain Metropolis over the documented block-drawn stream
+    (one starting direction, then per block of b = min(burn_in, 2^16 // d)
+    steps the proposal normals and then the uniforms), tracking the state
+    itself and recomputing both norms every step."""
+    gen = rng.generator
+    d = center.size
+    direction = gen.standard_normal((1, d))[0]
+    z = center + (d * sigma) * direction / np.linalg.norm(direction)
+    block = max(1, min(burn_in, 2**16 // d))
+    accepted = 0
+    for done in range(0, burn_in, block):
+        size = min(block, burn_in - done)
+        steps = sigma * gen.standard_normal((size, 1, d))
+        log_u = np.log(gen.random((size, 1)))
+        for s, lu in zip(steps[:, 0], log_u[:, 0]):
+            cand = z + s
+            log_ratio = (np.linalg.norm(z - center) - np.linalg.norm(cand - center)) / sigma
+            if lu < log_ratio:
+                z = cand
+                accepted += 1
+    return z, accepted
+
+
+def assert_close_in_norm(z, want, rtol=1e-12):
+    # norm-wise: the reference sums its steps onto the state, the kernel onto
+    # the offset from the center, so near-zero coordinates differ by rounding
+    assert np.linalg.norm(z - want) <= rtol * np.linalg.norm(want)
+
+
+class TestLaplaceKernel:
+    """The block-drawn chain kernel against a per-step-norm reference."""
+
+    @staticmethod
+    def center(k, seed):
+        return vecd_stack(logm_stack(sample_synthetic_spd(RngState(seed), k, 0.25).entries))
+
+    @pytest.mark.parametrize("k, sigma, burn_in", [(2, 0.5, 3000), (10, 0.02, 2500)])
+    def test_matches_reference_loop(self, k, sigma, burn_in):
+        center = self.center(k, 70)
+        z, ratio = laplace_release(RngState(71), center, sigma, burn_in=burn_in)
+        want, accepted = reference_chain(RngState(71), center, sigma, burn_in)
+        assert ratio == accepted / burn_in
+        assert_close_in_norm(z, want)
+
+    @pytest.mark.parametrize("offset", [None, -1, 1])
+    def test_burn_in_around_block_size(self, offset):
+        k = 10
+        d = k * (k + 1) // 2
+        burn_in = 1 if offset is None else 2**16 // d + offset
+        center = self.center(k, 72)
+        z, ratio = laplace_release(RngState(73), center, 0.02, burn_in=burn_in)
+        want, accepted = reference_chain(RngState(73), center, 0.02, burn_in)
+        assert ratio == accepted / burn_in
+        assert_close_in_norm(z, want)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_single_chain_equals_chain_stack(self, k):
+        summary = sample_synthetic_spd(RngState(74), k, 0.25)
+        center = vecd_stack(logm_stack(summary.entries))
+        z, ratio = laplace_release(RngState(75), center, 0.3, burn_in=2000)
+        states, stack_ratio = _laplace_chains(RngState(75), center, 0.3, 2000, None, 1)
+        assert np.array_equal(states[0], z)
+        assert stack_ratio == ratio
+        stack, _ = laplace_chains_stack(RngState(75), summary, 0.3, burn_in=2000, n_chains=1)
+        assert np.array_equal(stack, expm_stack(invvecd_stack(z[None], k)))
+
+    def test_tracked_distance_exact_in_high_dimension(self):
+        center = self.center(30, 76)
+        sigma = 2.0 * math.sqrt(30) * 0.25 / 500 / 0.1
+        z, dist, accepted = _laplace_chain(RngState(77), center, sigma, 1000, None)
+        assert 0 < accepted < 1000
+        assert dist == pytest.approx(np.linalg.norm(z - center), rel=1e-12, abs=0.0)
 
 
 class TestLogChartCores:
