@@ -3,15 +3,29 @@
 Each pixel of an image is mapped to a nonnegative feature vector (grid
 position, intensities, absolute first and second derivatives, gradient
 magnitude and orientation); the descriptor is the empirical covariance of
-those vectors plus eta times the identity, which is always SPD.  Because
-every feature component is bounded, the descriptor's spectrum is sandwiched
-between eta and 12 + eta (grayscale) or 14 + eta (RGB), which bounds its
-log-Euclidean distance to the identity by
-sqrt(k) * max(|ln eta|, |ln(12 or 14 + eta)|).  That radius is what feeds
-the Fréchet-mean sensitivity for image experiments.
+those vectors plus eta times the identity, which is always SPD (Tuzel,
+Porikli & Meer, ECCV 2006).  Because every feature component is bounded,
+the descriptor's spectrum is sandwiched between eta and 12 + eta
+(grayscale) or 14 + eta (RGB), which bounds its log-Euclidean distance to
+the identity by sqrt(k) * max(|ln eta|, |ln(12 or 14 + eta)|).  That radius
+is what feeds the Fréchet-mean sensitivity for image experiments.
+
+The pipeline is batched: :func:`descriptor_stack` maps a stack
+(n, h, w, c) of same-size images to their (n, k, k) descriptors in one
+pass, and :func:`extract_features` and :func:`covariance_descriptor` run it
+on a stack of one.  The luminance stack is edge-padded once, and each
+derivative kernel is a sum of shifted slices times its nonzero taps, taken
+in row-major order of the flipped kernel.  That is the order in which
+``scipy.ndimage.convolve(..., mode="nearest")`` sums them, so the responses
+equal it bit for bit; this matters because the orientation feature is
+discontinuous where the gradient vanishes, and rounding noise there would
+flip it.  The harness feeds each class to :func:`descriptor_stack` in
+blocks of at most :data:`BLOCK_DOUBLES` feature values, so memory does not
+grow with the class size.
 
 Ingestion reads binary PGM (P5, grayscale) and PPM (P6, RGB) files with
-8-bit samples; intensities are divided by 255 so everything lives in [0, 1].
+8-bit samples; intensities are divided by the header's maxval so
+everything lives in [0, 1].
 """
 
 from __future__ import annotations
@@ -21,7 +35,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DimensionError, DomainError
 from .geometry import SpdMatrix
@@ -51,6 +64,36 @@ KERNEL_DYY = KERNEL_DXX.T.copy()
 _LUMA = np.array([0.299, 0.587, 0.114])
 
 _FEATURE_CAP = {1: 12.0, 3: 14.0}  # max ||feature||^2 per channel count
+
+# Feature values one block of images may hold (8 bytes each, about 1 MB).
+BLOCK_DOUBLES = 2**17
+
+_PAD = 2  # radius of the widest kernel
+
+
+def _flipped_taps(kernel: np.ndarray) -> tuple[int, tuple[tuple[float, int, int], ...]]:
+    """(radius, taps) of a square kernel: each nonzero weight of the flipped
+    kernel with its row and column, in row-major order (the order in which
+    ``scipy.ndimage.convolve`` accumulates them)."""
+    flipped = kernel[::-1, ::-1]
+    rows, cols = np.nonzero(flipped)
+    taps = tuple((float(flipped[a, b]), int(a), int(b)) for a, b in zip(rows, cols))
+    return kernel.shape[0] // 2, taps
+
+
+_DERIVATIVE_TAPS = tuple(
+    _flipped_taps(k) for k in (KERNEL_DX, KERNEL_DY, KERNEL_DXX, KERNEL_DYY)
+)
+
+
+def _check_features(layers: np.ndarray) -> None:
+    """Every component of a stack (n, f, m) of feature layers is nonnegative
+    and under its analytic cap (NaN fails both)."""
+    if not layers.min() >= -1e-12:
+        raise DomainError("feature components must be nonnegative")
+    caps = np.concatenate([np.ones(layers.shape[1] - 2), [math.sqrt(2.0), math.pi / 2.0]])
+    if not np.all(layers.max(axis=(0, 2)) <= caps + 1e-9):
+        raise DomainError("feature components exceed their analytic bounds")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,15 +153,7 @@ class FeatureField:
             raise DimensionError(
                 f"feature dimension must be 9 (gray) or 11 (RGB), got {arr.shape[2]}"
             )
-        if arr.min() < -1e-12:
-            raise DomainError("feature components must be nonnegative")
-        c = arr.shape[2] - 8
-        caps = np.concatenate(
-            [np.ones(2 + c + 4), [math.sqrt(2.0), math.pi / 2.0]]
-        )
-        worst = arr.reshape(-1, arr.shape[2]).max(axis=0)
-        if np.any(worst > caps + 1e-9):
-            raise DomainError("feature components exceed their analytic bounds")
+        _check_features(arr.reshape(1, -1, arr.shape[2]).transpose(0, 2, 1))
         object.__setattr__(self, "values", arr)
 
     @property
@@ -145,10 +180,60 @@ class DescriptorParams:
             raise DomainError(f"eta must be a positive real, got {self.eta}")
 
 
-def _derivative_channel(image: RasterImage) -> np.ndarray:
-    if image.channels == 1:
-        return image.intensities[:, :, 0]
-    return image.intensities @ _LUMA
+def _derivatives(lum: np.ndarray) -> list[np.ndarray]:
+    """Responses (n, h, w) of a luminance stack (n, h, w) to KERNEL_DX,
+    KERNEL_DY, KERNEL_DXX and KERNEL_DYY with replicate-edge padding: for
+    each kernel, the sum of its taps' shifted slices of one padded stack."""
+    h, w = lum.shape[1:]
+    padded = np.pad(lum, ((0, 0), (_PAD, _PAD), (_PAD, _PAD)), mode="edge")
+    out = []
+    for radius, taps in _DERIVATIVE_TAPS:
+        off = _PAD - radius
+        acc = None
+        for weight, a, b in taps:
+            term = weight * padded[:, off + a : off + a + h, off + b : off + b + w]
+            if acc is None:
+                acc = term
+            else:
+                acc += term
+        out.append(acc)
+    return out
+
+
+def _feature_stack(intensities: np.ndarray) -> np.ndarray:
+    """Validated feature layers (n, f, h * w) of a stack (n, h, w, c) of
+    images, one contiguous row per feature."""
+    n, h, w, c = intensities.shape
+    feats = np.empty((n, 8 + c, h, w))
+    feats[:, 0] = np.zeros(w) if w == 1 else np.arange(w) / (w - 1)
+    feats[:, 1] = (np.zeros(h) if h == 1 else np.arange(h) / (h - 1))[:, None]
+    feats[:, 2 : 2 + c] = intensities.transpose(0, 3, 1, 2)
+    lum = intensities[..., 0] if c == 1 else intensities @ _LUMA
+    for layer, response in enumerate(_derivatives(lum), start=2 + c):
+        np.abs(response, out=feats[:, layer])
+    d_x, d_y = feats[:, 2 + c], feats[:, 3 + c]
+    np.sqrt(d_x**2 + d_y**2, out=feats[:, 6 + c])
+    np.arctan2(d_x, d_y, out=feats[:, 7 + c])
+    layers = feats.reshape(n, 8 + c, h * w)
+    _check_features(layers)
+    return layers
+
+
+def descriptor_stack(
+    intensities: np.ndarray, params: DescriptorParams = DescriptorParams()
+) -> np.ndarray:
+    """Covariance descriptors (n, k, k) of a stack (n, h, w, c) of same-size
+    images with intensities in [0, 1]: the empirical covariance of each
+    image's features plus eta * identity.  Symmetric by construction."""
+    stack = np.asarray(intensities, dtype=float)
+    if stack.ndim != 4 or stack.shape[3] not in (1, 3) or min(stack.shape[:3]) < 1:
+        raise DimensionError(
+            f"intensities must be a nonempty stack n x h x w x (1 or 3), got shape {stack.shape}"
+        )
+    layers = _feature_stack(stack)
+    centered = layers - layers.mean(axis=2, keepdims=True)
+    cov = np.matmul(centered, centered.transpose(0, 2, 1)) / layers.shape[2]
+    return 0.5 * (cov + cov.transpose(0, 2, 1)) + params.eta * np.eye(layers.shape[1])
 
 
 def extract_features(image: RasterImage) -> FeatureField:
@@ -161,38 +246,15 @@ def extract_features(image: RasterImage) -> FeatureField:
     derivative in [-1, 1].  Orientation is arctan(|Ix| / |Iy|), defined as
     pi/2 when only |Iy| vanishes and 0 when both derivatives vanish.
     """
-    h, w = image.height, image.width
-    xs = np.zeros(w) if w == 1 else np.arange(w) / (w - 1)
-    ys = np.zeros(h) if h == 1 else np.arange(h) / (h - 1)
-    grid_x = np.broadcast_to(xs[None, :], (h, w))
-    grid_y = np.broadcast_to(ys[:, None], (h, w))
-
-    lum = _derivative_channel(image)
-    d_x = np.abs(ndimage.convolve(lum, KERNEL_DX, mode="nearest"))
-    d_y = np.abs(ndimage.convolve(lum, KERNEL_DY, mode="nearest"))
-    d_xx = np.abs(ndimage.convolve(lum, KERNEL_DXX, mode="nearest"))
-    d_yy = np.abs(ndimage.convolve(lum, KERNEL_DYY, mode="nearest"))
-    magnitude = np.sqrt(d_x**2 + d_y**2)
-    orientation = np.arctan2(d_x, d_y)
-
-    layers = (
-        [grid_x, grid_y]
-        + [image.intensities[:, :, c] for c in range(image.channels)]
-        + [d_x, d_y, d_xx, d_yy, magnitude, orientation]
-    )
-    return FeatureField(values=np.stack(layers, axis=-1))
+    layers = _feature_stack(image.intensities[None])[0]
+    return FeatureField(values=layers.T.reshape(image.height, image.width, -1))
 
 
 def covariance_descriptor(
     image: RasterImage, params: DescriptorParams = DescriptorParams()
 ) -> SpdMatrix:
     """Empirical covariance of the feature field plus eta * identity."""
-    field = extract_features(image)
-    flat = field.values.reshape(-1, field.feat_dim)
-    centered = flat - flat.mean(axis=0)
-    cov = (centered.T @ centered) / flat.shape[0]
-    cov = 0.5 * (cov + cov.T) + params.eta * np.eye(field.feat_dim)
-    return SpdMatrix(cov)
+    return SpdMatrix(descriptor_stack(image.intensities[None], params)[0])
 
 
 def descriptor_radius_bound(channels: int, eta: float) -> float:

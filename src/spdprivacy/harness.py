@@ -19,6 +19,7 @@ because real timings are not reproducible; with timing off the
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -29,9 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from .descriptors import (
+    BLOCK_DOUBLES,
     DescriptorParams,
-    covariance_descriptor,
     descriptor_radius_bound,
+    descriptor_stack,
     load_pnm,
 )
 from .errors import DomainError
@@ -274,13 +276,53 @@ def _image_classes(root: Path) -> list[tuple[str, list[Path]]]:
     return [("", sorted(p for p in root.iterdir() if p.is_file()))]
 
 
+def _class_images(name: str, files: list[Path]):
+    """Intensities of a class's parseable images, decoded one at a time in
+    file order; unparseable files are skipped with a warning."""
+    channels = None
+    for path in files:
+        try:
+            image = load_pnm(path)
+        except DomainError as exc:
+            log.warning("skipping %s: %s", path, exc)
+            continue
+        if channels is None:
+            channels = image.channels
+        elif image.channels != channels:
+            raise DomainError(
+                f"class {name!r} mixes gray and RGB images; descriptors "
+                "would have different dimensions"
+            )
+        yield image.intensities
+
+
+def _class_descriptors(
+    name: str, files: list[Path], params: DescriptorParams
+) -> np.ndarray:
+    """Descriptors (n, k, k) of a class's parseable images, in file order.
+
+    Each run of same-size images goes to :func:`descriptor_stack` in blocks
+    holding at most ``BLOCK_DOUBLES`` feature values (at least one image),
+    so memory does not grow with the class; only the covariances are kept.
+    """
+    blocks = []
+    for (h, w, c), run in itertools.groupby(_class_images(name, files), key=np.shape):
+        per_block = max(1, BLOCK_DOUBLES // (h * w * (8 + c)))
+        while chunk := list(itertools.islice(run, per_block)):
+            blocks.append(descriptor_stack(np.stack(chunk), params))
+    if not blocks:
+        raise DomainError(f"class {name!r} contains no parseable images")
+    return np.concatenate(blocks)
+
+
 def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     """Run the covariance-descriptor experiment over a directory of images.
 
     One subdirectory per class, or a flat directory treated as one class.
     Unparseable files are skipped with a warning; an empty class is an
     error.  Sensitivity uses the analytic radius bound of the descriptor
-    pipeline and n = class size.
+    pipeline and n = class size.  Positive definiteness of the descriptors
+    is checked once per class, by :func:`logm_stack`.
     """
     if spec.kind != "image":
         raise DomainError("run_image requires an image spec")
@@ -292,31 +334,14 @@ def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
 
     groups = []
     for name, files in _image_classes(root):
-        descriptors = []
-        channels = None
-        for path in files:
-            try:
-                image = load_pnm(path)
-            except DomainError as exc:
-                log.warning("skipping %s: %s", path, exc)
-                continue
-            if channels is None:
-                channels = image.channels
-            elif image.channels != channels:
-                raise DomainError(
-                    f"class {name!r} mixes gray and RGB images; descriptors "
-                    "would have different dimensions"
-                )
-            descriptors.append(covariance_descriptor(image, params))
-        if not descriptors:
-            raise DomainError(f"class {name!r} contains no parseable images")
-        logs = logm_stack(np.stack([x.entries for x in descriptors]))
+        descriptors = _class_descriptors(name, files, params)
+        n, k = descriptors.shape[:2]
         groups.append(
             _Group(
-                center=_center(spec.mechanism, logs),
-                n=len(descriptors),
-                k=descriptors[0].dim,
-                radius=descriptor_radius_bound(channels, spec.eta),
+                center=_center(spec.mechanism, logm_stack(descriptors)),
+                n=n,
+                k=k,
+                radius=descriptor_radius_bound(k - 8, spec.eta),  # k = 8 + channels
             )
         )
     return _run_cells(spec, base, groups, threads)

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
+import spdprivacy
 from spdprivacy.descriptors import (
     KERNEL_DX,
     KERNEL_DXX,
@@ -13,13 +19,15 @@ from spdprivacy.descriptors import (
     DescriptorParams,
     RasterImage,
     _decode_pnm,
+    _derivatives,
     covariance_descriptor,
     descriptor_radius_bound,
+    descriptor_stack,
     extract_features,
     load_pnm,
     save_pnm,
 )
-from spdprivacy.errors import DomainError
+from spdprivacy.errors import DimensionError, DomainError
 from spdprivacy.geometry import identity, le_distance, logm_stack
 
 
@@ -66,6 +74,114 @@ def conv_replicate_reference(img, kernel):
                     acc += kernel[a, b] * img[ii, jj]
             out[i, j] = acc
     return out
+
+
+LUMA = np.array([0.299, 0.587, 0.114])
+SHAPES = [(12, 12), (9, 7), (1, 1), (1, 5), (5, 1), (2, 2), (3, 7)]
+
+
+def scipy_descriptor(intensities, eta):
+    """The per-image descriptor from features filtered by
+    ``scipy.ndimage.convolve``: the reference for the batched pipeline."""
+    h, w, c = intensities.shape
+    lum = intensities[:, :, 0] if c == 1 else intensities @ LUMA
+    xs = np.zeros(w) if w == 1 else np.arange(w) / (w - 1)
+    ys = np.zeros(h) if h == 1 else np.arange(h) / (h - 1)
+    d_x, d_y, d_xx, d_yy = (
+        np.abs(ndimage.convolve(lum, k, mode="nearest"))
+        for k in (KERNEL_DX, KERNEL_DY, KERNEL_DXX, KERNEL_DYY)
+    )
+    layers = (
+        [np.broadcast_to(xs[None, :], (h, w)), np.broadcast_to(ys[:, None], (h, w))]
+        + [intensities[:, :, i] for i in range(c)]
+        + [d_x, d_y, d_xx, d_yy, np.sqrt(d_x**2 + d_y**2), np.arctan2(d_x, d_y)]
+    )
+    flat = np.stack(layers, axis=-1).reshape(h * w, -1)
+    centered = flat - flat.mean(axis=0)
+    cov = centered.T @ centered / (h * w)
+    return 0.5 * (cov + cov.T) + eta * np.eye(flat.shape[1])
+
+
+def edgy_stack(rng, n, h, w, c):
+    """Random images with flat patches and steps, so many pixels have a zero
+    gradient in one or both directions."""
+    stack = rng.integers(0, 256, size=(n, h, w, c)) / 255.0
+    stack[: n // 2, : h // 2] = 0.5
+    stack[: n // 2, :, : w // 3] = 1.0
+    stack[n // 2 :, h // 3 :, w // 2 :] = 0.25
+    return stack
+
+
+class TestBatchedPipeline:
+    """The batched, scipy-free pipeline against ``scipy.ndimage``.
+
+    Derivative responses must match ``ndimage.convolve`` bit for bit, not
+    just closely: the orientation feature arctan2(|Ix|, |Iy|) jumps by up
+    to pi/2 where the gradient vanishes, so rounding noise of 1e-17 on a
+    zero response would move a descriptor by far more than rounding.
+    """
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("h,w", SHAPES)
+    def test_derivatives_equal_ndimage_convolve(self, h, w, c):
+        rng = np.random.default_rng(100 + h * 10 + w + c)
+        stack = edgy_stack(rng, 6, h, w, c)
+        lum = stack[..., 0] if c == 1 else stack @ LUMA
+        got = _derivatives(lum)
+        for kernel, layer in zip((KERNEL_DX, KERNEL_DY, KERNEL_DXX, KERNEL_DYY), got):
+            assert layer.shape == (6, h, w)
+            for i in range(6):
+                want = ndimage.convolve(lum[i], kernel, mode="nearest")
+                assert np.array_equal(layer[i], want)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("h,w", SHAPES)
+    def test_stack_equals_scipy_reference(self, h, w, c):
+        rng = np.random.default_rng(200 + h * 10 + w + c)
+        stack = edgy_stack(rng, 6, h, w, c)
+        eta = 1e-6
+        got = descriptor_stack(stack, DescriptorParams(eta=eta))
+        assert got.shape == (6, 8 + c, 8 + c)
+        for i in range(6):
+            want = scipy_descriptor(stack[i], eta)
+            # Frobenius-relative, since near-zero entries carry only rounding
+            assert np.linalg.norm(got[i] - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.array_equal(got[i], got[i].T)
+
+    def test_wrappers_are_stacks_of_one(self):
+        rng = np.random.default_rng(300)
+        stack = edgy_stack(rng, 4, 10, 8, 3)
+        batch = descriptor_stack(stack)
+        for i in range(4):
+            image = RasterImage(stack[i])
+            assert np.array_equal(covariance_descriptor(image).entries, batch[i])
+        field = extract_features(RasterImage(stack[0]))
+        assert field.values.shape == (10, 8, 11)
+
+    @pytest.mark.parametrize(
+        "shape", [(0, 4, 4, 1), (2, 0, 4, 1), (2, 4, 4, 2), (4, 4, 1), (2, 4, 4, 1, 1)]
+    )
+    def test_bad_stack_shapes_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            descriptor_stack(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+    def test_out_of_range_intensities_rejected(self, bad):
+        stack = np.full((2, 4, 4, 1), 0.5)
+        stack[1, 2, 3, 0] = bad
+        with pytest.raises(DomainError):
+            descriptor_stack(stack)
+
+
+def test_package_import_does_not_load_scipy():
+    # scipy is a test dependency only; importing it would add ~0.4 s to startup
+    src = str(Path(spdprivacy.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, spdprivacy; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestRasterImage:

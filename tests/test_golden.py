@@ -7,12 +7,20 @@ computed but not what it releases passes; a change of numbers (an RNG
 stream, a sensitivity formula) fails until the fixture is deliberately
 rewritten.
 
+The image CSVs depend on the descriptors only through each class's size
+and radius bound (the utility ``||z - c||^2`` does not move with the center
+``c``), so ``descriptor_mixed_classes.txt`` also pins the ``spd-bench
+descriptor`` output for three images of the mixed corpus, each matrix at
+Frobenius-relative tolerance 1e-12.
+
 Rewrite fixtures with ``python tests/test_golden.py [case ...]`` from the
 repository root (with ``src`` on ``PYTHONPATH``); it rewrites only the named
 cases, or all of them when none is named.  Note the reason next to the
 change.
 """
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -42,7 +50,17 @@ CASES = {
        "--burn-in", "200"],
     "image_tangent_analytic": ["image-bench", "--mechanism", "tangent_analytic", "--eps", "0.9",
                                "--delta", "1e-6", "--trials", "2", "--seed", "9"],
+    "image_mixed_classes": ["image-bench", "--mechanism", "tangent_analytic", "--eps", "0.9,2.0",
+                            "--delta", "1e-6", "--trials", "2", "--seed", "17"],
 }
+
+
+def _hashed_pixels(i: int, cls: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Intensities in [0, 1] from an integer hash of (image, class, pixel),
+    so a corpus does not depend on any random number generator."""
+    idx = np.arange(int(np.prod(shape))).reshape(shape)
+    h = (i * 7919 + idx * 104729 + cls * 15485863) % 2**20
+    return (((h * 2654435761) % 2**32) >> 24) / 255.0
 
 
 def write_image_corpus(root: Path) -> None:
@@ -58,16 +76,64 @@ def write_image_corpus(root: Path) -> None:
             save_pnm(RasterImage(pixels / 255.0), class_dir / f"{i:03d}.pgm")
 
 
+def write_mixed_corpus(root: Path) -> None:
+    """An RGB class of 7x5 PPM images, and a gray class whose PGM images
+    switch between 8x8 and 6x11 in runs of uneven length and which holds
+    one unparseable file (skipped with a warning)."""
+    rgb_dir, gray_dir = root / "a_rgb", root / "b_gray"
+    rgb_dir.mkdir(parents=True)
+    gray_dir.mkdir()
+    for i in range(40):
+        save_pnm(RasterImage(_hashed_pixels(i, 0, (7, 5, 3))), rgb_dir / f"{i:03d}.ppm")
+    for i in range(90):
+        shape = (8, 8) if (i // 7 + i // 23) % 2 == 0 else (6, 11)
+        save_pnm(RasterImage(_hashed_pixels(i, 1, shape)), gray_dir / f"{i:03d}.pgm")
+    (gray_dir / "045_broken.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(10))
+
+
+CORPORA = {
+    "image_tangent_analytic": write_image_corpus,
+    "image_mixed_classes": write_mixed_corpus,
+}
+
+# images of the mixed corpus whose descriptors are pinned: RGB, gray 8x8, gray 6x11
+DESCRIPTOR_IMAGES = ("a_rgb/000.ppm", "b_gray/000.pgm", "b_gray/010.pgm")
+DESCRIPTOR_CASE = "descriptor_mixed_classes"
+DESCRIPTOR_RTOL = 1e-12
+
+
 def run_case(name: str, workdir: Path) -> str:
     argv = list(CASES[name])
     if argv[0] == "image-bench":
-        corpus = workdir / "corpus"
+        corpus = workdir / f"corpus_{name}"
         if not corpus.exists():
-            write_image_corpus(corpus)
+            CORPORA[name](corpus)
         argv += ["--images", str(corpus)]
     out = workdir / f"{name}.csv"
     assert main(argv + ["--out-csv", str(out)]) == 0
     return out.read_text()
+
+
+def run_descriptor_case(workdir: Path) -> str:
+    """``spd-bench descriptor`` output for each of DESCRIPTOR_IMAGES, one
+    blank line between matrices."""
+    corpus = workdir / "corpus_image_mixed_classes"
+    if not corpus.exists():
+        write_mixed_corpus(corpus)
+    blocks = []
+    for rel in DESCRIPTOR_IMAGES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["descriptor", "--image", str(corpus / rel)]) == 0
+        blocks.append(buf.getvalue().strip())
+    return "\n\n".join(blocks) + "\n"
+
+
+def _parse_matrices(text: str) -> list[np.ndarray]:
+    return [
+        np.array([[float(v) for v in row.split()] for row in block.splitlines()])
+        for block in text.strip().split("\n\n")
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -89,15 +155,29 @@ def test_matches_golden(name, workdir):
         assert got_u == pytest.approx(want_u, rel=UTILITY_RTOL, abs=0.0), want_line
 
 
+def test_descriptors_match_golden(workdir):
+    want = _parse_matrices((GOLDEN_DIR / f"{DESCRIPTOR_CASE}.txt").read_text())
+    got = _parse_matrices(run_descriptor_case(workdir))
+    assert [m.shape for m in got] == [m.shape for m in want]
+    for rel, g, w in zip(DESCRIPTOR_IMAGES, got, want):
+        assert np.linalg.norm(g - w) <= DESCRIPTOR_RTOL * np.linalg.norm(w), rel
+
+
 if __name__ == "__main__":
     import tempfile
 
-    cases = sys.argv[1:] or sorted(CASES)
-    unknown = sorted(set(cases) - set(CASES))
+    known = sorted(CASES) + [DESCRIPTOR_CASE]
+    cases = sys.argv[1:] or known
+    unknown = sorted(set(cases) - set(known))
     if unknown:
-        sys.exit(f"unknown case(s) {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")
+        sys.exit(f"unknown case(s) {', '.join(unknown)}; known: {', '.join(known)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:
-            (GOLDEN_DIR / f"{case}.csv").write_text(run_case(case, Path(tmp)))
-            print(f"wrote {GOLDEN_DIR / case}.csv", file=sys.stderr)
+            if case == DESCRIPTOR_CASE:
+                path = GOLDEN_DIR / f"{case}.txt"
+                path.write_text(run_descriptor_case(Path(tmp)))
+            else:
+                path = GOLDEN_DIR / f"{case}.csv"
+                path.write_text(run_case(case, Path(tmp)))
+            print(f"wrote {path}", file=sys.stderr)

@@ -5,9 +5,15 @@ import pytest
 
 from spdprivacy import harness
 from spdprivacy.cli import main, read_matrix
-from spdprivacy.descriptors import RasterImage, covariance_descriptor, save_pnm
+from spdprivacy.descriptors import (
+    DescriptorParams,
+    RasterImage,
+    covariance_descriptor,
+    load_pnm,
+    save_pnm,
+)
 from spdprivacy.errors import DomainError
-from spdprivacy.geometry import SpdMatrix, frechet_mean_le, le_distance
+from spdprivacy.geometry import SpdMatrix, frechet_mean_le, le_distance, logm_stack
 from spdprivacy.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -298,6 +304,93 @@ class TestRunImage:
         save_pnm(RasterImage(rng.integers(0, 256, (8, 8, 3)) / 255.0), d / "c.ppm")
         with pytest.raises(DomainError, match="mixes"):
             run_image(image_spec(tmp_path, trials=1, seed=1))
+
+
+def write_shapes(d, shapes, seed, junk_at=None):
+    """One PNM per entry of ``shapes`` ((h, w, c) each) under ``d``, named in
+    order; an unparseable file is inserted before index ``junk_at``."""
+    rng = np.random.default_rng(seed)
+    d.mkdir(parents=True)
+    for i, shape in enumerate(shapes):
+        if i == junk_at:
+            (d / f"{i:03d}_junk.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(5))
+        ext = "pgm" if shape[2] == 1 else "ppm"
+        save_pnm(RasterImage(rng.integers(0, 256, size=shape) / 255.0), d / f"{i:03d}.{ext}")
+
+
+class TestImageBlocks:
+    """``run_image`` streams a class through ``descriptor_stack`` in blocks;
+    the result must not depend on where the blocks fall."""
+
+    G8, G6 = (8, 8, 1), (6, 11, 1)  # 576 and 594 feature values per image
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Cap blocks at three 8x8 gray images and record each block's shape
+        (each class is streamed twice per check: directly and by run_image)."""
+        monkeypatch.setattr(harness, "BLOCK_DOUBLES", 3 * 576)
+        shapes = []
+        real = harness.descriptor_stack
+
+        def spy(stack, params):
+            shapes.append(stack.shape[:3])
+            return real(stack, params)
+
+        monkeypatch.setattr(harness, "descriptor_stack", spy)
+        return shapes
+
+    def check_against_one_at_a_time(self, d, monkeypatch, mechanism="tangent_analytic"):
+        """Same n, descriptor order and center as descriptors computed one
+        image at a time."""
+        params = DescriptorParams(eta=1e-6)
+        ref = []
+        for path in sorted(d.iterdir()):
+            try:
+                ref.append(covariance_descriptor(load_pnm(path), params).entries)
+            except DomainError:
+                continue
+        ref = np.stack(ref)
+        got = harness._class_descriptors("c", sorted(d.iterdir()), params)
+        assert got.shape == ref.shape
+        for g, r in zip(got, ref):
+            assert np.linalg.norm(g - r) <= 1e-12 * np.linalg.norm(r)
+        groups = []
+        monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs, t: groups.extend(gs) or [])
+        run_image(image_spec(d, mechanism=mechanism))
+        want = harness._center(mechanism, logm_stack(ref))
+        assert [g.n for g in groups] == [len(ref)]
+        np.testing.assert_allclose(groups[0].center, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("mechanism", ["tangent_analytic", "extrinsic_analytic"])
+    def test_class_larger_than_one_block(self, tmp_path, monkeypatch, blocks, mechanism):
+        write_shapes(tmp_path / "c", [self.G8] * 10, seed=40)
+        self.check_against_one_at_a_time(tmp_path / "c", monkeypatch, mechanism)
+        assert blocks == [(3, 8, 8), (3, 8, 8), (3, 8, 8), (1, 8, 8)] * 2
+
+    def test_size_change_mid_block(self, tmp_path, monkeypatch, blocks):
+        G8, G6 = self.G8, self.G6
+        write_shapes(tmp_path / "c", [G8, G8, G6, G6, G6, G6, G8, G6, G6], seed=41)
+        self.check_against_one_at_a_time(tmp_path / "c", monkeypatch)
+        # a block ends at each size change and before it would exceed 3 * 576
+        assert blocks == [(2, 8, 8), (2, 6, 11), (2, 6, 11), (1, 8, 8), (2, 6, 11)] * 2
+
+    def test_unparseable_file_inside_block(self, tmp_path, monkeypatch, blocks, caplog):
+        write_shapes(tmp_path / "c", [self.G8] * 7, seed=42, junk_at=2)
+        with caplog.at_level("WARNING"):
+            self.check_against_one_at_a_time(tmp_path / "c", monkeypatch)
+        assert any("skipping" in m and "junk" in m for m in caplog.messages)
+        assert blocks == [(3, 8, 8), (3, 8, 8), (1, 8, 8)] * 2
+
+    def test_single_image_larger_than_block(self, tmp_path, monkeypatch, blocks):
+        monkeypatch.setattr(harness, "BLOCK_DOUBLES", 100)
+        write_shapes(tmp_path / "c", [self.G8] * 3, seed=43)
+        self.check_against_one_at_a_time(tmp_path / "c", monkeypatch)
+        assert blocks == [(1, 8, 8)] * 6
+
+    def test_gray_rgb_mix_mid_block_names_class(self, tmp_path, blocks):
+        write_shapes(tmp_path / "mix", [self.G8, self.G8, (8, 8, 3)], seed=44)
+        with pytest.raises(DomainError, match="class 'mix' mixes gray and RGB"):
+            run_image(image_spec(tmp_path, trials=1))
 
 
 class TestCsv:
