@@ -31,6 +31,7 @@ everything lives in [0, 1].
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -270,22 +271,12 @@ def descriptor_radius_bound(channels: int, eta: float) -> float:
     return math.sqrt(k) * max(abs(math.log(eta)), abs(math.log(cap + eta)))
 
 
-def _read_pnm_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        if data[pos : pos + 1].isspace():
-            pos += 1
-        elif data[pos : pos + 1] == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise DomainError("truncated PNM header")
-    return data[start:pos], pos
+# The four PNM header tokens (magic, width, height, maxval), each after any
+# run of whitespace bytes and '#' comments (to the end of the line).  Every
+# part may be empty, so the match always succeeds at its first, greedy try
+# and a token is the whole non-whitespace run, as a byte-wise scan reads it;
+# an empty token means the header is truncated.
+_PNM_HEADER = re.compile(rb"(?:(?:\s|#[^\n\r]*)*(\S*))" * 4)
 
 
 def load_pnm(path: str | Path) -> RasterImage:
@@ -296,12 +287,16 @@ def load_pnm(path: str | Path) -> RasterImage:
 def _decode_pnm(data: bytes) -> RasterImage:
     """Decode binary PGM/PPM bytes; samples scale by the header's maxval,
     and any other content raises :class:`DomainError`."""
-    magic, pos = _read_pnm_token(data, 0)
+    header = _PNM_HEADER.match(data)
+    magic, *tokens = header.groups()
+    if not magic:
+        raise DomainError("truncated PNM header")
     if magic not in (b"P5", b"P6"):
         raise DomainError(f"unsupported PNM magic {magic!r}; only binary P5/P6")
     fields = []
-    for _ in range(3):
-        token, pos = _read_pnm_token(data, pos)
+    for token in tokens:
+        if not token:
+            raise DomainError("truncated PNM header")
         # the spec allows ASCII decimal digits only (no sign, no underscores)
         if not token.isdigit() or len(token) > 9:
             raise DomainError(f"invalid PNM header token {token[:20]!r}")
@@ -312,7 +307,7 @@ def _decode_pnm(data: bytes) -> RasterImage:
     if not (0 < maxval <= 255):
         raise DomainError(f"only 8-bit PNM supported, got maxval {maxval}")
     channels = 1 if magic == b"P5" else 3
-    pos += 1  # single whitespace byte after maxval
+    pos = header.end() + 1  # single whitespace byte after maxval
     expected = width * height * channels
     raw = data[pos : pos + expected]
     if len(raw) != expected:

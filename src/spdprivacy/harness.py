@@ -12,9 +12,16 @@ or the matrix entries for the extrinsic baseline): each group's summary is
 a d-vector ``c`` computed once, each release is a d-vector ``z``, and the
 utility is ``||z - c||^2``, so no SPD matrix is built per trial.
 
+A Gaussian cell draws the noise of all its trials in one block
+(:meth:`RngState.substream_normals`), each row bit-identical to that
+trial's own substream draw, so batching does not change any value; the
+thread pool runs Laplace chains and resampled datasets.
+
 Wall-clock timing of the privatization call is optional (``record_timing``)
 because real timings are not reproducible; with timing off the
-``wall_time_ns`` column is zero and the CSV is byte-stable across runs.
+``wall_time_ns`` column is zero and the CSV is byte-stable across runs.  A
+Gaussian trial records its cell's release time divided by the number of
+trials, rounded up.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,7 +52,7 @@ from .mechanisms import (
     acceptance_warning,
     calibrate_analytic,
     calibrate_classical,
-    gaussian_release,
+    gaussian_release_block,
     laplace_release,
     sensitivity_extrinsic,
     sensitivity_frechet_le,
@@ -171,32 +179,17 @@ def _center(mechanism: str, logs: np.ndarray) -> np.ndarray:
     return vecd_stack(mean_log)
 
 
-def _privatize(
-    spec: ExperimentSpec, rng: RngState, center: np.ndarray, sigma: float
-) -> tuple[float, int, float | None]:
-    """Run one release around ``center``; returns (utility, wall_time_ns,
-    acceptance).  The utility is the squared distance ||z - center||^2 in
-    the release coordinates."""
-    start = time.perf_counter_ns() if spec.record_timing else 0
-    acceptance = None
-    if spec.mechanism == "riemannian_laplace":
-        z, acceptance = laplace_release(rng, center, sigma, burn_in=spec.burn_in)
-    else:
-        z = gaussian_release(rng, center, sigma)
-    elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
-    if acceptance is not None:
-        warning = acceptance_warning(acceptance)
-        if warning:
-            log.warning("%s", warning)
-    deviation = z - center
-    return float(deviation @ deviation), elapsed, acceptance
-
-
 def _run_cells(
     spec: ExperimentSpec, base: RngState, groups: list[_Group], threads: int
 ) -> list[TrialRecord]:
     """Fan out over (group, epsilon, delta) cells and trials; the noise
-    scale is calibrated once per cell."""
+    scale is calibrated once per cell.
+
+    A Gaussian cell releases all its trials at once: row t of its noise
+    block is trial t's draw from substream (_NOISE_STREAM, cell, t).  A
+    Laplace trial runs its own chain on that substream.  The thread pool
+    runs Laplace chains and resampled datasets, one (cell, trial) per task.
+    """
     cells = [
         (
             group,
@@ -213,35 +206,73 @@ def _run_cells(
         for eps in spec.epsilon_grid
         for delta in spec.delta_grid
     ]
+    tasks = [(ci, t) for ci in range(len(cells)) for t in range(spec.trials)]
+    resample = spec.kind == "synthetic" and spec.resample_data
 
-    def one_trial(args: tuple[int, int]) -> TrialRecord:
-        cell_index, trial = args
-        group, eps, delta, sigma = cells[cell_index]
-        rng = base.substream(_NOISE_STREAM, cell_index, trial)
-        if spec.kind == "synthetic" and spec.resample_data:
+    def fan_out(fn) -> list:
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                return list(pool.map(fn, tasks))
+        return [fn(task) for task in tasks]
+
+    def trial_center(task: tuple[int, int]) -> np.ndarray:
+        cell_index, trial = task
+        if resample:
             data_rng = base.substream(_DATA_STREAM, cell_index, trial)
             logs = sample_synthetic_logs(data_rng, spec.k, spec.r, spec.n)
-            center = _center(spec.mechanism, logs)
+            return _center(spec.mechanism, logs)
+        return cells[cell_index][0].center
+
+    def laplace_trial(task: tuple[int, int]) -> tuple[float, int, float]:
+        cell_index, trial = task
+        rng = base.substream(_NOISE_STREAM, cell_index, trial)
+        center = trial_center(task)
+        start = time.perf_counter_ns() if spec.record_timing else 0
+        z, acceptance = laplace_release(
+            rng, center, cells[cell_index][3], burn_in=spec.burn_in
+        )
+        elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
+        warning = acceptance_warning(acceptance)
+        if warning:
+            log.warning("%s", warning)
+        deviation = z - center
+        return float(deviation @ deviation), elapsed, acceptance
+
+    def gaussian_cell(cell_index: int, center: np.ndarray) -> list[tuple]:
+        """(utility, wall_time_ns, None) of each trial; the cell's release
+        time is shared over its trials, rounded up."""
+        start = time.perf_counter_ns() if spec.record_timing else 0
+        noise = base.substream_normals(
+            _NOISE_STREAM, cell_index, count=spec.trials, dim=center.shape[-1]
+        )
+        z = gaussian_release_block(center, cells[cell_index][3], noise)
+        elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
+        per_trial = -(-elapsed // spec.trials)
+        # one dot per row, as for a single release, so that a trial's
+        # utility does not depend on how trials are batched
+        return [(float(row @ row), per_trial, None) for row in z - center]
+
+    if spec.mechanism == "riemannian_laplace":
+        outcomes = fan_out(laplace_trial)
+    else:
+        if resample:
+            centers = np.array(fan_out(trial_center)).reshape(len(cells), spec.trials, -1)
         else:
-            center = group.center
-        utility, elapsed, acceptance = _privatize(spec, rng, center, sigma)
-        return TrialRecord(
+            centers = [group.center for group, *_ in cells]
+        outcomes = [o for ci, c in enumerate(centers) for o in gaussian_cell(ci, c)]
+    records = [
+        TrialRecord(
             mechanism=spec.mechanism,
-            k=group.k,
-            epsilon=eps,
-            delta=delta,
+            k=cells[ci][0].k,
+            epsilon=cells[ci][1],
+            delta=cells[ci][2],
             trial=trial,
             utility=utility,
             wall_time_ns=elapsed,
             acceptance_ratio=acceptance,
         )
-
-    tasks = [(ci, t) for ci in range(len(cells)) for t in range(spec.trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one_trial, tasks))
-    else:
-        records = [one_trial(task) for task in tasks]
+        for (ci, trial), (utility, elapsed, acceptance) in zip(tasks, outcomes)
+    ]
     records.sort(key=TrialRecord.sort_key)
     return records
 
@@ -267,16 +298,27 @@ def run_synthetic(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     return _run_cells(spec, base, [group], threads)
 
 
-def _image_classes(root: Path) -> list[tuple[str, list[Path]]]:
-    subdirs = sorted(p for p in root.iterdir() if p.is_dir())
+def _sorted_entries(directory: str | Path, want_dirs: bool) -> list[os.DirEntry]:
+    """Subdirectories (or files) of ``directory``, sorted by name; all share
+    one parent, so this is the order of their full paths."""
+    with os.scandir(directory) as it:
+        entries = [e for e in it if (e.is_dir() if want_dirs else e.is_file())]
+    return sorted(entries, key=lambda e: e.name)
+
+
+def _image_classes(root: Path) -> list[tuple[str, list[str]]]:
+    """(class name, file paths) per subdirectory of ``root``, or one class
+    named "" of the files in ``root`` when it has no subdirectories."""
+    subdirs = _sorted_entries(root, want_dirs=True)
     if subdirs:
         return [
-            (d.name, sorted(p for p in d.iterdir() if p.is_file())) for d in subdirs
+            (d.name, [f.path for f in _sorted_entries(d.path, want_dirs=False)])
+            for d in subdirs
         ]
-    return [("", sorted(p for p in root.iterdir() if p.is_file()))]
+    return [("", [f.path for f in _sorted_entries(root, want_dirs=False)])]
 
 
-def _class_images(name: str, files: list[Path]):
+def _class_images(name: str, files: list[str]):
     """Intensities of a class's parseable images, decoded one at a time in
     file order; unparseable files are skipped with a warning."""
     channels = None
@@ -297,7 +339,7 @@ def _class_images(name: str, files: list[Path]):
 
 
 def _class_descriptors(
-    name: str, files: list[Path], params: DescriptorParams
+    name: str, files: list[str], params: DescriptorParams
 ) -> np.ndarray:
     """Descriptors (n, k, k) of a class's parseable images, in file order.
 

@@ -37,7 +37,7 @@ from .geometry import (
     logm_stack,
     vecd_stack,
 )
-from .sampling import RngState, gaussian_vector
+from .sampling import RngState
 
 # Metropolis acceptance ratios outside this band get a warning diagnostic.
 ACCEPTANCE_BAND = (0.2, 0.9)
@@ -198,12 +198,28 @@ def gaussian_release(rng: RngState, center: np.ndarray, sigma: float) -> np.ndar
 
     ``center`` is vecd(log summary) for the tangent mechanism, whose
     utility ||z - center||^2 is then the squared log-Euclidean deviation,
-    and vecd(summary) for the extrinsic baseline.
+    and vecd(summary) for the extrinsic baseline.  The noise is one draw
+    of ``d`` standard normals from ``rng``, added by
+    :func:`gaussian_release_block`.
     """
+    center = np.asarray(center, dtype=float)
+    if center.ndim != 1 or center.size < 1:
+        raise DimensionError(f"center must be a nonempty vector, got shape {center.shape}")
+    return gaussian_release_block(center, sigma, rng.generator.standard_normal(center.size))
+
+
+def gaussian_release_block(
+    center: np.ndarray, sigma: float, noise: np.ndarray
+) -> np.ndarray:
+    """The Gaussian law on a block of standard normal rows ``noise``
+    (trials, d): release ``center + sigma * noise``, with ``center`` one
+    d-vector for every row or one row per trial."""
     if not (sigma > 0):
         raise DomainError("sigma must be positive")
-    center = np.asarray(center, dtype=float)
-    return gaussian_vector(rng, center.size, center, sigma)
+    center, noise = np.asarray(center, dtype=float), np.asarray(noise, dtype=float)
+    if noise.shape[max(0, noise.ndim - center.ndim) :] != center.shape:
+        raise DimensionError(f"center {center.shape} does not fit noise {noise.shape}")
+    return center + float(sigma) * noise
 
 
 def tangent_gaussian(rng: RngState, summary: SpdMatrix, sigma: float) -> SpdMatrix:

@@ -36,17 +36,70 @@ def pnm_like_bytes(draw):
     """Byte strings shaped like a P5/P6 file: a magic, three header tokens
     (mostly small integers, sometimes junk), separators with optional
     comments, and a payload whose length is near the announced size."""
-    magic = draw(st.sampled_from([b"P5", b"P6", b"P5", b"P6", b"P4", b"5P"]))
-    sep = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\n# c 7\n", b"#x", b""])
-    junk = st.sampled_from([b"1_0", b"+3", b"-1", b"0", b"0x10", b"\xff", b"9" * 5000, b"256"])
+    magic = draw(st.sampled_from([b"P5", b"P6", b"P5", b"P6", b"P4", b"5P", b"P5#", b"P55"]))
+    sep = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\n# c 7\n", b"#x", b"", b"\x0b",
+                           b"\x0c", b"\r", b" #c\r", b"\n#\n#\n", b"\xa0", b"\n# 9 9\x0b"])
+    junk = st.sampled_from([b"1_0", b"+3", b"-1", b"0", b"0x10", b"\xff", b"9" * 5000, b"256",
+                            b"1#2", b"000000001", b"1234567890", b"\xd9\xa3", b""])
     fields = [draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 255))]
     tokens = [draw(st.one_of(st.just(str(v).encode()), junk)) if draw(st.booleans())
               else str(v).encode() for v in fields]
-    head = magic + b"".join(draw(sep) + t for t in tokens)
+    lead = draw(st.sampled_from([b"", b"", b"# lead\n", b" \t", b"#"]))
+    head = lead + magic + b"".join(draw(sep) + t for t in tokens)
     head += draw(st.sampled_from([b"\n", b"\n", b" ", b""]))
     size = fields[0] * fields[1] * (1 if magic == b"P5" else 3) + draw(st.integers(-1, 1))
     payload = draw(st.binary(min_size=max(size, 0), max_size=max(size, 0)))
     return head + payload
+
+
+def _reference_pnm_token(data: bytes, pos: int) -> tuple[bytes, int]:
+    """The byte-at-a-time header tokenizer that the header regex of
+    ``_decode_pnm`` replaced, kept as its reference."""
+    n = len(data)
+    while pos < n:
+        if data[pos : pos + 1].isspace():
+            pos += 1
+        elif data[pos : pos + 1] == b"#":
+            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and not data[pos : pos + 1].isspace():
+        pos += 1
+    if start == pos:
+        raise DomainError("truncated PNM header")
+    return data[start:pos], pos
+
+
+def _reference_decode_pnm(data: bytes) -> RasterImage:
+    """``_decode_pnm`` as written with :func:`_reference_pnm_token`."""
+    magic, pos = _reference_pnm_token(data, 0)
+    if magic not in (b"P5", b"P6"):
+        raise DomainError(f"unsupported PNM magic {magic!r}; only binary P5/P6")
+    fields = []
+    for _ in range(3):
+        token, pos = _reference_pnm_token(data, pos)
+        if not token.isdigit() or len(token) > 9:
+            raise DomainError(f"invalid PNM header token {token[:20]!r}")
+        fields.append(int(token))
+    width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise DomainError(f"invalid PNM dimensions {width}x{height}")
+    if not (0 < maxval <= 255):
+        raise DomainError(f"only 8-bit PNM supported, got maxval {maxval}")
+    channels = 1 if magic == b"P5" else 3
+    pos += 1
+    expected = width * height * channels
+    raw = data[pos : pos + expected]
+    if len(raw) != expected:
+        raise DomainError(
+            f"truncated PNM payload: expected {expected} bytes, got {len(raw)}"
+        )
+    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, channels)
+    if int(pixels.max()) > maxval:
+        raise DomainError(f"PNM sample {int(pixels.max())} exceeds maxval {maxval}")
+    return RasterImage(intensities=pixels.astype(float) / float(maxval))
 
 
 def gray_image(rng, h=12, w=12):
@@ -406,13 +459,20 @@ class TestPnmIO:
         with pytest.raises(DomainError, match="header token"):
             load_pnm(path)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     @given(data=st.one_of(st.binary(max_size=64), pnm_like_bytes()))
     def test_header_fuzz_gives_image_or_domain_error(self, data):
+        # differential: the header regex accepts, rejects (with the same
+        # message) and decodes exactly as the byte-wise reference tokenizer
         try:
-            img = _decode_pnm(data)
-        except DomainError:
+            want = _reference_decode_pnm(data)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                _decode_pnm(data)
+            assert str(got.value) == str(exc)
             return
+        img = _decode_pnm(data)
+        assert np.array_equal(img.intensities, want.intensities)
         assert isinstance(img, RasterImage)
         assert img.height * img.width * img.channels <= len(data)
         assert 0.0 <= img.intensities.min() <= img.intensities.max() <= 1.0

@@ -43,6 +43,9 @@ CASES = {
     "tangent_analytic_measured_radius": _SYNTHETIC
     + ["--mechanism", "tangent_analytic", "--eps", "0.3", "--delta", "1e-6", "--trials", "3",
        "--measured-radius"],
+    "tangent_analytic_resample": _SYNTHETIC
+    + ["--mechanism", "tangent_analytic", "--eps", "0.1,2.0", "--delta", "1e-6", "--trials", "3",
+       "--resample-data", "--threads", "8"],
     "extrinsic_analytic": _SYNTHETIC
     + ["--mechanism", "extrinsic_analytic", "--eps", "0.1,2.0", "--delta", "1e-6", "--trials", "3"],
     "riemannian_laplace": _SYNTHETIC

@@ -29,8 +29,10 @@ from spdprivacy.mechanisms import (
     SensitivityKind,
     calibrate_analytic,
     calibrate_classical,
+    gaussian_release,
 )
 from spdprivacy.plotting import emit_plot
+from spdprivacy.sampling import RngState, sample_synthetic_logs
 
 
 def small_spec(**overrides):
@@ -127,13 +129,13 @@ class TestRunSynthetic:
         # ||z - c||^2 is translation invariant, so redrawing the summary c
         # per trial leaves every utility unchanged up to rounding
         centers = []
-        release = harness.gaussian_release
+        release = harness.gaussian_release_block
 
-        def spy(rng, center, sigma):
+        def spy(center, sigma, noise):
             centers.append(center)
-            return release(rng, center, sigma)
+            return release(center, sigma, noise)
 
-        monkeypatch.setattr(harness, "gaussian_release", spy)
+        monkeypatch.setattr(harness, "gaussian_release_block", spy)
         for mechanism in ("tangent_analytic", "extrinsic_analytic"):
             centers.clear()
             fixed = run_synthetic(small_spec(mechanism=mechanism))
@@ -141,9 +143,12 @@ class TestRunSynthetic:
             centers.clear()
             resampled = run_synthetic(small_spec(mechanism=mechanism, resample_data=True))
             trials = len(fixed)
-            assert len(fixed_centers) == len(centers) == trials
+            # one block per cell: the shared center, or one fresh center per trial
+            assert len(fixed_centers) == len(centers)
             assert all(c is fixed_centers[0] for c in fixed_centers)
-            distinct = {tuple(c) for c in centers}
+            rows = np.concatenate(centers)
+            assert len(rows) == trials
+            distinct = {tuple(c) for c in rows}
             assert len(distinct) == trials and tuple(fixed_centers[0]) not in distinct
             assert [r.utility for r in resampled] == pytest.approx(
                 [r.utility for r in fixed], rel=1e-12, abs=0.0
@@ -215,6 +220,63 @@ class TestRunSynthetic:
         fast = min(r.wall_time_ns for r in tangent)
         slow = min(r.wall_time_ns for r in laplace)
         assert slow >= 100 * fast
+
+
+def per_trial_utilities(spec):
+    """Utilities by (epsilon, delta, trial) of a synthetic Gaussian run,
+    from one ``gaussian_release`` per trial on substream (1, cell, trial),
+    around the dataset center or, with ``resample_data``, around the center
+    of the trial's own dataset from substream (0, cell, trial)."""
+    base = RngState(spec.seed)
+    logs = sample_synthetic_logs(base.substream(0), spec.k, spec.r, spec.n)
+    sens = harness._sensitivity(spec.mechanism, spec.n, math.sqrt(spec.k) * spec.r)
+    cells = [(eps, delta) for eps in spec.epsilon_grid for delta in spec.delta_grid]
+    out = {}
+    for cell, (eps, delta) in enumerate(cells):
+        sigma = harness._noise_scale(spec.mechanism, eps, delta, sens)
+        for trial in range(spec.trials):
+            if spec.resample_data:
+                data = base.substream(0, cell, trial)
+                logs = sample_synthetic_logs(data, spec.k, spec.r, spec.n)
+            center = harness._center(spec.mechanism, logs)
+            z = gaussian_release(base.substream(1, cell, trial), center, sigma)
+            deviation = z - center
+            out[eps, delta, trial] = float(deviation @ deviation)
+    return out
+
+
+class TestBatchedGaussianCells:
+    """A Gaussian cell draws all its trials' noise at once; every trial's
+    utility must equal one release per trial on its own substream, bit for
+    bit, whatever the thread count."""
+
+    @pytest.mark.parametrize("threads", [1, 8])
+    @pytest.mark.parametrize("resample", [False, True])
+    @pytest.mark.parametrize(
+        "mechanism", ["tangent_classical", "tangent_analytic", "extrinsic_analytic"]
+    )
+    def test_utilities_equal_per_trial_releases(self, mechanism, resample, threads):
+        # k = 10 gives d = 55, so odd rows of the noise block are not
+        # 16-byte aligned
+        spec = small_spec(
+            mechanism=mechanism, k=10, trials=7, resample_data=resample,
+            delta_grid=(1e-6, 1e-8),
+        )
+        records = run_synthetic(spec, threads=threads)
+        want = per_trial_utilities(spec)
+        assert len(records) == len(want)
+        assert all(r.utility == want[r.epsilon, r.delta, r.trial] for r in records)
+
+    def test_timing_nonzero_per_trial(self, tmp_path):
+        for mechanism, extra in (("tangent_analytic", []), ("riemannian_laplace", ["--burn-in", "50"])):
+            out = tmp_path / f"{mechanism}.csv"
+            argv = ["synthetic-bench", "--mechanism", mechanism, "--k", "3", "--n", "40",
+                    "--eps", "0.3,0.5", "--delta", "1e-6", "--trials", "6", "--timing",
+                    "--out-csv", str(out)]
+            assert main(argv + extra) == 0
+            rows = out.read_text().splitlines()[1:]
+            assert len(rows) == 12
+            assert all(int(row.split(",")[6]) > 0 for row in rows)
 
 
 class TestRunImage:

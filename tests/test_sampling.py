@@ -25,6 +25,7 @@ from spdprivacy.sampling import (
     sample_log_gaussian_stack,
     sample_synthetic_logs,
     sample_synthetic_spd,
+    _philox_keys,
 )
 
 
@@ -55,6 +56,52 @@ class TestRngState:
             RngState(-1)
         with pytest.raises(DomainError):
             RngState(2**64)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, 2.0, np.float64(3.0), "4", None, np.int64(-2)])
+    def test_path_elements_validated(self, bad):
+        # negative or non-integral elements are rejected, never truncated
+        with pytest.raises(DomainError):
+            RngState(1).substream(bad)
+        with pytest.raises(DomainError):
+            RngState(1, (0, bad))
+        with pytest.raises(DomainError):
+            RngState(1).substream_normals(bad, count=2, dim=3)
+        with pytest.raises(DomainError):
+            RngState(1).substream_normals(0, count=bad, dim=3)
+
+    @pytest.mark.parametrize("path", [(np.int64(5),), (2**32,), (2**32 + 5, 1), (2**70, 0)])
+    def test_integer_path_elements_accepted(self, path):
+        # elements of any size are accepted; those >= 2**32 take several words
+        sub = RngState(1).substream(*path)
+        assert sub.stream == tuple(int(p) for p in path)
+        rows = RngState(1).substream_normals(*path, count=3, dim=4)
+        for i in range(3):
+            want = RngState(1).substream(*path, i).generator.standard_normal(4)
+            assert np.array_equal(rows[i], want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("path", [(), (1,), (1, 3), (1, 2**32 + 5), (2**64 + 7, 0, 2)])
+    def test_philox_keys_match_seed_sequence(self, seed, path):
+        keys = _philox_keys(seed, path, 40)
+        assert keys.dtype == np.uint64 and keys.shape == (40, 2)
+        for i in range(40):
+            sequence = np.random.SeedSequence(entropy=seed, spawn_key=path + (i,))
+            assert np.array_equal(keys[i], sequence.generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize("dim", [3, 55, 465])
+    def test_substream_normals_equal_substream_draws(self, dim):
+        root = RngState(2**40 + 3).substream(7)
+        rows = root.substream_normals(1, 4, count=25, dim=dim)
+        assert rows.shape == (25, dim)
+        for i in range(25):
+            want = root.substream(1, 4, i).generator.standard_normal(dim)
+            assert np.array_equal(rows[i], want)
+
+    def test_substream_normals_leave_own_stream_alone(self):
+        rng = RngState(5)
+        rng.substream_normals(1, count=4, dim=3)
+        assert np.array_equal(rng.generator.standard_normal(3), RngState(5).generator.standard_normal(3))
+        assert rng.substream_normals(1, count=0, dim=3).shape == (0, 3)
 
 
 class TestGaussianVector:
