@@ -11,6 +11,7 @@ Flags may also come from a config file of ``key = value`` lines passed with
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -18,33 +19,33 @@ import numpy as np
 
 from .descriptors import DescriptorParams, covariance_descriptor, load_pnm
 from .errors import SpdPrivacyError
-from .geometry import SpdMatrix
-from .harness import (
-    MECHANISMS,
-    ExperimentSpec,
-    emit_csv,
-    render_csv,
-    run_image,
-    run_synthetic,
-)
+from .geometry import SpdMatrix, logm_stack, vecd_stack
+from .harness import ExperimentSpec, emit_csv, render_csv, run_image, run_synthetic
 from .mechanisms import (
+    MECHANISMS,
     PrivacyBudget,
     Sensitivity,
     SensitivityKind,
+    acceptance_warning,
     calibrate_analytic,
     calibrate_classical,
-    extrinsic_gaussian,
-    riemannian_laplace,
-    sensitivity_extrinsic,
-    sensitivity_frechet_le,
-    tangent_gaussian,
+    gaussian_release,
+    laplace_release,
 )
 from .plotting import emit_plot
 from .sampling import RngState
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _parse_number(text: str, kind: type, what: str):
+    """``kind(text)``, or :class:`SpdPrivacyError` naming ``what``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise SpdPrivacyError(f"{what}: {text!r} is not a valid {kind.__name__}") from None
+
+
+def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
+    return tuple(_parse_number(tok, float, what) for tok in text.split(",") if tok.strip())
 
 
 def load_config(path: str | Path) -> dict[str, str]:
@@ -78,10 +79,8 @@ def _apply_config(args: argparse.Namespace, argv_tokens: list[str]) -> None:
         current = getattr(args, key)
         if isinstance(current, bool):
             setattr(args, key, value.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int):
-            setattr(args, key, int(value))
-        elif isinstance(current, float):
-            setattr(args, key, float(value))
+        elif isinstance(current, (int, float)):
+            setattr(args, key, _parse_number(value, type(current), f"config key {key!r}"))
         else:
             setattr(args, key, value)
 
@@ -90,13 +89,14 @@ def read_matrix(path: str | Path) -> np.ndarray:
     """Read a k x k matrix: k lines of k comma- or whitespace-separated
     decimals."""
     rows = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.replace(",", " ").strip()
-        if not line:
-            continue
-        rows.append([float(tok) for tok in line.split()])
+    for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        tokens = raw.replace(",", " ").split()
+        if tokens:
+            rows.append([_parse_number(tok, float, f"{path} line {number}") for tok in tokens])
     if not rows:
         raise SpdPrivacyError(f"no matrix data in {path}")
+    if len({len(row) for row in rows}) > 1:
+        raise SpdPrivacyError(f"{path}: rows differ in length: {[len(row) for row in rows]}")
     return np.array(rows, dtype=float)
 
 
@@ -117,30 +117,17 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_privatize(args: argparse.Namespace) -> int:
     summary = SpdMatrix(read_matrix(args.matrix))
-    radius = args.r
-    if args.mechanism == "extrinsic_analytic":
-        sens = sensitivity_extrinsic(args.n, radius)
-    else:
-        sens = sensitivity_frechet_le(args.n, radius)
-    budget = PrivacyBudget(epsilon=args.eps, delta=args.delta)
+    mechanism = MECHANISMS[args.mechanism]
+    sigma = mechanism.noise_scale(args.n, args.r, args.eps, args.delta)
+    center = vecd_stack(logm_stack(summary.entries) if mechanism.log_chart else summary.entries)
     rng = RngState(args.seed)
-    if args.mechanism == "tangent_classical":
-        out = tangent_gaussian(rng, summary, calibrate_classical(sens, budget))
-        mat = out.entries
-    elif args.mechanism == "tangent_analytic":
-        out = tangent_gaussian(rng, summary, calibrate_analytic(sens, budget))
-        mat = out.entries
-    elif args.mechanism == "extrinsic_analytic":
-        out = extrinsic_gaussian(rng, summary, calibrate_analytic(sens, budget))
-        mat = out.entries
+    if mechanism.chain:
+        z, ratio = laplace_release(rng, center, sigma, burn_in=args.burn_in)
+        if warning := acceptance_warning(ratio):
+            print(f"warning: {warning}", file=sys.stderr)
     else:
-        draw = riemannian_laplace(
-            rng, summary, sens.value / args.eps, burn_in=args.burn_in
-        )
-        if draw.warning:
-            print(f"warning: {draw.warning}", file=sys.stderr)
-        mat = draw.sample.entries
-    print(format_matrix(mat))
+        z = gaussian_release(rng, center, sigma)
+    print(format_matrix(mechanism.export(z, summary.dim).entries))
     return 0
 
 
@@ -148,8 +135,8 @@ def _spec_from_args(args: argparse.Namespace, kind: str) -> ExperimentSpec:
     return ExperimentSpec(
         kind=kind,
         mechanism=args.mechanism,
-        epsilon_grid=_parse_float_list(args.eps),
-        delta_grid=_parse_float_list(args.delta),
+        epsilon_grid=_parse_float_list(args.eps, "--eps"),
+        delta_grid=_parse_float_list(args.delta, "--delta"),
         n=args.n,
         r=args.r,
         k=args.k,
@@ -216,7 +203,10 @@ def _add_bench_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="key = value defaults file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``spd-bench`` parser, built on first use and reused by every
+    :func:`main` call of the process."""
     parser = argparse.ArgumentParser(
         prog="spd-bench",
         description="Differentially private Fréchet means on SPD matrices.",

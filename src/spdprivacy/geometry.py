@@ -132,14 +132,6 @@ class TangentVector:
         object.__setattr__(self, "coords", arr)
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Eigenvalues (ascending) and an orthogonal eigenbasis of a symmetric matrix."""
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-
-
 def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(mats)
@@ -162,12 +154,6 @@ def _rebuild(basis: np.ndarray, eigs: np.ndarray) -> np.ndarray:
     """Symmetric U diag(w) U^T for stacks of bases and eigenvalue vectors."""
     out = (basis * eigs[..., None, :]) @ np.swapaxes(basis, -1, -2)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-
-def sym_eigen(s: SymMatrix) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-    w, u = _eigh(s.entries)
-    return EigenDecomposition(eigenvalues=w, basis=u)
 
 
 def logm_stack(mats: np.ndarray) -> np.ndarray:

@@ -45,28 +45,17 @@ from .descriptors import (
     load_pnm,
 )
 from .errors import DomainError
-from .geometry import expm_stack, logm_stack, vecd_stack
+from .geometry import MAX_DIM, expm_stack, logm_stack, vecd_stack
 from .mechanisms import (
-    PrivacyBudget,
-    Sensitivity,
+    MECHANISMS,
+    Mechanism,
     acceptance_warning,
-    calibrate_analytic,
-    calibrate_classical,
     gaussian_release_block,
     laplace_release,
-    sensitivity_extrinsic,
-    sensitivity_frechet_le,
 )
 from .sampling import RngState, sample_synthetic_logs
 
 log = logging.getLogger(__name__)
-
-MECHANISMS = (
-    "tangent_classical",
-    "tangent_analytic",
-    "extrinsic_analytic",
-    "riemannian_laplace",
-)
 
 CSV_HEADER = "mechanism,k,epsilon,delta,trial,utility,wall_time_ns,acceptance_ratio"
 
@@ -100,24 +89,24 @@ class ExperimentSpec:
             raise DomainError(f"kind must be 'synthetic' or 'image', got {self.kind!r}")
         if self.mechanism not in MECHANISMS:
             raise DomainError(
-                f"mechanism must be one of {MECHANISMS}, got {self.mechanism!r}"
+                f"mechanism must be one of {tuple(MECHANISMS)}, got {self.mechanism!r}"
             )
         if not self.epsilon_grid or not self.delta_grid:
             raise DomainError("epsilon and delta grids must be nonempty")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
-        if self.kind == "synthetic" and self.k < 2:
-            raise DomainError("synthetic experiments require k >= 2")
+        if self.kind == "synthetic" and not 2 <= self.k <= MAX_DIM:
+            raise DomainError(f"synthetic experiments require 2 <= k <= {MAX_DIM}, got {self.k}")
         if self.kind == "image" and self.image_dir is None:
             raise DomainError("image experiments require image_dir")
         if self.burn_in < 1:
             raise DomainError("burn_in must be >= 1")
-        object.__setattr__(
-            self, "epsilon_grid", tuple(float(e) for e in self.epsilon_grid)
-        )
-        object.__setattr__(
-            self, "delta_grid", tuple(float(d) for d in self.delta_grid)
-        )
+        for name in ("epsilon_grid", "delta_grid"):
+            grid = tuple(float(v) for v in getattr(self, name))
+            if len(set(grid)) != len(grid):
+                # two cells with one sort key: their rows could not be told apart
+                raise DomainError(f"{name} has duplicate values: {grid}")
+            object.__setattr__(self, name, grid)
 
 
 @dataclass(frozen=True)
@@ -151,32 +140,16 @@ class _Group:
     radius: float
 
 
-def _noise_scale(
-    mechanism: str, epsilon: float, delta: float, sens: Sensitivity
-) -> float:
-    if mechanism == "tangent_classical":
-        return calibrate_classical(sens, PrivacyBudget(epsilon, delta))
-    if mechanism in ("tangent_analytic", "extrinsic_analytic"):
-        return calibrate_analytic(sens, PrivacyBudget(epsilon, delta))
-    if mechanism == "riemannian_laplace":
-        # Pure-DP Laplace scale; delta plays no role.
-        return sens.value / epsilon
-    raise DomainError(f"unknown mechanism {mechanism!r}")
-
-
-def _sensitivity(mechanism: str, n: int, radius: float) -> Sensitivity:
-    if mechanism == "extrinsic_analytic":
-        return sensitivity_extrinsic(n, radius)
-    return sensitivity_frechet_le(n, radius)
-
-
-def _center(mechanism: str, logs: np.ndarray) -> np.ndarray:
+def _center(mechanism: Mechanism, logs: np.ndarray) -> np.ndarray:
     """Release center of the Fréchet mean of a stack of log-matrices: its
-    log-chart vector, or for the extrinsic baseline, vecd of the mean itself."""
+    log-chart vector, or outside the log chart, vecd of the mean itself."""
     mean_log = logs.mean(axis=0)
-    if mechanism == "extrinsic_analytic":
-        return vecd_stack(expm_stack(mean_log))
-    return vecd_stack(mean_log)
+    return vecd_stack(mean_log if mechanism.log_chart else expm_stack(mean_log))
+
+
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
 
 
 def _run_cells(
@@ -190,18 +163,9 @@ def _run_cells(
     Laplace trial runs its own chain on that substream.  The thread pool
     runs Laplace chains and resampled datasets, one (cell, trial) per task.
     """
+    mechanism = MECHANISMS[spec.mechanism]
     cells = [
-        (
-            group,
-            eps,
-            delta,
-            _noise_scale(
-                spec.mechanism,
-                eps,
-                delta,
-                _sensitivity(spec.mechanism, group.n, group.radius),
-            ),
-        )
+        (group, eps, delta, mechanism.noise_scale(group.n, group.radius, eps, delta))
         for group in groups
         for eps in spec.epsilon_grid
         for delta in spec.delta_grid
@@ -220,7 +184,7 @@ def _run_cells(
         if resample:
             data_rng = base.substream(_DATA_STREAM, cell_index, trial)
             logs = sample_synthetic_logs(data_rng, spec.k, spec.r, spec.n)
-            return _center(spec.mechanism, logs)
+            return _center(mechanism, logs)
         return cells[cell_index][0].center
 
     def laplace_trial(task: tuple[int, int]) -> tuple[float, int, float]:
@@ -252,7 +216,7 @@ def _run_cells(
         # utility does not depend on how trials are batched
         return [(float(row @ row), per_trial, None) for row in z - center]
 
-    if spec.mechanism == "riemannian_laplace":
+    if mechanism.chain:
         outcomes = fan_out(laplace_trial)
     else:
         if resample:
@@ -287,13 +251,14 @@ def run_synthetic(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     """
     if spec.kind != "synthetic":
         raise DomainError("run_synthetic requires a synthetic spec")
+    _check_threads(threads)
     base = RngState(spec.seed)
     logs = sample_synthetic_logs(base.substream(_DATA_STREAM), spec.k, spec.r, spec.n)
     radius = math.sqrt(spec.k) * spec.r
     if spec.measured_radius:
         radius = float(np.max(np.linalg.norm(logs, axis=(1, 2))))
     group = _Group(
-        center=_center(spec.mechanism, logs), n=spec.n, k=spec.k, radius=radius
+        center=_center(MECHANISMS[spec.mechanism], logs), n=spec.n, k=spec.k, radius=radius
     )
     return _run_cells(spec, base, [group], threads)
 
@@ -368,6 +333,7 @@ def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     """
     if spec.kind != "image":
         raise DomainError("run_image requires an image spec")
+    _check_threads(threads)
     root = Path(spec.image_dir)
     if not root.is_dir():
         raise DomainError(f"image_dir {root} is not a directory")
@@ -380,7 +346,7 @@ def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
         n, k = descriptors.shape[:2]
         groups.append(
             _Group(
-                center=_center(spec.mechanism, logm_stack(descriptors)),
+                center=_center(MECHANISMS[spec.mechanism], logm_stack(descriptors)),
                 n=n,
                 k=k,
                 radius=descriptor_radius_bound(k - 8, spec.eta),  # k = 8 + channels

@@ -17,13 +17,17 @@ Noise calibration comes in two flavors: the classical closed form
 and the analytic calibration, which bisects for the smallest sigma
 satisfying the exact Gaussian-mechanism privacy condition and is never
 worse than the classical value.
+
+:data:`MECHANISMS` names the four releases the harness and the CLI offer,
+each as one :class:`Mechanism` row: its sensitivity, its noise
+calibration, its chart and whether it is sampled by a chain.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +61,6 @@ class SensitivityKind(str, enum.Enum):
     EXTRINSIC = "extrinsic"
 
 
-class CalibrationKind(str, enum.Enum):
-    CLASSICAL = "classical"
-    ANALYTIC = "analytic"
-
-
 @dataclass(frozen=True)
 class PrivacyBudget:
     """An (epsilon, delta) privacy budget; delta strictly inside (0, 1)."""
@@ -86,29 +85,6 @@ class Sensitivity:
     def __post_init__(self) -> None:
         if not (self.value >= 0 and math.isfinite(self.value)):
             raise DomainError(f"sensitivity must be nonnegative, got {self.value}")
-
-
-@dataclass(frozen=True)
-class MechanismConfig:
-    """Budget, sensitivity and calibration flavor driving the noise scale."""
-
-    budget: PrivacyBudget
-    sensitivity: Sensitivity
-    calibration: CalibrationKind
-    mcmc_burn_in: int = 50000
-
-    def __post_init__(self) -> None:
-        if self.calibration == CalibrationKind.CLASSICAL and self.budget.epsilon >= 1:
-            raise DomainError(
-                "classical calibration requires epsilon < 1; use analytic calibration"
-            )
-        if self.mcmc_burn_in < 1:
-            raise DomainError("mcmc_burn_in must be a positive integer")
-
-    def noise_scale(self) -> float:
-        if self.calibration == CalibrationKind.CLASSICAL:
-            return calibrate_classical(self.sensitivity, self.budget)
-        return calibrate_analytic(self.sensitivity, self.budget)
 
 
 def sensitivity_frechet_le(n: int, r: float) -> Sensitivity:
@@ -193,6 +169,45 @@ def calibrate_analytic(sensitivity: Sensitivity, budget: PrivacyBudget) -> float
     return hi
 
 
+def _calibrate_pure(sensitivity: Sensitivity, budget: PrivacyBudget) -> float:
+    # Pure-DP Laplace scale; delta plays no role.
+    return sensitivity.value / budget.epsilon
+
+
+@dataclass(frozen=True)
+class Mechanism:
+    """One release of the Fréchet mean, as a row of :data:`MECHANISMS`.
+
+    A log-chart release is centered at vecd(log summary) and exported
+    through expm as an SPD matrix; otherwise it is centered at
+    vecd(summary) and exported as a symmetric matrix.  A chain release is
+    one :func:`laplace_release`, any other one :func:`gaussian_release`.
+    """
+
+    sensitivity: Callable[[int, float], Sensitivity]
+    calibrate: Callable[[Sensitivity, PrivacyBudget], float]
+    log_chart: bool = True
+    chain: bool = False
+
+    def noise_scale(self, n: int, radius: float, epsilon: float, delta: float) -> float:
+        """Noise scale for a summary of ``n`` points in a ball of ``radius``."""
+        return self.calibrate(self.sensitivity(n, radius), PrivacyBudget(epsilon, delta))
+
+    def export(self, z: np.ndarray, k: int) -> SymMatrix:
+        """The release ``z`` as a k x k matrix."""
+        if self.log_chart:
+            return SpdMatrix(expm_stack(invvecd_stack(z, k)))
+        return SymMatrix(invvecd_stack(z, k))
+
+
+MECHANISMS = {
+    "tangent_classical": Mechanism(sensitivity_frechet_le, calibrate_classical),
+    "tangent_analytic": Mechanism(sensitivity_frechet_le, calibrate_analytic),
+    "extrinsic_analytic": Mechanism(sensitivity_extrinsic, calibrate_analytic, log_chart=False),
+    "riemannian_laplace": Mechanism(sensitivity_frechet_le, _calibrate_pure, chain=True),
+}
+
+
 def gaussian_release(rng: RngState, center: np.ndarray, sigma: float) -> np.ndarray:
     """Core of both Gaussian mechanisms: ``center + sigma * N(0, I_d)``.
 
@@ -237,16 +252,12 @@ def tangent_gaussian_stack(
     Returns a (size, k, k) array of SPD matrices; the bulk form of
     :func:`tangent_gaussian` for Monte-Carlo diagnostics.
     """
-    if not (sigma > 0):
-        raise DomainError("sigma must be positive")
     size = int(size)
     if size < 1:
         raise DomainError("size must be >= 1")
-    k = summary.dim
-    d = k * (k + 1) // 2
     center = vecd_stack(logm_stack(summary.entries))
-    z = center + sigma * rng.generator.standard_normal((size, d))
-    return expm_stack(invvecd_stack(z, k))
+    noise = rng.generator.standard_normal((size, center.size))
+    return expm_stack(invvecd_stack(gaussian_release_block(center, sigma, noise), summary.dim))
 
 
 def extrinsic_gaussian(rng: RngState, summary: SpdMatrix, sigma: float) -> SymMatrix:

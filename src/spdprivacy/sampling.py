@@ -1,4 +1,5 @@
-"""Deterministic, seedable randomness and log-Gaussian sampling on SPD(k).
+"""Deterministic, seedable randomness, synthetic SPD data and the log-Gaussian
+density on SPD(k).
 
 All randomness in the package flows through :class:`RngState`, a thin wrapper
 over a counter-based Philox generator.  Substreams forked with
@@ -19,9 +20,10 @@ releases (NEP 19); a test checks it against numpy directly.
 
 The log-Gaussian distribution LN(M, sigma^2 I) is the distribution on SPD(k)
 whose vectorised matrix logarithm is Gaussian: vecd(log X) ~ N(vecd(log M),
-sigma^2 I).  Sampling goes through that flat-chart reformulation; the density
-additionally carries the volume term of the log chart, exposed here via
-:func:`log_jacobian`.
+sigma^2 I): the law of the tangent Gaussian mechanism's release
+(:func:`spdprivacy.mechanisms.tangent_gaussian`), which samples it.  The
+density additionally carries the volume term of the log chart, exposed here
+via :func:`log_jacobian`.
 """
 
 from __future__ import annotations
@@ -32,14 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .geometry import (
-    SpdMatrix,
-    _rebuild,
-    expm_stack,
-    invvecd_stack,
-    logm_stack,
-    vecd_stack,
-)
+from .geometry import SpdMatrix, _rebuild, logm_stack, vecd_stack
 
 # Two eigenvalues count as equal when their gap is below this relative
 # tolerance; the pairwise volume factor then uses its continuous limit.
@@ -191,8 +186,7 @@ class LogGaussianParams:
 
     ``sigma`` is the standard deviation per tangent coordinate (covariance
     sigma^2 I on the k(k+1)/2-dimensional tangent space).  ``sigma == 0`` is
-    admitted as the degenerate point mass at the mean; the density is only
-    defined for ``sigma > 0``.
+    admitted, but the density is only defined for ``sigma > 0``.
     """
 
     mean: SpdMatrix
@@ -201,25 +195,6 @@ class LogGaussianParams:
     def __post_init__(self) -> None:
         if not np.isfinite(self.sigma) or self.sigma < 0:
             raise DomainError(f"sigma must be a finite nonnegative real, got {self.sigma}")
-
-
-def gaussian_vector(
-    rng: RngState, dim: int, mean: np.ndarray, sigma: float
-) -> np.ndarray:
-    """Draw one vector with i.i.d. N(mean_i, sigma^2) entries.
-
-    ``sigma == 0`` returns ``mean`` exactly (the stream is still advanced by
-    one block of ``dim`` normals, so call sequences stay aligned).
-    """
-    dim = int(dim)
-    if dim < 1:
-        raise DimensionError("dim must be >= 1")
-    mean = np.asarray(mean, dtype=float)
-    if mean.shape != (dim,):
-        raise DimensionError(f"mean must have shape ({dim},), got {mean.shape}")
-    if sigma < 0:
-        raise DomainError("sigma must be nonnegative")
-    return mean + float(sigma) * rng.generator.standard_normal(dim)
 
 
 def haar_orthogonal(rng: RngState, k: int) -> np.ndarray:
@@ -242,36 +217,6 @@ def _haar_from_gaussian(gauss: np.ndarray) -> np.ndarray:
     signs[signs == 0] = 1.0
     q *= signs[..., None, :]
     return q
-
-
-def sample_log_gaussian(rng: RngState, params: LogGaussianParams) -> SpdMatrix:
-    """Draw X ~ LN(M, sigma^2 I) via X = exp(invvecd(z)), z Gaussian in the
-    log chart.  ``sigma == 0`` returns the mean exactly."""
-    if params.sigma == 0:
-        return params.mean
-    k = params.mean.dim
-    d = k * (k + 1) // 2
-    center = vecd_stack(logm_stack(params.mean.entries))
-    z = gaussian_vector(rng, d, center, params.sigma)
-    return SpdMatrix(expm_stack(invvecd_stack(z, k)))
-
-
-def sample_log_gaussian_stack(
-    rng: RngState, params: LogGaussianParams, size: int
-) -> np.ndarray:
-    """Vectorised draws from LN(M, sigma^2 I): a (size, k, k) SPD stack.
-
-    The bulk form of :func:`sample_log_gaussian` for Monte-Carlo work; the
-    two share the same law but consume the stream differently.
-    """
-    size = int(size)
-    if size < 1:
-        raise DomainError("size must be >= 1")
-    k = params.mean.dim
-    d = k * (k + 1) // 2
-    center = vecd_stack(logm_stack(params.mean.entries))
-    z = center + params.sigma * rng.generator.standard_normal((size, d))
-    return expm_stack(invvecd_stack(z, k))
 
 
 def log_jacobian(eigenvalues: np.ndarray) -> np.ndarray:
@@ -299,15 +244,8 @@ def log_jacobian(eigenvalues: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_gaussian_logdensity(
-    x: SpdMatrix, params: LogGaussianParams, diag_scales: np.ndarray | None = None
-) -> float:
-    """Log density of LN(M, sigma^2 I) at ``x``.
-
-    ``diag_scales``, when given, replaces the isotropic tangent covariance by
-    a diagonal one with the provided per-coordinate standard deviations; this
-    is a diagnostic extension, off by default.
-    """
+def log_gaussian_logdensity(x: SpdMatrix, params: LogGaussianParams) -> float:
+    """Log density of LN(M, sigma^2 I) at ``x``."""
     if x.dim != params.mean.dim:
         raise DimensionError(f"dimension mismatch: {x.dim} vs {params.mean.dim}")
     k = x.dim
@@ -318,19 +256,10 @@ def log_gaussian_logdensity(
     log_x = (u * np.log(w)) @ u.T
     log_x = 0.5 * (log_x + log_x.T)
     z = vecd_stack(log_x - logm_stack(params.mean.entries))
-    if diag_scales is None:
-        if params.sigma <= 0:
-            raise DomainError("density requires sigma > 0")
-        scale_term = d * np.log(params.sigma)
-        quad = float(z @ z) / (2.0 * params.sigma**2)
-    else:
-        scales = np.asarray(diag_scales, dtype=float)
-        if scales.shape != (d,):
-            raise DimensionError(f"diag_scales must have shape ({d},)")
-        if np.any(scales <= 0):
-            raise DomainError("diag_scales must be strictly positive")
-        scale_term = float(np.sum(np.log(scales)))
-        quad = 0.5 * float(np.sum((z / scales) ** 2))
+    if params.sigma <= 0:
+        raise DomainError("density requires sigma > 0")
+    scale_term = d * np.log(params.sigma)
+    quad = float(z @ z) / (2.0 * params.sigma**2)
     return float(log_jacobian(w) - 0.5 * d * np.log(2.0 * np.pi) - scale_term - quad)
 
 

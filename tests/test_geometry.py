@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from spdprivacy.errors import DimensionError, DomainError
 from spdprivacy.geometry import (
     MAX_DIM,
-    EigenDecomposition,
     SpdMatrix,
     SymMatrix,
     TangentVector,
@@ -21,7 +20,6 @@ from spdprivacy.geometry import (
     le_scale,
     le_sub,
     logm,
-    sym_eigen,
     vecd,
 )
 from spdprivacy.sampling import RngState, sample_synthetic_spd
@@ -79,31 +77,6 @@ class TestTypes:
         x = identity(2)
         with pytest.raises(ValueError):
             x.entries[0, 0] = 5.0
-
-
-class TestSymEigen:
-    def test_identity(self):
-        dec = sym_eigen(SymMatrix(np.eye(3)))
-        assert np.allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
-
-    def test_diagonal(self):
-        dec = sym_eigen(SymMatrix(np.diag([2.0, 5.0])))
-        assert np.allclose(dec.eigenvalues, [2.0, 5.0], atol=1e-12)
-
-    def test_hand_characteristic_polynomial(self):
-        # det([[2-l, 1], [1, 2-l]]) = l^2 - 4l + 3 = (l-1)(l-3)
-        dec = sym_eigen(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(dec.eigenvalues, [1.0, 3.0], atol=1e-12)
-
-    @given(sym_matrices())
-    def test_invariants(self, s):
-        dec = sym_eigen(s)
-        k = s.dim
-        assert np.all(np.diff(dec.eigenvalues) >= 0)
-        assert np.linalg.norm(dec.basis.T @ dec.basis - np.eye(k)) <= 1e-10
-        rebuilt = dec.basis @ np.diag(dec.eigenvalues) @ dec.basis.T
-        denom = max(1.0, np.linalg.norm(s.entries))
-        assert np.linalg.norm(rebuilt - s.entries) / denom <= 1e-10
 
 
 class TestLogExp:

@@ -11,7 +11,9 @@ The image CSVs depend on the descriptors only through each class's size
 and radius bound (the utility ``||z - c||^2`` does not move with the center
 ``c``), so ``descriptor_mixed_classes.txt`` also pins the ``spd-bench
 descriptor`` output for three images of the mixed corpus, each matrix at
-Frobenius-relative tolerance 1e-12.
+Frobenius-relative tolerance 1e-12, and ``privatize.txt`` pins the
+``spd-bench privatize`` output of every mechanism for one 2x2 matrix at a
+fixed seed, as text, exactly.
 
 Rewrite fixtures with ``python tests/test_golden.py [case ...]`` from the
 repository root (with ``src`` on ``PYTHONPATH``); it rewrites only the named
@@ -104,6 +106,13 @@ DESCRIPTOR_IMAGES = ("a_rgb/000.ppm", "b_gray/000.pgm", "b_gray/010.pgm")
 DESCRIPTOR_CASE = "descriptor_mixed_classes"
 DESCRIPTOR_RTOL = 1e-12
 
+PRIVATIZE_CASE = "privatize"
+PRIVATIZE_MATRIX = "2.0 0.3\n0.3 1.5\n"
+PRIVATIZE_ARGS = ["--eps", "0.5", "--delta", "1e-6", "--n", "100", "--r", "1", "--seed", "3",
+                  "--burn-in", "2000"]
+PRIVATIZE_MECHANISMS = ("tangent_classical", "tangent_analytic", "extrinsic_analytic",
+                        "riemannian_laplace")
+
 
 def run_case(name: str, workdir: Path) -> str:
     argv = list(CASES[name])
@@ -117,18 +126,30 @@ def run_case(name: str, workdir: Path) -> str:
     return out.read_text()
 
 
+def _stdout(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue().strip()
+
+
 def run_descriptor_case(workdir: Path) -> str:
     """``spd-bench descriptor`` output for each of DESCRIPTOR_IMAGES, one
     blank line between matrices."""
     corpus = workdir / "corpus_image_mixed_classes"
     if not corpus.exists():
         write_mixed_corpus(corpus)
-    blocks = []
-    for rel in DESCRIPTOR_IMAGES:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert main(["descriptor", "--image", str(corpus / rel)]) == 0
-        blocks.append(buf.getvalue().strip())
+    blocks = [_stdout(["descriptor", "--image", str(corpus / rel)]) for rel in DESCRIPTOR_IMAGES]
+    return "\n\n".join(blocks) + "\n"
+
+
+def run_privatize_case(workdir: Path) -> str:
+    """``spd-bench privatize`` output of PRIVATIZE_MATRIX for each of
+    PRIVATIZE_MECHANISMS, each matrix after a ``# mechanism`` line."""
+    matrix = workdir / "privatize_matrix.txt"
+    matrix.write_text(PRIVATIZE_MATRIX)
+    argv = ["privatize", "--matrix", str(matrix)] + PRIVATIZE_ARGS
+    blocks = [f"# {m}\n" + _stdout(argv + ["--mechanism", m]) for m in PRIVATIZE_MECHANISMS]
     return "\n\n".join(blocks) + "\n"
 
 
@@ -166,10 +187,15 @@ def test_descriptors_match_golden(workdir):
         assert np.linalg.norm(g - w) <= DESCRIPTOR_RTOL * np.linalg.norm(w), rel
 
 
+def test_privatize_matches_golden(workdir):
+    want = (GOLDEN_DIR / f"{PRIVATIZE_CASE}.txt").read_text()
+    assert run_privatize_case(workdir) == want
+
+
 if __name__ == "__main__":
     import tempfile
 
-    known = sorted(CASES) + [DESCRIPTOR_CASE]
+    known = sorted(CASES) + [DESCRIPTOR_CASE, PRIVATIZE_CASE]
     cases = sys.argv[1:] or known
     unknown = sorted(set(cases) - set(known))
     if unknown:
@@ -180,6 +206,9 @@ if __name__ == "__main__":
             if case == DESCRIPTOR_CASE:
                 path = GOLDEN_DIR / f"{case}.txt"
                 path.write_text(run_descriptor_case(Path(tmp)))
+            elif case == PRIVATIZE_CASE:
+                path = GOLDEN_DIR / f"{case}.txt"
+                path.write_text(run_privatize_case(Path(tmp)))
             else:
                 path = GOLDEN_DIR / f"{case}.csv"
                 path.write_text(run_case(case, Path(tmp)))

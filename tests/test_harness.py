@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spdprivacy import harness
+from spdprivacy import cli, harness
 from spdprivacy.cli import main, read_matrix
 from spdprivacy.descriptors import (
     DescriptorParams,
@@ -13,7 +13,15 @@ from spdprivacy.descriptors import (
     save_pnm,
 )
 from spdprivacy.errors import DomainError
-from spdprivacy.geometry import SpdMatrix, frechet_mean_le, le_distance, logm_stack
+from spdprivacy.geometry import (
+    MAX_DIM,
+    SpdMatrix,
+    expm_stack,
+    frechet_mean_le,
+    le_distance,
+    logm_stack,
+    vecd_stack,
+)
 from spdprivacy.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -30,6 +38,8 @@ from spdprivacy.mechanisms import (
     calibrate_analytic,
     calibrate_classical,
     gaussian_release,
+    sensitivity_extrinsic,
+    sensitivity_frechet_le,
 )
 from spdprivacy.plotting import emit_plot
 from spdprivacy.sampling import RngState, sample_synthetic_logs
@@ -91,6 +101,19 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             small_spec(k=1)
 
+    def test_synthetic_k_capped(self):
+        assert small_spec(k=MAX_DIM).k == MAX_DIM
+        with pytest.raises(DomainError, match="k <= 256"):
+            small_spec(k=MAX_DIM + 1)
+
+    @pytest.mark.parametrize(
+        "grids", [{"epsilon_grid": (0.1, 0.5, 0.1)}, {"delta_grid": (1e-6, 1e-6)}]
+    )
+    def test_duplicate_grid_values_rejected(self, grids):
+        # two cells with equal values would emit rows that cannot be told apart
+        with pytest.raises(DomainError, match="duplicate"):
+            small_spec(**grids)
+
     def test_image_needs_dir(self):
         with pytest.raises(DomainError):
             ExperimentSpec(
@@ -123,6 +146,13 @@ class TestRunSynthetic:
         spec = small_spec(mechanism="tangent_classical", epsilon_grid=(1.5,))
         with pytest.raises(DomainError, match="analytic"):
             run_synthetic(spec)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_must_be_positive(self, threads, tmp_path):
+        with pytest.raises(DomainError, match="threads"):
+            run_synthetic(small_spec(), threads=threads)
+        with pytest.raises(DomainError, match="threads"):
+            run_image(image_spec(tmp_path), threads=threads)
 
     def test_resample_data_redraws_summary_not_utilities(self, monkeypatch):
         # the noise substream does not depend on the data and the utility
@@ -226,19 +256,25 @@ def per_trial_utilities(spec):
     """Utilities by (epsilon, delta, trial) of a synthetic Gaussian run,
     from one ``gaussian_release`` per trial on substream (1, cell, trial),
     around the dataset center or, with ``resample_data``, around the center
-    of the trial's own dataset from substream (0, cell, trial)."""
+    of the trial's own dataset from substream (0, cell, trial).  The noise
+    scale and center come from the public sensitivity and calibration
+    functions, not from the harness."""
     base = RngState(spec.seed)
     logs = sample_synthetic_logs(base.substream(0), spec.k, spec.r, spec.n)
-    sens = harness._sensitivity(spec.mechanism, spec.n, math.sqrt(spec.k) * spec.r)
+    extrinsic = spec.mechanism == "extrinsic_analytic"
+    sensitivity = sensitivity_extrinsic if extrinsic else sensitivity_frechet_le
+    sens = sensitivity(spec.n, math.sqrt(spec.k) * spec.r)
+    calibrate = calibrate_classical if spec.mechanism == "tangent_classical" else calibrate_analytic
     cells = [(eps, delta) for eps in spec.epsilon_grid for delta in spec.delta_grid]
     out = {}
     for cell, (eps, delta) in enumerate(cells):
-        sigma = harness._noise_scale(spec.mechanism, eps, delta, sens)
+        sigma = calibrate(sens, PrivacyBudget(eps, delta))
         for trial in range(spec.trials):
             if spec.resample_data:
                 data = base.substream(0, cell, trial)
                 logs = sample_synthetic_logs(data, spec.k, spec.r, spec.n)
-            center = harness._center(spec.mechanism, logs)
+            mean_log = logs.mean(axis=0)
+            center = vecd_stack(expm_stack(mean_log) if extrinsic else mean_log)
             z = gaussian_release(base.substream(1, cell, trial), center, sigma)
             deviation = z - center
             out[eps, delta, trial] = float(deviation @ deviation)
@@ -299,10 +335,10 @@ class TestRunImage:
 
     def test_sensitivity_formula_composition(self):
         from spdprivacy.descriptors import descriptor_radius_bound
-        from spdprivacy.harness import _sensitivity
+        from spdprivacy.mechanisms import MECHANISMS
 
         bound = descriptor_radius_bound(1, 1e-6)
-        sens = _sensitivity("tangent_analytic", 1000, bound)
+        sens = MECHANISMS["tangent_analytic"].sensitivity(1000, bound)
         assert sens.value == pytest.approx(2.0 * bound / 1000, rel=1e-15)
 
     def test_tiny_class_releases_at_any_noise_scale(self, tmp_path):
@@ -419,7 +455,8 @@ class TestImageBlocks:
         groups = []
         monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs, t: groups.extend(gs) or [])
         run_image(image_spec(d, mechanism=mechanism))
-        want = harness._center(mechanism, logm_stack(ref))
+        mean_log = logm_stack(ref).mean(axis=0)
+        want = vecd_stack(expm_stack(mean_log) if mechanism == "extrinsic_analytic" else mean_log)
         assert [g.n for g in groups] == [len(ref)]
         np.testing.assert_allclose(groups[0].center, want, rtol=1e-12, atol=1e-14)
 
@@ -754,6 +791,62 @@ class TestCli:
         cfg.write_text("mystery = 1\n")
         assert main(["synthetic-bench", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_parser_built_once_per_process(self, capsys):
+        cli.build_parser.cache_clear()
+        argv = ["calibrate", "--sensitivity", "1", "--eps", "0.5", "--delta", "1e-5",
+                "--flavor", "analytic"]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] != ""
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+PRIVATIZE = ["privatize", "--eps", "0.5", "--delta", "1e-6", "--n", "100", "--r", "1"]
+SYNTHETIC = ["synthetic-bench", "--k", "2", "--n", "20", "--trials", "1"]
+
+
+class TestCliInputErrors:
+    """Malformed input ends in one ``error:`` line and exit code 2."""
+
+    def check(self, argv, capsys, needle):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert needle in lines[0]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [("2.0 0.3\n0.3\n", "rows differ in length"), ("2.0 0.3\n0.3 x\n", "line 2: 'x'")],
+    )
+    def test_malformed_matrix_file(self, tmp_path, capsys, text, needle):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        self.check(PRIVATIZE + ["--matrix", str(path)], capsys, needle)
+
+    def test_non_numeric_grid(self, capsys):
+        self.check(SYNTHETIC + ["--eps", "abc"], capsys, "--eps: 'abc' is not a valid float")
+
+    def test_non_numeric_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("k = abc\n")
+        self.check(["synthetic-bench", "--config", str(cfg)], capsys,
+                   "config key 'k': 'abc' is not a valid int")
+
+    def test_duplicate_grid_value(self, capsys):
+        self.check(SYNTHETIC + ["--eps", "0.1,0.1"], capsys, "epsilon_grid has duplicate values")
+
+    def test_k_above_cap(self, capsys):
+        self.check(SYNTHETIC + ["--k", "300"], capsys, "k <= 256")
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, capsys, threads):
+        self.check(SYNTHETIC + ["--threads", threads], capsys, "threads must be >= 1")
 
 
 def read_matrix_text(text):

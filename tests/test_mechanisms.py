@@ -21,8 +21,7 @@ from spdprivacy.geometry import (
 )
 from spdprivacy.mechanisms import (
     ACCEPTANCE_BAND,
-    CalibrationKind,
-    MechanismConfig,
+    MECHANISMS,
     PrivacyBudget,
     Sensitivity,
     SensitivityKind,
@@ -42,12 +41,7 @@ from spdprivacy.mechanisms import (
     tangent_gaussian,
     tangent_gaussian_stack,
 )
-from spdprivacy.sampling import (
-    LogGaussianParams,
-    RngState,
-    sample_log_gaussian_stack,
-    sample_synthetic_spd,
-)
+from spdprivacy.sampling import RngState, sample_synthetic_spd
 
 
 def le_sens(value):
@@ -233,21 +227,40 @@ class TestAnalyticCalibration:
         )
 
 
-class TestMechanismConfig:
-    def test_classical_requires_small_epsilon(self):
-        with pytest.raises(DomainError):
-            MechanismConfig(
-                budget=PrivacyBudget(1.5, 1e-6),
-                sensitivity=le_sens(1.0),
-                calibration=CalibrationKind.CLASSICAL,
-            )
+class TestMechanismTable:
+    def test_names_in_order(self):
+        assert list(MECHANISMS) == [
+            "tangent_classical", "tangent_analytic", "extrinsic_analytic", "riemannian_laplace"
+        ]
 
-    def test_noise_scale_dispatch(self):
-        budget = PrivacyBudget(0.5, 1e-5)
-        classical = MechanismConfig(budget, le_sens(1.0), CalibrationKind.CLASSICAL)
-        analytic = MechanismConfig(budget, le_sens(1.0), CalibrationKind.ANALYTIC)
-        assert classical.noise_scale() == calibrate_classical(le_sens(1.0), budget)
-        assert analytic.noise_scale() == calibrate_analytic(le_sens(1.0), budget)
+    def test_noise_scales_from_public_functions(self):
+        n, r, eps, delta = 300, 0.7, 0.5, 1e-5
+        budget = PrivacyBudget(eps, delta)
+        le, ext = sensitivity_frechet_le(n, r), sensitivity_extrinsic(n, r)
+        want = {
+            "tangent_classical": calibrate_classical(le, budget),
+            "tangent_analytic": calibrate_analytic(le, budget),
+            "extrinsic_analytic": calibrate_analytic(ext, budget),
+            "riemannian_laplace": le.value / eps,
+        }
+        assert {name: m.noise_scale(n, r, eps, delta) for name, m in MECHANISMS.items()} == want
+
+    def test_classical_requires_small_epsilon(self):
+        with pytest.raises(DomainError, match="epsilon < 1"):
+            MECHANISMS["tangent_classical"].noise_scale(100, 1.0, 1.5, 1e-6)
+
+    def test_export_type_follows_chart(self):
+        z = np.array([0.1, -0.2, 0.05])
+        for name, mechanism in MECHANISMS.items():
+            out = mechanism.export(z, 2)
+            if mechanism.log_chart:
+                assert isinstance(out, SpdMatrix), name
+                assert np.array_equal(out.entries, expm_stack(invvecd_stack(z, 2)))
+            else:
+                assert type(out) is SymMatrix, name
+                assert np.array_equal(out.entries, invvecd_stack(z, 2))
+        assert [m.chain for m in MECHANISMS.values()] == [False, False, False, True]
+        assert [m.log_chart for m in MECHANISMS.values()] == [True, True, False, True]
 
 
 class TestTangentGaussian:
@@ -289,9 +302,7 @@ class TestTangentGaussian:
         sigma = 0.9
         n = 10**4
         direct = tangent_gaussian_stack(RngState(7), summary, sigma, n)
-        noise = sample_log_gaussian_stack(
-            RngState(8), LogGaussianParams(identity(2), sigma), n
-        )
+        noise = tangent_gaussian_stack(RngState(8), identity(2), sigma, n)
         shifted = np.linalg.eigh(logm_stack(noise) + logm_stack(summary.entries))
         log_s = logm_stack(summary.entries)
         stat_direct = np.sum((logm_stack(direct) - log_s) ** 2, axis=(1, 2))

@@ -14,15 +14,13 @@ from spdprivacy.geometry import (
     logm_stack,
     vecd_stack,
 )
+from spdprivacy.mechanisms import gaussian_release, tangent_gaussian, tangent_gaussian_stack
 from spdprivacy.sampling import (
     LogGaussianParams,
     RngState,
-    gaussian_vector,
     haar_orthogonal,
     log_gaussian_logdensity,
     log_jacobian,
-    sample_log_gaussian,
-    sample_log_gaussian_stack,
     sample_synthetic_logs,
     sample_synthetic_spd,
     _philox_keys,
@@ -33,9 +31,9 @@ class TestRngState:
     def test_replay_bit_identical(self):
         a = RngState(42)
         b = RngState(42)
-        va = gaussian_vector(a, 5, np.zeros(5), 1.0)
+        va = gaussian_release(a, np.zeros(5), 1.0)
         qa = haar_orthogonal(a, 3)
-        vb = gaussian_vector(b, 5, np.zeros(5), 1.0)
+        vb = gaussian_release(b, np.zeros(5), 1.0)
         qb = haar_orthogonal(b, 3)
         assert np.array_equal(va, vb)
         assert np.array_equal(qa, qb)
@@ -104,27 +102,21 @@ class TestRngState:
         assert rng.substream_normals(1, count=0, dim=3).shape == (0, 3)
 
 
-class TestGaussianVector:
-    def test_sigma_zero_returns_mean_exactly(self):
-        rng = RngState(1)
-        mean = np.array([0.25, -3.5, 7.0])
-        out = gaussian_vector(rng, 3, mean, 0.0)
-        assert np.array_equal(out, mean)
-
+class TestGaussianRelease:
     def test_moments_match_standard_errors(self):
         rng = RngState(7)
-        draws = np.array([gaussian_vector(rng, 1, np.zeros(1), 1.0)[0] for _ in range(10**5)])
+        draws = np.array([gaussian_release(rng, np.zeros(1), 1.0)[0] for _ in range(10**5)])
         assert abs(draws.mean()) <= 0.01
         assert abs(draws.var(ddof=1) - 1.0) <= 0.015
 
     def test_shape_validated(self):
         rng = RngState(1)
         with pytest.raises(DimensionError):
-            gaussian_vector(rng, 3, np.zeros(2), 1.0)
+            gaussian_release(rng, np.zeros((2, 3)), 1.0)
         with pytest.raises(DimensionError):
-            gaussian_vector(rng, 0, np.zeros(0), 1.0)
+            gaussian_release(rng, np.zeros(0), 1.0)
         with pytest.raises(DomainError):
-            gaussian_vector(rng, 2, np.zeros(2), -1.0)
+            gaussian_release(rng, np.zeros(2), -1.0)
 
 
 class TestHaarOrthogonal:
@@ -149,22 +141,19 @@ class TestHaarOrthogonal:
         assert pvalue > 0.01
 
 
-class TestSampleLogGaussian:
-    def test_sigma_zero_returns_mean(self):
-        mean = SpdMatrix([[2.0, 1.0], [1.0, 2.0]])
-        out = sample_log_gaussian(RngState(1), LogGaussianParams(mean, 0.0))
-        assert out is mean
+class TestLogGaussianLaw:
+    """The tangent Gaussian mechanism samples LN(M, sigma^2 I)."""
 
     def test_stack_matches_scalar_law(self):
         # the bulk sampler and the scalar sampler share one distribution
-        params = LogGaussianParams(SpdMatrix([[2.0, 0.4], [0.4, 1.0]]), 0.7)
+        mean, sigma = SpdMatrix([[2.0, 0.4], [0.4, 1.0]]), 0.7
         scalar = np.array(
             [
-                np.sum(logm_stack(sample_log_gaussian(RngState(61).substream(i), params).entries) ** 2)
+                np.sum(logm_stack(tangent_gaussian(RngState(61).substream(i), mean, sigma).entries) ** 2)
                 for i in range(2000)
             ]
         )
-        bulk = sample_log_gaussian_stack(RngState(67), params, 2000)
+        bulk = tangent_gaussian_stack(RngState(67), mean, sigma, 2000)
         bulk_stat = np.sum(logm_stack(bulk) ** 2, axis=(1, 2))
         assert stats.ks_2samp(scalar, bulk_stat).pvalue > 0.01
 
@@ -172,7 +161,7 @@ class TestSampleLogGaussian:
         # ||log X||_F^2 for X ~ LN(I, I) is chi^2 with k(k+1)/2 dof
         rng = RngState(13)
         n = 10**5
-        draws = sample_log_gaussian_stack(rng, LogGaussianParams(identity(2), 1.0), n)
+        draws = tangent_gaussian_stack(rng, identity(2), 1.0, n)
         sq = np.sum(logm_stack(draws) ** 2, axis=(1, 2))
         d = 3
         assert abs(sq.mean() - d) <= 3.0 * math.sqrt(2.0 * d / n)
@@ -185,7 +174,7 @@ class TestSampleLogGaussian:
         log_c = logm_stack(c.entries)
         scale2 = float(np.sum(log_c**2))
         n = 10**5
-        draws = sample_log_gaussian_stack(rng, LogGaussianParams(identity(2), 1.0), n)
+        draws = tangent_gaussian_stack(rng, identity(2), 1.0, n)
         vals = np.sum(log_c * logm_stack(draws), axis=(1, 2))
         assert abs(vals.mean()) <= 3.0 * math.sqrt(scale2 / n)
         assert stats.kstest(vals, stats.norm(0.0, math.sqrt(scale2)).cdf).pvalue > 0.01
@@ -196,9 +185,7 @@ class TestSampleLogGaussian:
             d = k * (k + 1) // 2
             sigma = 0.7
             n = 2 * 10**4
-            draws = sample_log_gaussian_stack(
-                rng, LogGaussianParams(identity(k), sigma), n
-            )
+            draws = tangent_gaussian_stack(rng, identity(k), sigma, n)
             sq = np.sum(logm_stack(draws) ** 2, axis=(1, 2)) / sigma**2
             assert stats.kstest(sq, stats.chi2(d).cdf).pvalue > 0.01
 
@@ -209,9 +196,9 @@ class TestSampleLogGaussian:
         log_m = logm_stack(m.entries)
         sigma = 0.8
         n = 10**4
-        base = sample_log_gaussian_stack(rng, LogGaussianParams(identity(2), sigma), n)
+        base = tangent_gaussian_stack(rng, identity(2), sigma, n)
         shifted = expm_stack(logm_stack(base) + log_m)  # le_add, vectorised
-        direct = sample_log_gaussian_stack(rng, LogGaussianParams(m, sigma), n)
+        direct = tangent_gaussian_stack(rng, m, sigma, n)
         stat_shift = np.linalg.norm(vecd_stack(logm_stack(shifted) - log_m), axis=1)
         stat_direct = np.linalg.norm(vecd_stack(logm_stack(direct) - log_m), axis=1)
         assert stats.ks_2samp(stat_shift, stat_direct).pvalue > 0.01
@@ -248,9 +235,7 @@ class TestLogDensity:
         sigma = 0.5
         rng = RngState(41)
         n = 2 * 10**5
-        draws = sample_log_gaussian_stack(
-            rng, LogGaussianParams(identity(2), sigma), n
-        )
+        draws = tangent_gaussian_stack(rng, identity(2), sigma, n)
         w = vecd_stack(draws)
         lo = np.array([0.7, 0.7, -0.3])
         hi = np.array([1.6, 1.6, 0.3])
@@ -277,13 +262,6 @@ class TestLogDensity:
         for i in range(0, mesh.shape[0], mesh.shape[0] // 97):
             got = log_gaussian_logdensity(SpdMatrix(mats[i]), params)
             assert got == pytest.approx(float(log_dens[i]), rel=1e-10)
-
-    def test_diag_scales_matches_isotropic(self):
-        x = SpdMatrix([[2.0, 0.3], [0.3, 0.9]])
-        params = LogGaussianParams(identity(2), 0.6)
-        iso = log_gaussian_logdensity(x, params)
-        diag = log_gaussian_logdensity(x, params, diag_scales=np.full(3, 0.6))
-        assert iso == pytest.approx(diag, rel=1e-12)
 
     def test_sigma_zero_density_rejected(self):
         with pytest.raises(DomainError):
