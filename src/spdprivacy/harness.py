@@ -53,7 +53,7 @@ from .mechanisms import (
     gaussian_release_block,
     laplace_release,
 )
-from .sampling import RngState, sample_synthetic_logs
+from .sampling import RngState, _check_synthetic_args, sample_synthetic_logs
 
 log = logging.getLogger(__name__)
 
@@ -97,6 +97,8 @@ class ExperimentSpec:
             raise DomainError("trials must be >= 1")
         if self.kind == "synthetic" and not 2 <= self.k <= MAX_DIM:
             raise DomainError(f"synthetic experiments require 2 <= k <= {MAX_DIM}, got {self.k}")
+        if self.kind == "synthetic":
+            _check_synthetic_args(self.k, self.r, self.n)
         if self.kind == "image" and self.image_dir is None:
             raise DomainError("image experiments require image_dir")
         if self.burn_in < 1:
@@ -131,10 +133,10 @@ class _Group:
     """One summary to privatize: the whole dataset (synthetic) or a class.
 
     ``center`` is the summary in the coordinates the mechanism releases in
-    (see :func:`_center`).
+    (see :func:`_center`), or None when every trial draws its own dataset.
     """
 
-    center: np.ndarray
+    center: np.ndarray | None
     n: int
     k: int
     radius: float
@@ -247,19 +249,21 @@ def run_synthetic(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     The dataset is drawn once per (k, r, seed) and shared by all cells
     unless ``resample_data`` asks for a fresh dataset per trial.  The ball
     radius defaults to the generator's guarantee sqrt(k) * r; with
-    ``measured_radius`` the observed radius is used instead.
+    ``measured_radius`` the observed radius of the shared dataset, which is
+    drawn (on its own substream) only when its center or radius is read.
     """
     if spec.kind != "synthetic":
         raise DomainError("run_synthetic requires a synthetic spec")
     _check_threads(threads)
     base = RngState(spec.seed)
-    logs = sample_synthetic_logs(base.substream(_DATA_STREAM), spec.k, spec.r, spec.n)
-    radius = math.sqrt(spec.k) * spec.r
-    if spec.measured_radius:
-        radius = float(np.max(np.linalg.norm(logs, axis=(1, 2))))
-    group = _Group(
-        center=_center(MECHANISMS[spec.mechanism], logs), n=spec.n, k=spec.k, radius=radius
-    )
+    radius, center = math.sqrt(spec.k) * spec.r, None
+    if spec.measured_radius or not spec.resample_data:
+        logs = sample_synthetic_logs(base.substream(_DATA_STREAM), spec.k, spec.r, spec.n)
+        if spec.measured_radius:
+            radius = float(np.max(np.linalg.norm(logs, axis=(1, 2))))
+        if not spec.resample_data:
+            center = _center(MECHANISMS[spec.mechanism], logs)
+    group = _Group(center=center, n=spec.n, k=spec.k, radius=radius)
     return _run_cells(spec, base, [group], threads)
 
 

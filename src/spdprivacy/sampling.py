@@ -18,6 +18,12 @@ shared prefix (seed and path) mixed once and the last word vectorised over
 exact because numpy keeps ``SeedSequence`` output stream-compatible across
 releases (NEP 19); a test checks it against numpy directly.
 
+Synthetic data E diag(l) E^T (l uniform in [e^-r, e^r], E Haar) is drawn
+one matrix at a time, or n at once as n·k uniforms then n·k² normals.  E
+is a QR factor without the sign fix that makes it exactly Haar (which
+:func:`haar_orthogonal` keeps): the fix flips columns of E by ±1, which
+cancels exactly in E diag(l) E^T.
+
 The log-Gaussian distribution LN(M, sigma^2 I) is the distribution on SPD(k)
 whose vectorised matrix logarithm is Gaussian: vecd(log X) ~ N(vecd(log M),
 sigma^2 I): the law of the tangent Gaussian mechanism's release
@@ -39,6 +45,9 @@ from .geometry import SpdMatrix, _rebuild, logm_stack, vecd_stack
 # Two eigenvalues count as equal when their gap is below this relative
 # tolerance; the pairwise volume factor then uses its continuous limit.
 EQUAL_EIG_RTOL = 1e-12
+
+# Largest r whose e^r is finite: the synthetic eigenvalue range [e^-r, e^r].
+_MAX_SYNTHETIC_R = float(np.log(np.finfo(float).max))
 
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx): a 4-word pool,
@@ -204,19 +213,11 @@ def haar_orthogonal(rng: RngState, k: int) -> np.ndarray:
     the R diagonal; the sign correction is what makes the law exactly Haar
     rather than QR-convention dependent.
     """
-    k = int(k)
-    if k < 1:
-        raise DimensionError("k must be >= 1")
-    return _haar_from_gaussian(rng.generator.standard_normal((k, k)))
-
-
-def _haar_from_gaussian(gauss: np.ndarray) -> np.ndarray:
-    """Sign-corrected Q factors of a stack (..., k, k) of Gaussian matrices."""
-    q, r = np.linalg.qr(gauss)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    k = _dimension(k)
+    q, r = np.linalg.qr(rng.generator.standard_normal((k, k)))
+    signs = np.sign(np.diagonal(r))
     signs[signs == 0] = 1.0
-    q *= signs[..., None, :]
-    return q
+    return q * signs
 
 
 def log_jacobian(eigenvalues: np.ndarray) -> np.ndarray:
@@ -253,9 +254,7 @@ def log_gaussian_logdensity(x: SpdMatrix, params: LogGaussianParams) -> float:
     w, u = np.linalg.eigh(x.entries)
     if w[0] <= 0:
         raise DomainError("log density requires a positive definite argument")
-    log_x = (u * np.log(w)) @ u.T
-    log_x = 0.5 * (log_x + log_x.T)
-    z = vecd_stack(log_x - logm_stack(params.mean.entries))
+    z = vecd_stack(_rebuild(u, np.log(w)) - logm_stack(params.mean.entries))
     if params.sigma <= 0:
         raise DomainError("density requires sigma > 0")
     scale_term = d * np.log(params.sigma)
@@ -263,52 +262,49 @@ def log_gaussian_logdensity(x: SpdMatrix, params: LogGaussianParams) -> float:
     return float(log_jacobian(w) - 0.5 * d * np.log(2.0 * np.pi) - scale_term - quad)
 
 
-def _synthetic_factors(rng: RngState, k: int, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """The draws behind one synthetic matrix, in stream order: k eigenvalues
-    uniform in [e^-r, e^r], then the k x k Gaussian block of its basis."""
-    lam = rng.generator.uniform(np.exp(-r), np.exp(r), size=k)
-    return lam, rng.generator.standard_normal((k, k))
-
-
-def _check_synthetic_args(k: int, r: float) -> int:
-    k = int(k)
+def _dimension(k) -> int:
+    """``k`` as a Python int >= 1; floats are rejected, not truncated."""
+    k = _nonnegative_int(k, "k")
     if k < 1:
         raise DimensionError("k must be >= 1")
-    if not (r > 0):
-        raise DomainError("r must be positive")
     return k
+
+
+def _check_synthetic_args(k: int, r: float, n: int = 1) -> tuple[int, int]:
+    """``(k, n)`` as Python ints, once r gives a finite range [e^-r, e^r]."""
+    k = _dimension(k)
+    if not 0 < r <= _MAX_SYNTHETIC_R:
+        raise DomainError(f"r must be in (0, {_MAX_SYNTHETIC_R:.6g}] so e^r is finite, got {r}")
+    n = _nonnegative_int(n, "n")
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    return k, n
 
 
 def sample_synthetic_spd(rng: RngState, k: int, r: float) -> SpdMatrix:
     """Draw a random SPD matrix E diag(l) E^T with eigenvalues uniform in
     [e^-r, e^r] and E Haar orthogonal.
 
+    Draws k uniforms, then the k x k Gaussian block whose QR factor is E.
     Every draw lies in the log-Euclidean ball of radius sqrt(k) * r around
     the identity, since ||log X||_F^2 = sum (ln l_i)^2 <= k r^2.
     """
-    k = _check_synthetic_args(k, r)
-    lam, gauss = _synthetic_factors(rng, k, r)
-    basis = _haar_from_gaussian(gauss)
+    k, _ = _check_synthetic_args(k, r)
+    lam = rng.generator.uniform(np.exp(-r), np.exp(r), size=k)
+    basis = np.linalg.qr(rng.generator.standard_normal((k, k)))[0]
     mat = (basis * lam) @ basis.T
     return SpdMatrix(0.5 * (mat + mat.T))
 
 
 def sample_synthetic_logs(rng: RngState, k: int, r: float, n: int) -> np.ndarray:
-    """Matrix logarithms E diag(ln l) E^T of ``n`` successive
-    :func:`sample_synthetic_spd` draws, as an (n, k, k) stack.
+    """Matrix logarithms E diag(ln l) E^T of ``n`` draws with the law of
+    :func:`sample_synthetic_spd`, as an (n, k, k) stack.
 
-    The draws consume ``rng`` exactly as ``n`` calls of
-    :func:`sample_synthetic_spd` do; the logs come from the factors, so no
-    eigendecomposition is needed.
+    The stream is n·k uniforms, then n·k² normals, so it is not that of
+    ``n`` :func:`sample_synthetic_spd` calls.  E comes from one batched QR
+    without the sign fix, which cancels; no eigendecomposition is needed.
     """
-    k = _check_synthetic_args(k, r)
-    n = int(n)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    lam = np.empty((n, k))
-    gauss = np.empty((n, k, k))
-    for i in range(n):
-        lam[i], gauss[i] = _synthetic_factors(rng, k, r)
-    basis = _haar_from_gaussian(gauss)
-    del gauss
+    k, n = _check_synthetic_args(k, r, n)
+    lam = rng.generator.uniform(np.exp(-r), np.exp(r), size=(n, k))
+    basis = np.linalg.qr(rng.generator.standard_normal((n, k, k)))[0]
     return _rebuild(basis, np.log(lam, out=lam))

@@ -114,6 +114,12 @@ class TestSpecValidation:
         with pytest.raises(DomainError, match="duplicate"):
             small_spec(**grids)
 
+    @pytest.mark.parametrize("r", [0.0, math.nan, math.inf, 800.0, 1e308])
+    def test_synthetic_radius_checked(self, r):
+        # e^r must be finite, or the generator cannot sample [e^-r, e^r]
+        with pytest.raises(DomainError, match="e\\^r is finite"):
+            small_spec(r=r)
+
     def test_image_needs_dir(self):
         with pytest.raises(DomainError):
             ExperimentSpec(
@@ -183,6 +189,27 @@ class TestRunSynthetic:
             assert [r.utility for r in resampled] == pytest.approx(
                 [r.utility for r in fixed], rel=1e-12, abs=0.0
             )
+
+    @pytest.mark.parametrize(
+        "resample, measured, base_calls", [(True, False, 0), (True, True, 1), (False, False, 1)]
+    )
+    def test_base_dataset_drawn_only_when_read(self, monkeypatch, resample, measured, base_calls):
+        # the base dataset on stream (0,) is read for its center (fixed data)
+        # or its measured radius; resampled trials draw on (0, cell, trial)
+        streams = []
+        sample = harness.sample_synthetic_logs
+
+        def spy(rng, k, r, n):
+            streams.append(rng.stream)
+            return sample(rng, k, r, n)
+
+        monkeypatch.setattr(harness, "sample_synthetic_logs", spy)
+        spec = small_spec(resample_data=resample, measured_radius=measured)
+        run_synthetic(spec)
+        cells = len(spec.epsilon_grid) * len(spec.delta_grid)
+        per_trial = [(0, cell, t) for cell in range(cells) for t in range(spec.trials)]
+        assert streams.count((0,)) == base_calls
+        assert sorted(s for s in streams if s != (0,)) == (per_trial if resample else [])
 
     def test_measured_radius_shrinks_noise(self):
         # observed radius <= sqrt(k) r, so sensitivity and mean utility drop
@@ -843,6 +870,10 @@ class TestCliInputErrors:
 
     def test_k_above_cap(self, capsys):
         self.check(SYNTHETIC + ["--k", "300"], capsys, "k <= 256")
+
+    @pytest.mark.parametrize("r", ["inf", "800", "1e308"])
+    def test_radius_without_finite_exp(self, capsys, r):
+        self.check(SYNTHETIC + ["--r", r], capsys, "e^r is finite")
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one(self, capsys, threads):

@@ -126,6 +126,11 @@ class TestHaarOrthogonal:
             q = haar_orthogonal(rng, k)
             assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-10
 
+    @pytest.mark.parametrize("k", [1, 2, 10, 30])
+    def test_equals_signed_qr_reference(self, k):
+        q = haar_orthogonal(RngState(11), k)
+        assert np.array_equal(q, signed_haar_basis(RngState(11).generator.standard_normal((k, k))))
+
     def test_k1_sign_symmetry(self):
         rng = RngState(5)
         signs = np.array([haar_orthogonal(rng, 1)[0, 0] for _ in range(10**4)])
@@ -310,22 +315,99 @@ class TestSyntheticGenerator:
         with pytest.raises(DimensionError):
             sample_synthetic_spd(RngState(1), 0, 1.0)
 
+    @pytest.mark.parametrize("k", [1, 2, 10, 30])
+    def test_spd_equals_sign_fixed_construction(self, k):
+        # the sign fix flips columns of E by +-1, which cancels bit for bit
+        rng, ref = RngState(83), RngState(83)
+        for _ in range(20):
+            got = sample_synthetic_spd(rng, k, 0.25).entries
+            lam = ref.generator.uniform(math.exp(-0.25), math.exp(0.25), size=k)
+            basis = signed_haar_basis(ref.generator.standard_normal((k, k)))
+            mat = (basis * lam) @ basis.T
+            assert np.array_equal(got, 0.5 * (mat + mat.T))
+
     @pytest.mark.parametrize("k", [2, 10, 30])
-    def test_logs_match_logm_of_single_draws(self, k):
-        singles_rng, batch_rng = RngState(71), RngState(71)
-        singles = np.stack(
-            [sample_synthetic_spd(singles_rng, k, 0.25).entries for _ in range(50)]
-        )
-        logs = sample_synthetic_logs(batch_rng, k, 0.25, 50)
+    def test_logs_rebuilt_from_block_draws(self, k):
+        # the stream is all n*k uniforms, then all n*k*k normals
+        rng, ref = RngState(71), RngState(71)
+        logs = sample_synthetic_logs(rng, k, 0.25, 50)
         assert logs.shape == (50, k, k)
-        assert np.allclose(logs, logm_stack(singles), rtol=0.0, atol=1e-12)
+        lam = ref.generator.uniform(math.exp(-0.25), math.exp(0.25), size=(50, k))
+        gauss = ref.generator.standard_normal((50, k, k))
+        for i in range(50):
+            basis = signed_haar_basis(gauss[i])
+            want = (basis * np.log(lam[i])) @ basis.T
+            assert np.allclose(logs[i], want, rtol=0.0, atol=1e-12)
         # both leave the stream at the same position
-        assert singles_rng.generator.random() == batch_rng.generator.random()
+        assert rng.generator.random() == ref.generator.random()
+
+    def test_logs_law(self):
+        # at k=2 the principal axis of E diag(ln l) E^T is uniform mod pi;
+        # at k=1 the matrix is l itself, uniform in [e^-r, e^r]
+        r = 0.5
+        logs = sample_synthetic_logs(RngState(89), 2, r, 10**4)
+        a, b, c = logs[:, 0, 0], logs[:, 0, 1], logs[:, 1, 1]
+        angles = np.mod(0.5 * np.arctan2(2.0 * b, a - c), math.pi)
+        assert stats.kstest(angles, stats.uniform(0.0, math.pi).cdf).pvalue > 0.01
+        vals = np.exp(sample_synthetic_logs(RngState(97), 1, r, 10**4)[:, 0, 0])
+        lo, hi = math.exp(-r), math.exp(r)
+        assert stats.kstest(vals, stats.uniform(lo, hi - lo).cdf).pvalue > 0.01
+
+    def test_logs_pinned(self):
+        # no golden CSV pins data values (utilities are ||z - c||^2), so this
+        # pin is what shows any change of the synthetic data stream
+        logs = sample_synthetic_logs(RngState(0).substream(0), 3, 0.25, 2)
+        assert np.allclose(logs, PINNED_LOGS, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, 800.0, 1e308])
+    def test_radius_validated(self, r):
+        # e^r must be finite, or [e^-r, e^r] cannot be sampled
+        with pytest.raises(DomainError, match="r must be"):
+            sample_synthetic_spd(RngState(1), 3, r)
+        with pytest.raises(DomainError, match="r must be"):
+            sample_synthetic_logs(RngState(1), 3, r, 5)
 
     def test_logs_parameter_validation(self):
         with pytest.raises(DomainError):
             sample_synthetic_logs(RngState(1), 3, 0.25, 0)
-        with pytest.raises(DomainError):
-            sample_synthetic_logs(RngState(1), 3, 0.0, 5)
         with pytest.raises(DimensionError):
             sample_synthetic_logs(RngState(1), 0, 0.25, 5)
+        assert sample_synthetic_logs(RngState(1), 2, 709.78, 2).shape == (2, 2, 2)
+
+    @pytest.mark.parametrize("bad", [2.7, 1.5, np.float64(3.0), "3"])
+    def test_sizes_not_truncated(self, bad):
+        with pytest.raises(DomainError, match="integer"):
+            sample_synthetic_logs(RngState(1), bad, 0.25, 2)
+        with pytest.raises(DomainError, match="integer"):
+            sample_synthetic_logs(RngState(1), 3, 0.25, bad)
+        with pytest.raises(DomainError, match="integer"):
+            sample_synthetic_spd(RngState(1), bad, 0.25)
+        with pytest.raises(DomainError, match="integer"):
+            haar_orthogonal(RngState(1), bad)
+
+
+def signed_haar_basis(gauss):
+    """Reference: the Q factor of a Gaussian matrix with its columns signed
+    by the R diagonal, which makes it exactly Haar (Mezzadri 2007)."""
+    q, r = np.linalg.qr(gauss)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs
+
+
+# sample_synthetic_logs(RngState(0).substream(0), 3, 0.25, 2), recorded
+# when the stream became two block draws
+PINNED_LOGS = np.array(
+    [
+        [
+            [-0.0648266602596399, 0.09134617762716518, -0.026206421544717952],
+            [0.09134617762716518, -0.18211029746799046, 0.0033403858698436376],
+            [-0.026206421544717952, 0.0033403858698436376, 0.1300679627146052],
+        ],
+        [
+            [0.0204457205133498, 0.13837013349328237, 0.06517393528836521],
+            [0.13837013349328237, -0.007586412530037335, 0.06428643445916107],
+            [0.06517393528836521, 0.06428643445916107, -0.08920729404444507],
+        ],
+    ]
+)
