@@ -19,7 +19,7 @@ import numpy as np
 
 from .descriptors import DescriptorParams, covariance_descriptor, load_pnm
 from .errors import SpdPrivacyError
-from .geometry import SpdMatrix, logm_stack, vecd_stack
+from .geometry import SpdMatrix
 from .harness import ExperimentSpec, emit_csv, render_csv, run_image, run_synthetic
 from .mechanisms import (
     MECHANISMS,
@@ -119,7 +119,7 @@ def _cmd_privatize(args: argparse.Namespace) -> int:
     summary = SpdMatrix(read_matrix(args.matrix))
     mechanism = MECHANISMS[args.mechanism]
     sigma = mechanism.noise_scale(args.n, args.r, args.eps, args.delta)
-    center = vecd_stack(logm_stack(summary.entries) if mechanism.log_chart else summary.entries)
+    center = mechanism.center(summary)
     rng = RngState(args.seed)
     if mechanism.chain:
         z, ratio = laplace_release(rng, center, sigma, burn_in=args.burn_in)
@@ -259,7 +259,9 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "config", None) is not None:
             _apply_config(args, tokens)
         return args.func(args)
-    except SpdPrivacyError as exc:
+    except (SpdPrivacyError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

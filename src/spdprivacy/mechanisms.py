@@ -1,26 +1,29 @@
 """Privatization mechanisms for SPD-valued summaries.
 
-Three mechanisms are provided.  The tangent Gaussian mechanism adds
-isotropic Gaussian noise in the vectorised log chart and maps back through
-the matrix exponential; its output is always SPD and the squared
-log-Euclidean deviation from the summary is exactly sigma^2 chi^2_d
-distributed.  The extrinsic Gaussian baseline perturbs the summary's own
-entries in SYM(k) and may leave the SPD cone.  The Riemannian Laplace
-baseline samples a density proportional to exp(-distance/sigma) with a
-Metropolis chain run in the flat log chart.  The chain draws its proposal
-steps and acceptance uniforms in blocks of up to 2^16 doubles, after one
-starting-direction draw, and tracks its distance to the center
-incrementally, recomputing it exactly at every block boundary.
+:data:`MECHANISMS` names the four releases the harness and the CLI offer,
+each as one :class:`Mechanism` row: its sensitivity, its noise
+calibration, its chart and whether it is sampled by a chain.  A release
+is ``row.export(core(rng, row.center(summary), sigma), k)``: the row
+centers the summary as a d-vector, d = k(k+1)/2, one of the two vector
+cores perturbs it, and the row exports the result as a k x k matrix.
+
+The tangent Gaussian mechanism (:func:`gaussian_release` around
+vecd(log summary), exported through expm) always outputs an SPD matrix,
+and the squared log-Euclidean deviation from the summary is exactly
+sigma^2 chi^2_d distributed.  The extrinsic Gaussian baseline perturbs the
+summary's own entries in SYM(k) and may leave the SPD cone.  The
+Riemannian Laplace baseline (:func:`laplace_release`) samples a density
+proportional to exp(-distance/sigma) with a Metropolis chain run in the
+flat log chart.  The chain draws its proposal steps and acceptance
+uniforms in blocks of up to 2^16 doubles, after one starting-direction
+draw, and tracks its distance to the center incrementally, recomputing it
+exactly at every block boundary.
 
 Noise calibration comes in two flavors: the classical closed form
 ``sensitivity * sqrt(2 ln(1.25/delta)) / epsilon`` (valid for epsilon < 1)
 and the analytic calibration, which bisects for the smallest sigma
 satisfying the exact Gaussian-mechanism privacy condition and is never
 worse than the classical value.
-
-:data:`MECHANISMS` names the four releases the harness and the CLI offer,
-each as one :class:`Mechanism` row: its sensitivity, its noise
-calibration, its chart and whether it is sampled by a chain.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .geometry import (
     logm_stack,
     vecd_stack,
 )
-from .sampling import RngState
+from .sampling import _MAX_SYNTHETIC_R, RngState
 
 # Metropolis acceptance ratios outside this band get a warning diagnostic.
 ACCEPTANCE_BAND = (0.2, 0.9)
@@ -109,8 +112,8 @@ def sensitivity_extrinsic(n: int, r: float) -> Sensitivity:
     n = int(n)
     if n < 1:
         raise DomainError("n must be >= 1")
-    if not (r > 0):
-        raise DomainError("r must be positive")
+    if not 0 < r <= _MAX_SYNTHETIC_R:
+        raise DomainError(f"r must be in (0, {_MAX_SYNTHETIC_R:.6g}] so e^r is finite, got {r}")
     return Sensitivity(value=2.0 * r * math.exp(r) / n, kind=SensitivityKind.EXTRINSIC)
 
 
@@ -178,10 +181,8 @@ def _calibrate_pure(sensitivity: Sensitivity, budget: PrivacyBudget) -> float:
 class Mechanism:
     """One release of the Fréchet mean, as a row of :data:`MECHANISMS`.
 
-    A log-chart release is centered at vecd(log summary) and exported
-    through expm as an SPD matrix; otherwise it is centered at
-    vecd(summary) and exported as a symmetric matrix.  A chain release is
-    one :func:`laplace_release`, any other one :func:`gaussian_release`.
+    A chain release is one :func:`laplace_release`, any other one
+    :func:`gaussian_release`, between :meth:`center` and :meth:`export`.
     """
 
     sensitivity: Callable[[int, float], Sensitivity]
@@ -193,8 +194,14 @@ class Mechanism:
         """Noise scale for a summary of ``n`` points in a ball of ``radius``."""
         return self.calibrate(self.sensitivity(n, radius), PrivacyBudget(epsilon, delta))
 
+    def center(self, summary: SpdMatrix) -> np.ndarray:
+        """The release center of ``summary``: vecd(log summary) in the log
+        chart, else vecd(summary)."""
+        return vecd_stack(logm_stack(summary.entries) if self.log_chart else summary.entries)
+
     def export(self, z: np.ndarray, k: int) -> SymMatrix:
-        """The release ``z`` as a k x k matrix."""
+        """The release ``z`` as a k x k matrix, the inverse of :meth:`center`:
+        expm of invvecd(z), an SPD matrix, in the log chart, else invvecd(z)."""
         if self.log_chart:
             return SpdMatrix(expm_stack(invvecd_stack(z, k)))
         return SymMatrix(invvecd_stack(z, k))
@@ -237,20 +244,13 @@ def gaussian_release_block(
     return center + float(sigma) * noise
 
 
-def tangent_gaussian(rng: RngState, summary: SpdMatrix, sigma: float) -> SpdMatrix:
-    """Privatize ``summary`` with isotropic Gaussian noise in the log chart:
-    :func:`gaussian_release` around vecd(log summary), mapped back by expm."""
-    z = gaussian_release(rng, vecd_stack(logm_stack(summary.entries)), sigma)
-    return SpdMatrix(expm_stack(invvecd_stack(z, summary.dim)))
-
-
 def tangent_gaussian_stack(
     rng: RngState, summary: SpdMatrix, sigma: float, size: int
 ) -> np.ndarray:
     """Vectorised draws of the tangent Gaussian mechanism.
 
-    Returns a (size, k, k) array of SPD matrices; the bulk form of
-    :func:`tangent_gaussian` for Monte-Carlo diagnostics.
+    Returns a (size, k, k) array of SPD matrices, each distributed as one
+    tangent Gaussian release of ``summary``; for Monte-Carlo diagnostics.
     """
     size = int(size)
     if size < 1:
@@ -258,25 +258,6 @@ def tangent_gaussian_stack(
     center = vecd_stack(logm_stack(summary.entries))
     noise = rng.generator.standard_normal((size, center.size))
     return expm_stack(invvecd_stack(gaussian_release_block(center, sigma, noise), summary.dim))
-
-
-def extrinsic_gaussian(rng: RngState, summary: SpdMatrix, sigma: float) -> SymMatrix:
-    """Perturb the summary's own entries with Gaussian noise in SYM(k).
-
-    The noise acts on vecd(summary), not on vecd(log summary), so the output
-    is symmetric but in general not positive definite.
-    """
-    z = gaussian_release(rng, vecd_stack(summary.entries), sigma)
-    return SymMatrix(invvecd_stack(z, summary.dim))
-
-
-@dataclass(frozen=True)
-class LaplaceDraw:
-    """One Riemannian Laplace release with its chain diagnostics."""
-
-    sample: SpdMatrix
-    acceptance_ratio: float
-    warning: str | None = None
 
 
 def _ambient_dim(center: np.ndarray) -> int:
@@ -426,7 +407,7 @@ def laplace_release(
     burn_in: int = 50000,
     proposal_sigma: float | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Core of :func:`riemannian_laplace`: one Metropolis chain targeting
+    """Core of the Riemannian Laplace release: one Metropolis chain targeting
     exp(-||z - center||/sigma) in log-chart coordinates.
 
     Returns the final state z (so the utility is ||z - center||^2) and the
@@ -441,28 +422,6 @@ def laplace_release(
     """
     z, _, accepted = _laplace_chain(rng, center, sigma, burn_in, proposal_sigma)
     return z, accepted / int(burn_in)
-
-
-def riemannian_laplace(
-    rng: RngState,
-    summary: SpdMatrix,
-    sigma: float,
-    burn_in: int = 50000,
-    proposal_sigma: float | None = None,
-) -> LaplaceDraw:
-    """Privatize ``summary`` by Metropolis sampling of the Laplace density
-    exp(-rho(X, summary)/sigma); a fresh chain per release.
-
-    :func:`laplace_release` around vecd(log summary), mapped back by expm.
-    ``proposal_sigma`` defaults to ``sigma``.
-    """
-    z, ratio = laplace_release(
-        rng, vecd_stack(logm_stack(summary.entries)), sigma, burn_in, proposal_sigma
-    )
-    sample = SpdMatrix(expm_stack(invvecd_stack(z, summary.dim)))
-    return LaplaceDraw(
-        sample=sample, acceptance_ratio=ratio, warning=acceptance_warning(ratio)
-    )
 
 
 def laplace_chains_stack(

@@ -19,17 +19,17 @@ exact because numpy keeps ``SeedSequence`` output stream-compatible across
 releases (NEP 19); a test checks it against numpy directly.
 
 Synthetic data E diag(l) E^T (l uniform in [e^-r, e^r], E Haar) is drawn
-one matrix at a time, or n at once as n·k uniforms then n·k² normals.  E
-is a QR factor without the sign fix that makes it exactly Haar (which
-:func:`haar_orthogonal` keeps): the fix flips columns of E by ±1, which
-cancels exactly in E diag(l) E^T.
+n matrices at once (n = 1 for one SPD matrix) as n·k uniforms then n·k²
+normals.  E is a QR factor without the sign fix that makes it exactly Haar
+(which :func:`haar_orthogonal` keeps): the fix flips columns of E by ±1,
+which cancels exactly in E diag(l) E^T.
 
 The log-Gaussian distribution LN(M, sigma^2 I) is the distribution on SPD(k)
 whose vectorised matrix logarithm is Gaussian: vecd(log X) ~ N(vecd(log M),
-sigma^2 I): the law of the tangent Gaussian mechanism's release
-(:func:`spdprivacy.mechanisms.tangent_gaussian`), which samples it.  The
-density additionally carries the volume term of the log chart, exposed here
-via :func:`log_jacobian`.
+sigma^2 I): the law of the tangent Gaussian mechanism's release, which
+:func:`spdprivacy.mechanisms.tangent_gaussian_stack` samples.  The density
+additionally carries the volume term of the log chart, exposed here via
+:func:`log_jacobian`.
 """
 
 from __future__ import annotations
@@ -281,19 +281,26 @@ def _check_synthetic_args(k: int, r: float, n: int = 1) -> tuple[int, int]:
     return k, n
 
 
+def _synthetic_factors(
+    rng: RngState, k: int, r: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (n, k) uniform in [e^-r, e^r], then the unsigned QR bases
+    (n, k, k) of n Gaussian blocks: n·k uniforms, then n·k² normals."""
+    k, n = _check_synthetic_args(k, r, n)
+    lam = rng.generator.uniform(np.exp(-r), np.exp(r), size=(n, k))
+    return lam, np.linalg.qr(rng.generator.standard_normal((n, k, k)))[0]
+
+
 def sample_synthetic_spd(rng: RngState, k: int, r: float) -> SpdMatrix:
     """Draw a random SPD matrix E diag(l) E^T with eigenvalues uniform in
-    [e^-r, e^r] and E Haar orthogonal.
+    [e^-r, e^r] and E Haar orthogonal: the n = 1 case of
+    :func:`sample_synthetic_logs`'s draw, rebuilt from l instead of ln l.
 
-    Draws k uniforms, then the k x k Gaussian block whose QR factor is E.
     Every draw lies in the log-Euclidean ball of radius sqrt(k) * r around
     the identity, since ||log X||_F^2 = sum (ln l_i)^2 <= k r^2.
     """
-    k, _ = _check_synthetic_args(k, r)
-    lam = rng.generator.uniform(np.exp(-r), np.exp(r), size=k)
-    basis = np.linalg.qr(rng.generator.standard_normal((k, k)))[0]
-    mat = (basis * lam) @ basis.T
-    return SpdMatrix(0.5 * (mat + mat.T))
+    lam, basis = _synthetic_factors(rng, k, r, 1)
+    return SpdMatrix(_rebuild(basis, lam)[0])
 
 
 def sample_synthetic_logs(rng: RngState, k: int, r: float, n: int) -> np.ndarray:
@@ -304,7 +311,5 @@ def sample_synthetic_logs(rng: RngState, k: int, r: float, n: int) -> np.ndarray
     ``n`` :func:`sample_synthetic_spd` calls.  E comes from one batched QR
     without the sign fix, which cancels; no eigendecomposition is needed.
     """
-    k, n = _check_synthetic_args(k, r, n)
-    lam = rng.generator.uniform(np.exp(-r), np.exp(r), size=(n, k))
-    basis = np.linalg.qr(rng.generator.standard_normal((n, k, k)))[0]
+    lam, basis = _synthetic_factors(rng, k, r, n)
     return _rebuild(basis, np.log(lam, out=lam))

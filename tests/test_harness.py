@@ -879,6 +879,25 @@ class TestCliInputErrors:
     def test_threads_below_one(self, capsys, threads):
         self.check(SYNTHETIC + ["--threads", threads], capsys, "threads must be >= 1")
 
+    def test_extrinsic_radius_without_finite_exp(self, capsys):
+        # the extrinsic sensitivity takes e^radius, here with radius sqrt(2) * 700
+        self.check(SYNTHETIC + ["--mechanism", "extrinsic_analytic", "--r", "700"], capsys,
+                   "e^r is finite")
+
+    def test_privatize_extrinsic_radius_without_finite_exp(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("2.0 0.3\n0.3 1.5\n")
+        self.check(PRIVATIZE + ["--mechanism", "extrinsic_analytic", "--r", "710",
+                                "--matrix", str(path)], capsys, "e^r is finite")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(PRIVATIZE, "--matrix"), (["descriptor"], "--image"), (["synthetic-bench"], "--config")],
+    )
+    def test_missing_input_file(self, tmp_path, capsys, argv, flag):
+        missing = tmp_path / "nope"
+        self.check(argv + [flag, str(missing)], capsys, f"No such file or directory: '{missing}'")
+
 
 def read_matrix_text(text):
     rows = [

@@ -28,17 +28,15 @@ from spdprivacy.mechanisms import (
     _analytic_condition,
     _laplace_chain,
     _laplace_chains,
+    acceptance_warning,
     calibrate_analytic,
     calibrate_classical,
-    extrinsic_gaussian,
     gaussian_release,
     laplace_chains_stack,
     laplace_release,
     privacy_loss,
-    riemannian_laplace,
     sensitivity_extrinsic,
     sensitivity_frechet_le,
-    tangent_gaussian,
     tangent_gaussian_stack,
 )
 from spdprivacy.sampling import RngState, sample_synthetic_spd
@@ -52,6 +50,19 @@ def mp_classical(delta_le, eps, delta):
     with mpmath.workdps(60):
         val = delta_le * mpmath.sqrt(2 * mpmath.log(mpmath.mpf("1.25") / mpmath.mpf(delta))) / eps
         return float(val)
+
+
+def gaussian(name, rng, summary, sigma):
+    """One release of ``summary`` by the Gaussian table row ``name``."""
+    row = MECHANISMS[name]
+    return row.export(gaussian_release(rng, row.center(summary), sigma), summary.dim)
+
+
+def laplace(rng, summary, sigma, **chain):
+    """One Riemannian Laplace release of ``summary`` and its acceptance ratio."""
+    row = MECHANISMS["riemannian_laplace"]
+    z, ratio = laplace_release(rng, row.center(summary), sigma, **chain)
+    return row.export(z, summary.dim), ratio
 
 
 def spd_at_distance(rho, k=2):
@@ -144,6 +155,8 @@ class TestSensitivities:
             sensitivity_frechet_le(0, 1.0)
         with pytest.raises(DomainError):
             sensitivity_extrinsic(5, 0.0)
+        with pytest.raises(DomainError, match="e\\^r is finite"):
+            sensitivity_extrinsic(5, 710.0)
 
 
 class TestClassicalCalibration:
@@ -266,14 +279,14 @@ class TestMechanismTable:
 class TestTangentGaussian:
     def test_vanishing_noise(self):
         summary = SpdMatrix([[2.0, 1.0], [1.0, 2.0]])
-        out = tangent_gaussian(RngState(1), summary, 1e-300)
+        out = gaussian("tangent_analytic", RngState(1), summary, 1e-300)
         assert np.max(np.abs(out.entries - summary.entries)) <= 1e-8
 
     def test_output_is_spd_type(self):
         rng = RngState(2)
         summary = SpdMatrix([[1.5, -0.4], [-0.4, 2.5]])
         for _ in range(50):
-            assert isinstance(tangent_gaussian(rng, summary, 5.0), SpdMatrix)
+            assert isinstance(gaussian("tangent_analytic", rng, summary, 5.0), SpdMatrix)
 
     def test_utility_chi_square(self):
         rng = RngState(3)
@@ -287,7 +300,10 @@ class TestTangentGaussian:
         summary = SpdMatrix([[2.0, 0.3], [0.3, 0.8]])
         singles = np.array(
             [
-                le_distance(summary, tangent_gaussian(RngState(5).substream(i), summary, 0.6)) ** 2
+                le_distance(
+                    summary, gaussian("tangent_analytic", RngState(5).substream(i), summary, 0.6)
+                )
+                ** 2
                 for i in range(2000)
             ]
         )
@@ -312,15 +328,11 @@ class TestTangentGaussian:
         stat_shift = np.sum((shifted_logs - log_s) ** 2, axis=(1, 2))
         assert stats.ks_2samp(stat_direct, stat_shift).pvalue > 0.01
 
-    def test_sigma_validated(self):
-        with pytest.raises(DomainError):
-            tangent_gaussian(RngState(1), identity(2), 0.0)
-
 
 class TestExtrinsicGaussian:
     def test_vanishing_noise_exact(self):
         summary = SpdMatrix([[2.0, 1.0], [1.0, 2.0]])
-        out = extrinsic_gaussian(RngState(1), summary, 1e-300)
+        out = gaussian("extrinsic_analytic", RngState(1), summary, 1e-300)
         assert np.array_equal(out.entries, summary.entries)
 
     def test_frobenius_chi_square(self):
@@ -330,7 +342,7 @@ class TestExtrinsicGaussian:
         n = 2 * 10**4
         sq = np.empty(n)
         for i in range(n):
-            out = extrinsic_gaussian(rng, summary, sigma)
+            out = gaussian("extrinsic_analytic", rng, summary, sigma)
             sq[i] = np.sum((out.entries - summary.entries) ** 2) / sigma**2
         assert stats.kstest(sq, stats.chi2(3).cdf).pvalue > 0.01
 
@@ -340,14 +352,14 @@ class TestExtrinsicGaussian:
         rng = RngState(12)
         found_negative = False
         for _ in range(50):
-            out = extrinsic_gaussian(rng, summary, sigma)
+            out = gaussian("extrinsic_analytic", rng, summary, sigma)
             if np.linalg.eigvalsh(out.entries)[0] < 0:
                 found_negative = True
                 break
         assert found_negative
 
     def test_output_type_is_sym_not_spd(self):
-        out = extrinsic_gaussian(RngState(1), identity(2), 1.0)
+        out = gaussian("extrinsic_analytic", RngState(1), identity(2), 1.0)
         assert isinstance(out, SymMatrix)
         assert not isinstance(out, SpdMatrix)
 
@@ -355,24 +367,23 @@ class TestExtrinsicGaussian:
 class TestRiemannianLaplace:
     def test_concentrates_at_mode_for_tiny_sigma(self):
         summary = SpdMatrix([[2.0, 0.5], [0.5, 1.5]])
-        draw = riemannian_laplace(RngState(13), summary, 1e-6, burn_in=5000)
-        assert le_distance(summary, draw.sample) <= 1e-3
-        assert isinstance(draw.sample, SpdMatrix)
+        sample, _ = laplace(RngState(13), summary, 1e-6, burn_in=5000)
+        assert le_distance(summary, sample) <= 1e-3
+        assert isinstance(sample, SpdMatrix)
 
     def test_acceptance_in_band_small_k(self):
         for k, seed in ((2, 14), (5, 15)):
             summary = identity(k)
-            draw = riemannian_laplace(RngState(seed), summary, 0.5, burn_in=4000)
-            assert ACCEPTANCE_BAND[0] <= draw.acceptance_ratio <= ACCEPTANCE_BAND[1]
-            assert draw.warning is None
+            _, ratio = laplace(RngState(seed), summary, 0.5, burn_in=4000)
+            assert ACCEPTANCE_BAND[0] <= ratio <= ACCEPTANCE_BAND[1]
+            assert acceptance_warning(ratio) is None
 
-    def test_warning_attached_outside_band(self):
+    def test_warning_outside_band(self):
         # an enormous proposal is almost never accepted
-        draw = riemannian_laplace(
-            RngState(16), identity(2), 0.05, burn_in=500, proposal_sigma=500.0
-        )
-        assert draw.acceptance_ratio < ACCEPTANCE_BAND[0]
-        assert draw.warning is not None and "acceptance ratio" in draw.warning
+        _, ratio = laplace(RngState(16), identity(2), 0.05, burn_in=500, proposal_sigma=500.0)
+        assert ratio < ACCEPTANCE_BAND[0]
+        warning = acceptance_warning(ratio)
+        assert warning is not None and "acceptance ratio" in warning
 
     def test_radial_mean_matches_quadrature(self):
         # E[rho] for the flat-chart Laplace target via numerical quadrature
@@ -391,9 +402,9 @@ class TestRiemannianLaplace:
 
     def test_parameters_validated(self):
         with pytest.raises(DomainError):
-            riemannian_laplace(RngState(1), identity(2), 0.0)
+            laplace(RngState(1), identity(2), 0.0)
         with pytest.raises(DomainError):
-            riemannian_laplace(RngState(1), identity(2), 1.0, burn_in=0)
+            laplace(RngState(1), identity(2), 1.0, burn_in=0)
         with pytest.raises(DomainError):
             laplace_chains_stack(RngState(1), identity(2), 1.0, burn_in=10, n_chains=0)
 
@@ -479,29 +490,19 @@ class TestLogChartCores:
         summary = sample_synthetic_spd(RngState(60), k, 0.25)
         center = vecd_stack(logm_stack(summary.entries))
         z = gaussian_release(RngState(61).substream(k), center, 0.3)
-        out = tangent_gaussian(RngState(61).substream(k), summary, 0.3)
+        out = MECHANISMS["tangent_analytic"].export(z, k)
         utility = float((z - center) @ (z - center))
         assert utility == pytest.approx(le_distance(summary, out) ** 2, rel=1e-9)
 
-    def test_wrappers_are_core_plus_export(self):
+    def test_center_export_round_trip(self):
         summary = SpdMatrix([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.7]])
-        center = vecd_stack(logm_stack(summary.entries))
-
-        out = tangent_gaussian(RngState(62), summary, 0.5)
-        z = gaussian_release(RngState(62), center, 0.5)
-        assert isinstance(out, SpdMatrix)
-        assert np.array_equal(out.entries, expm_stack(invvecd_stack(z, 3)))
-
-        ext = extrinsic_gaussian(RngState(63), summary, 0.5)
-        z = gaussian_release(RngState(63), vecd_stack(summary.entries), 0.5)
-        assert isinstance(ext, SymMatrix) and not isinstance(ext, SpdMatrix)
-        assert np.array_equal(ext.entries, invvecd_stack(z, 3))
-
-        draw = riemannian_laplace(RngState(64), summary, 0.5, burn_in=300)
-        z, ratio = laplace_release(RngState(64), center, 0.5, burn_in=300)
-        assert isinstance(draw.sample, SpdMatrix)
-        assert np.array_equal(draw.sample.entries, expm_stack(invvecd_stack(z, 3)))
-        assert draw.acceptance_ratio == ratio
+        z = np.array([0.1, -0.2, 0.05, 0.3, 0.0, -0.4])
+        for name, row in MECHANISMS.items():
+            center = row.center(summary)
+            chart = logm_stack(summary.entries) if row.log_chart else summary.entries
+            assert np.array_equal(center, vecd_stack(chart)), name
+            assert np.allclose(row.export(center, 3).entries, summary.entries, rtol=0, atol=1e-12)
+            assert np.allclose(row.center(row.export(z, 3)), z, rtol=0, atol=1e-12)
 
     def test_cores_validate(self):
         with pytest.raises(DomainError):
@@ -561,7 +562,7 @@ class TestPrivacyLoss:
     def test_single_draw_api_matches_batch_formula(self):
         f_d = SpdMatrix([[2.0, 0.6], [0.6, 1.4]])
         f_dp = SpdMatrix([[1.0, 0.2], [0.2, 0.9]])
-        y = tangent_gaussian(RngState(24), f_d, 0.8)
+        y = gaussian("tangent_analytic", RngState(24), f_d, 0.8)
         got = privacy_loss(y, f_d, f_dp, 0.8)
         log_y = logm_stack(y.entries)
         v = vecd_stack(log_y - logm_stack(f_d.entries))

@@ -1,0 +1,30 @@
+"""The scripts under ``scripts/`` run end to end against the package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from spdprivacy.harness import CSV_HEADER
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run(args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_scripts_write_canonical_csv(tmp_path):
+    run([ROOT / "scripts" / "synthetic_utility_sweep.py", "--ks", "2", "--trials", "1",
+         "--n", "20", "--burn-in", "10", "--mechanisms", "tangent_analytic,riemannian_laplace"],
+        tmp_path)
+    run([ROOT / "scripts" / "make_image_corpus.py", "corpus", "--classes", "2",
+         "--per-class", "20", "--size", "8"], tmp_path)
+    run(["-m", "spdprivacy", "image-bench", "--images", "corpus", "--trials", "1",
+         "--out-csv", "image.csv"], tmp_path)
+    for name in ("synthetic_sweep.csv", "image.csv"):
+        assert (tmp_path / name).read_text().splitlines()[0] == CSV_HEADER
