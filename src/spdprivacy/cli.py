@@ -62,23 +62,35 @@ def load_config(path: str | Path) -> dict[str, str]:
     return values
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _apply_config(args: argparse.Namespace, argv_tokens: list[str]) -> None:
-    """Fill args from the config file; explicit command-line flags win."""
+    """Fill args from the config file; explicit command-line flags win.
+
+    Keys are the subcommand's own option names, and a flag takes one of the
+    fixed spellings in :data:`_BOOLEANS` (any case).
+    """
     explicit = {
         tok[2:].split("=", 1)[0].replace("-", "_")
         for tok in argv_tokens
         if tok.startswith("--")
     }
+    # the namespace holds the subcommand's options plus its routing entries
+    options = vars(args).keys() - {"command", "func"}
     for key, value in load_config(args.config).items():
-        if key == "config":
-            continue
-        if not hasattr(args, key):
+        if key not in options:
             raise SpdPrivacyError(f"unknown config key {key!r}")
-        if key in explicit:
+        if key == "config" or key in explicit:
             continue
         current = getattr(args, key)
         if isinstance(current, bool):
-            setattr(args, key, value.lower() in ("1", "true", "yes", "on"))
+            if value.lower() not in _BOOLEANS:
+                raise SpdPrivacyError(
+                    f"config key {key!r}: {value!r} is not one of {', '.join(_BOOLEANS)}"
+                )
+            setattr(args, key, _BOOLEANS[value.lower()])
         elif isinstance(current, (int, float)):
             setattr(args, key, _parse_number(value, type(current), f"config key {key!r}"))
         else:

@@ -285,12 +285,10 @@ def ball_radius(dataset: Sequence[SpdMatrix], center: SpdMatrix) -> float:
     """Largest log-Euclidean distance from ``center`` to any dataset element."""
     if len(dataset) == 0:
         raise DomainError("ball radius of an empty dataset is undefined")
-    log_c = logm_stack(center.entries)
-    radius = 0.0
     for x in dataset:
         _require_same_dim(x, center)
-        radius = max(radius, float(np.linalg.norm(logm_stack(x.entries) - log_c)))
-    return radius
+    logs = logm_stack(np.stack([x.entries for x in dataset]))
+    return float(np.max(np.linalg.norm(logs - logm_stack(center.entries), axis=(1, 2))))
 
 
 def identity(k: int) -> SpdMatrix:

@@ -2,8 +2,9 @@
 
 An :class:`ExperimentSpec` pins everything an experiment depends on,
 including the seed; the emitted records (and hence the CSV) are a pure
-function of the spec.  Trials inside each (epsilon, delta) cell run on
-independent RNG substreams keyed by (seed, cell, trial), so thread count
+function of the spec.  Each (epsilon, delta) cell draws its noise from its
+own RNG substream, and each task the thread pool runs (a Laplace chain or
+a resampled dataset) from one keyed by (seed, cell, trial), so thread count
 does not affect results, and records are sorted canonically before
 emission.
 
@@ -12,10 +13,10 @@ or the matrix entries for the extrinsic baseline): each group's summary is
 a d-vector ``c`` computed once, each release is a d-vector ``z``, and the
 utility is ``||z - c||^2``, so no SPD matrix is built per trial.
 
-A Gaussian cell draws the noise of all its trials in one block
-(:meth:`RngState.substream_normals`), each row bit-identical to that
-trial's own substream draw, so batching does not change any value; the
-thread pool runs Laplace chains and resampled datasets.
+A Gaussian cell draws the noise of all its trials as one (trials, d)
+block from its substream, row t for trial t, so trial t's noise does not
+depend on the number of trials; the thread pool runs Laplace chains and
+resampled datasets.
 
 Wall-clock timing of the privatization call is optional (``record_timing``)
 because real timings are not reproducible; with timing off the
@@ -160,10 +161,11 @@ def _run_cells(
     """Fan out over (group, epsilon, delta) cells and trials; the noise
     scale is calibrated once per cell.
 
-    A Gaussian cell releases all its trials at once: row t of its noise
-    block is trial t's draw from substream (_NOISE_STREAM, cell, t).  A
-    Laplace trial runs its own chain on that substream.  The thread pool
-    runs Laplace chains and resampled datasets, one (cell, trial) per task.
+    A Gaussian cell releases all its trials at once: row t of the block
+    drawn from substream (_NOISE_STREAM, cell) is trial t's noise.  A
+    Laplace trial runs its own chain on substream (_NOISE_STREAM, cell, t).
+    The thread pool runs Laplace chains and resampled datasets, one
+    (cell, trial) per task.
     """
     mechanism = MECHANISMS[spec.mechanism]
     cells = [
@@ -208,8 +210,8 @@ def _run_cells(
         """(utility, wall_time_ns, None) of each trial; the cell's release
         time is shared over its trials, rounded up."""
         start = time.perf_counter_ns() if spec.record_timing else 0
-        noise = base.substream_normals(
-            _NOISE_STREAM, cell_index, count=spec.trials, dim=center.shape[-1]
+        noise = base.substream(_NOISE_STREAM, cell_index).generator.standard_normal(
+            (spec.trials, center.shape[-1])
         )
         z = gaussian_release_block(center, cells[cell_index][3], noise)
         elapsed = time.perf_counter_ns() - start if spec.record_timing else 0

@@ -87,7 +87,7 @@ class Sensitivity:
 
     def __post_init__(self) -> None:
         if not (self.value >= 0 and math.isfinite(self.value)):
-            raise DomainError(f"sensitivity must be nonnegative, got {self.value}")
+            raise DomainError(f"sensitivity must be finite and nonnegative, got {self.value}")
 
 
 def sensitivity_frechet_le(n: int, r: float) -> Sensitivity:

@@ -4,19 +4,8 @@ density on SPD(k).
 All randomness in the package flows through :class:`RngState`, a thin wrapper
 over a counter-based Philox generator.  Substreams forked with
 :meth:`RngState.substream` are statistically independent and reproducible, so
-parallel trials keyed by (seed, cell, trial) replay bit-exactly regardless of
-scheduling.
-
-A stream is keyed by ``SeedSequence(entropy=seed, spawn_key=path)``, and a
-Philox stream is fully determined by its 128-bit key (it starts at counter
-0).  :meth:`RngState.substream_normals` therefore draws a block of sibling
-substreams ``path + (i,)`` without building a ``SeedSequence``, ``Philox``
-and ``Generator`` per row: :func:`_philox_keys` ports SeedSequence's
-entropy mixing and ``generate_state(2, uint64)`` to uint32 words, with the
-shared prefix (seed and path) mixed once and the last word vectorised over
-``i``, and one reused ``Philox`` is reset to each key in turn.  The port is
-exact because numpy keeps ``SeedSequence`` output stream-compatible across
-releases (NEP 19); a test checks it against numpy directly.
+parallel work keyed by a path such as (cell, trial) replays bit-exactly
+regardless of scheduling.
 
 Synthetic data E diag(l) E^T (l uniform in [e^-r, e^r], E Haar) is drawn
 n matrices at once (n = 1 for one SPD matrix) as n·k uniforms then n·k²
@@ -50,16 +39,6 @@ EQUAL_EIG_RTOL = 1e-12
 _MAX_SYNTHETIC_R = float(np.log(np.finfo(float).max))
 
 
-# SeedSequence's constants (numpy/random/bit_generator.pyx): a 4-word pool,
-# the hash multipliers of entropy mixing (A) and state output (B), and the
-# pool mixing multipliers.
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
 def _nonnegative_int(value, what: str = "stream path element") -> int:
     """``value`` as a Python int, or :class:`DomainError` when it is not a
     nonnegative integer (floats are rejected, not truncated)."""
@@ -70,67 +49,6 @@ def _nonnegative_int(value, what: str = "stream path element") -> int:
     if value < 0:
         raise DomainError(f"{what} must be a nonnegative integer, got {value}")
     return value
-
-
-def _uint32_words(n: int) -> list[int]:
-    """``n`` as little-endian 32-bit words, as SeedSequence coerces an int."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hashmix(value, hash_const: int):
-    """SeedSequence's ``hashmix`` on a Python int or a uint32 array; returns
-    the hashed value and the next hash constant."""
-    value = value ^ hash_const
-    hash_const = hash_const * _MULT_A & _MASK32
-    value = value * hash_const & _MASK32
-    return value ^ (value >> 16), hash_const
-
-
-def _mix(x, y):
-    """SeedSequence's ``mix`` of two words (Python ints or uint32 arrays)."""
-    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-    return result ^ (result >> 16)
-
-
-def _philox_keys(seed: int, path: tuple[int, ...], count: int) -> np.ndarray:
-    """Philox keys (count, 2) of the streams ``(seed, path + (i,))`` for
-    ``i < count <= 2**32``: ``SeedSequence(entropy=seed, spawn_key=path +
-    (i,)).generate_state(2, np.uint64)`` for every ``i`` at once.
-
-    The spawn key is nonempty, so the seed's words are zero-padded to the
-    pool size before the path's words; only the last word, ``i``, varies.
-    """
-    entropy = _uint32_words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    for p in path:
-        entropy += _uint32_words(p)
-    hash_const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[_POOL_SIZE:] + [np.arange(count, dtype=np.uint32)]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], value)
-    # generate_state(2, uint64): four uint32 words from the pool, paired
-    # little-endian into two uint64 words
-    state = np.empty((count, 4), dtype=np.uint32)
-    hash_const = _INIT_B
-    for i in range(4):
-        value = pool[i] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const & _MASK32
-        state[:, i] = value ^ (value >> 16)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 class RngState:
@@ -156,34 +74,6 @@ class RngState:
     def substream(self, *path: int) -> "RngState":
         """Fork an independent stream keyed by ``path`` under the same seed."""
         return RngState(self.seed, self.stream + path)
-
-    def substream_normals(self, *path: int, count: int, dim: int) -> np.ndarray:
-        """Standard normals (count, dim) whose row ``i`` is bit-identical to
-        ``self.substream(*path, i).generator.standard_normal(dim)``.
-
-        The rows' Philox keys come from one vectorised pass, and one
-        generator is reset to each key (counter 0, empty buffer) in turn.
-        """
-        stream = self.stream + tuple(_nonnegative_int(p) for p in path)
-        count, dim = _nonnegative_int(count, "count"), _nonnegative_int(dim, "dim")
-        if count > 2**32:
-            raise DomainError("count must be at most 2**32")
-        state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        bit_generator = np.random.Philox(key=0)
-        generator = np.random.Generator(bit_generator)
-        out = np.empty((count, dim))
-        for row, key in zip(out, _philox_keys(self.seed, stream, count)):
-            state["state"]["key"] = key
-            bit_generator.state = state
-            generator.standard_normal(out=row)
-        return out
 
     def __repr__(self) -> str:
         return f"RngState(seed={self.seed}, stream={self.stream})"

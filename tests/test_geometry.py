@@ -302,6 +302,10 @@ class TestBallRadius:
         with pytest.raises(DomainError):
             ball_radius([], identity(2))
 
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            ball_radius([identity(2), identity(3)], identity(2))
+
     def test_synthetic_data_within_guarantee(self):
         rng = RngState(11)
         k, r = 5, 0.25

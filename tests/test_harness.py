@@ -37,7 +37,7 @@ from spdprivacy.mechanisms import (
     SensitivityKind,
     calibrate_analytic,
     calibrate_classical,
-    gaussian_release,
+    gaussian_release_block,
     sensitivity_extrinsic,
     sensitivity_frechet_le,
 )
@@ -279,13 +279,14 @@ class TestRunSynthetic:
         assert slow >= 100 * fast
 
 
-def per_trial_utilities(spec):
-    """Utilities by (epsilon, delta, trial) of a synthetic Gaussian run,
-    from one ``gaussian_release`` per trial on substream (1, cell, trial),
-    around the dataset center or, with ``resample_data``, around the center
-    of the trial's own dataset from substream (0, cell, trial).  The noise
-    scale and center come from the public sensitivity and calibration
-    functions, not from the harness."""
+def per_cell_utilities(spec):
+    """Utilities by (epsilon, delta, trial) of a synthetic Gaussian run: per
+    cell, ``gaussian_release_block`` of the (trials, d) block drawn from
+    substream (1, cell), around the dataset center or, with
+    ``resample_data``, around the center of each trial's own dataset from
+    substream (0, cell, trial); one dot per row of z - c.  The noise scale
+    and center come from the public sensitivity and calibration functions,
+    not from the harness."""
     base = RngState(spec.seed)
     logs = sample_synthetic_logs(base.substream(0), spec.k, spec.r, spec.n)
     extrinsic = spec.mechanism == "extrinsic_analytic"
@@ -296,29 +297,33 @@ def per_trial_utilities(spec):
     out = {}
     for cell, (eps, delta) in enumerate(cells):
         sigma = calibrate(sens, PrivacyBudget(eps, delta))
+        centers = []
         for trial in range(spec.trials):
             if spec.resample_data:
                 data = base.substream(0, cell, trial)
                 logs = sample_synthetic_logs(data, spec.k, spec.r, spec.n)
             mean_log = logs.mean(axis=0)
-            center = vecd_stack(expm_stack(mean_log) if extrinsic else mean_log)
-            z = gaussian_release(base.substream(1, cell, trial), center, sigma)
-            deviation = z - center
+            centers.append(vecd_stack(expm_stack(mean_log) if extrinsic else mean_log))
+        centers = np.array(centers)
+        block = base.substream(1, cell).generator.standard_normal(centers.shape)
+        z = gaussian_release_block(centers, sigma, block)
+        for trial, deviation in enumerate(z - centers):
             out[eps, delta, trial] = float(deviation @ deviation)
     return out
 
 
 class TestBatchedGaussianCells:
-    """A Gaussian cell draws all its trials' noise at once; every trial's
-    utility must equal one release per trial on its own substream, bit for
-    bit, whatever the thread count."""
+    """A Gaussian cell releases all its trials from one noise block drawn
+    from its own substream; every utility must equal that release bit for
+    bit, whatever the thread count, and trial t's must not depend on the
+    number of trials."""
 
     @pytest.mark.parametrize("threads", [1, 8])
     @pytest.mark.parametrize("resample", [False, True])
     @pytest.mark.parametrize(
         "mechanism", ["tangent_classical", "tangent_analytic", "extrinsic_analytic"]
     )
-    def test_utilities_equal_per_trial_releases(self, mechanism, resample, threads):
+    def test_utilities_equal_per_cell_release(self, mechanism, resample, threads):
         # k = 10 gives d = 55, so odd rows of the noise block are not
         # 16-byte aligned
         spec = small_spec(
@@ -326,9 +331,18 @@ class TestBatchedGaussianCells:
             delta_grid=(1e-6, 1e-8),
         )
         records = run_synthetic(spec, threads=threads)
-        want = per_trial_utilities(spec)
+        want = per_cell_utilities(spec)
         assert len(records) == len(want)
         assert all(r.utility == want[r.epsilon, r.delta, r.trial] for r in records)
+
+    @pytest.mark.parametrize("k", [2, 10, 30])  # d = 3, 55, 465
+    def test_first_trials_do_not_depend_on_trial_count(self, k):
+        def utilities(trials):
+            spec = small_spec(k=k, trials=trials)
+            return [(r.epsilon, r.delta, r.trial, r.utility) for r in run_synthetic(spec)]
+
+        long_run = [row for row in utilities(7) if row[2] < 3]
+        assert utilities(3) == long_run
 
     def test_timing_nonzero_per_trial(self, tmp_path):
         for mechanism, extra in (("tangent_analytic", []), ("riemannian_laplace", ["--burn-in", "50"])):
@@ -813,6 +827,16 @@ class TestCli:
         assert main(base + ["--out-csv", str(c), "--eps", "0.4"]) == 0
         assert "0.4" in c.read_text() and "0.1," not in c.read_text()
 
+    @pytest.mark.parametrize("value, want", [("TRUE", True), ("on", True), ("0", False), ("No", False)])
+    def test_config_boolean_spellings(self, tmp_path, monkeypatch, value, want):
+        seen = {}
+        monkeypatch.setattr(cli, "run_synthetic", lambda spec, threads: seen.setdefault("spec", spec))
+        monkeypatch.setattr(cli, "_emit", lambda records, args: None)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"resample_data = {value}\n")
+        assert main(["synthetic-bench", "--config", str(cfg)]) == 0
+        assert seen["spec"].resample_data is want
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mystery = 1\n")
@@ -864,6 +888,34 @@ class TestCliInputErrors:
         cfg.write_text("k = abc\n")
         self.check(["synthetic-bench", "--config", str(cfg)], capsys,
                    "config key 'k': 'abc' is not a valid int")
+
+    @pytest.mark.parametrize(
+        "line, needle",
+        [
+            ("func = x", "unknown config key 'func'"),
+            ("command = calibrate", "unknown config key 'command'"),
+            ("resample_data = nope", "config key 'resample_data': 'nope' is not one of"),
+            ("resample_data = treu", "config key 'resample_data': 'treu' is not one of"),
+        ],
+    )
+    def test_config_key_checked(self, tmp_path, capsys, line, needle):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        self.check(SYNTHETIC + ["--config", str(cfg)], capsys, needle)
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_calibrate_sensitivity_not_finite(self, capsys, value):
+        self.check(["calibrate", "--sensitivity", value, "--eps", "0.5", "--delta", "1e-6",
+                    "--flavor", "analytic"], capsys,
+                   f"sensitivity must be finite and nonnegative, got {value}")
+
+    def test_privatize_extrinsic_sensitivity_overflows(self, tmp_path, capsys):
+        # e^709 is finite, but 2 * 709 * e^709 / 1 is not
+        path = tmp_path / "m.txt"
+        path.write_text("2.0 0.3\n0.3 1.5\n")
+        argv = [*PRIVATIZE, "--mechanism", "extrinsic_analytic", "--r", "709", "--n", "1",
+                "--matrix", str(path)]
+        self.check(argv, capsys, "sensitivity must be finite and nonnegative, got inf")
 
     def test_duplicate_grid_value(self, capsys):
         self.check(SYNTHETIC + ["--eps", "0.1,0.1"], capsys, "epsilon_grid has duplicate values")
