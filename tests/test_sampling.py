@@ -68,6 +68,25 @@ class TestRngState:
         sub = RngState(1).substream(*path)
         assert sub.stream == tuple(int(p) for p in path)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("path", [(), (1,), (1, 3), (1, 2**32 + 5), (2**64 + 7, 0, 2)])
+    def test_substream_tree(self, seed, path):
+        # forking one element at a time reaches the stream of one fork of the
+        # whole path; that stream differs from its child, its next sibling
+        # and the same path under the next seed
+        stepwise = RngState(seed)
+        for p in path:
+            stepwise = stepwise.substream(p)
+        whole = RngState(seed).substream(*path)
+        assert stepwise.stream == whole.stream == path
+        draws = whole.generator.standard_normal(8)
+        assert np.array_equal(stepwise.generator.standard_normal(8), draws)
+        others = [RngState(seed, path + (0,)), RngState((seed + 1) % 2**64, path)]
+        if path:
+            others.append(RngState(seed, path[:-1] + (path[-1] + 1,)))
+        for other in others:
+            assert not np.array_equal(other.generator.standard_normal(8), draws)
+
 
 class TestGaussianRelease:
     def test_moments_match_standard_errors(self):
