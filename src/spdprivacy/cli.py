@@ -5,7 +5,9 @@ from a text file), ``synthetic-bench`` and ``image-bench`` (experiment
 harness with CSV/SVG output), ``descriptor`` (image to descriptor matrix).
 
 Flags may also come from a config file of ``key = value`` lines passed with
-``--config``; explicit command-line flags win over the file.
+``--config``; explicit command-line flags win over the file.  Flags must be
+spelled out in full (no argparse prefix matching), so the tokens on the
+command line name exactly the flags that win.
 """
 
 from __future__ import annotations
@@ -222,16 +224,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spd-bench",
         description="Differentially private Fréchet means on SPD matrices.",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: _apply_config reads the flags given from the tokens
+    add_parser = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    cal = subs.add_parser("calibrate", help="print the calibrated noise scale")
+    cal = add_parser("calibrate", help="print the calibrated noise scale")
     cal.add_argument("--sensitivity", type=float, required=True)
     _add_budget_flags(cal, grid=False)
     cal.add_argument("--flavor", choices=("classical", "analytic"), required=True)
     cal.set_defaults(func=_cmd_calibrate)
 
-    priv = subs.add_parser("privatize", help="privatize one matrix from a file")
+    priv = add_parser("privatize", help="privatize one matrix from a file")
     priv.add_argument("--matrix", required=True, help="text file, one row per line")
     priv.add_argument("--mechanism", choices=MECHANISMS, default="tangent_analytic")
     _add_budget_flags(priv, grid=False)
@@ -241,21 +246,21 @@ def build_parser() -> argparse.ArgumentParser:
     priv.add_argument("--burn-in", type=int, default=50000, dest="burn_in")
     priv.set_defaults(func=_cmd_privatize)
 
-    syn = subs.add_parser("synthetic-bench", help="synthetic-data experiment grid")
+    syn = add_parser("synthetic-bench", help="synthetic-data experiment grid")
     _add_budget_flags(syn, grid=True)
     _add_bench_flags(syn)
     syn.add_argument("--resample-data", action="store_true", dest="resample_data")
     syn.add_argument("--measured-radius", action="store_true", dest="measured_radius")
     syn.set_defaults(func=_cmd_synthetic)
 
-    img = subs.add_parser("image-bench", help="covariance-descriptor experiment grid")
+    img = add_parser("image-bench", help="covariance-descriptor experiment grid")
     _add_budget_flags(img, grid=True)
     _add_bench_flags(img)
     img.add_argument("--images", required=True, help="directory of PGM/PPM files")
     img.add_argument("--eta", type=float, default=1e-6)
     img.set_defaults(func=_cmd_image)
 
-    desc = subs.add_parser("descriptor", help="print an image's covariance descriptor")
+    desc = add_parser("descriptor", help="print an image's covariance descriptor")
     desc.add_argument("--image", required=True)
     desc.add_argument("--eta", type=float, default=1e-6)
     desc.set_defaults(func=_cmd_descriptor)

@@ -21,7 +21,10 @@ equal it bit for bit; this matters because the orientation feature is
 discontinuous where the gradient vanishes, and rounding noise there would
 flip it.  The harness feeds each class to :func:`descriptor_stack` in
 blocks of at most :data:`BLOCK_DOUBLES` feature values, so memory does not
-grow with the class size.
+grow with the class size.  It parses each file's 8-bit samples straight
+into a uint8 block and converts the block to [0, 1] once, dividing each
+image by its own maxval; that is the same division :func:`load_pnm` makes,
+so the descriptors are bit for bit those of one image at a time.
 
 Ingestion reads binary PGM (P5, grayscale) and PPM (P6, RGB) files with
 8-bit samples; intensities are divided by the header's maxval so
@@ -287,6 +290,13 @@ def load_pnm(path: str | Path) -> RasterImage:
 def _decode_pnm(data: bytes) -> RasterImage:
     """Decode binary PGM/PPM bytes; samples scale by the header's maxval,
     and any other content raises :class:`DomainError`."""
+    pixels, maxval = _parse_pnm(data)
+    return RasterImage(intensities=pixels.astype(float) / float(maxval))
+
+
+def _parse_pnm(data: bytes) -> tuple[np.ndarray, int]:
+    """8-bit samples (h, w, c), a read-only view of ``data``, and the maxval
+    of binary PGM/PPM bytes; any other content raises :class:`DomainError`."""
     header = _PNM_HEADER.match(data)
     magic, *tokens = header.groups()
     if not magic:
@@ -309,15 +319,17 @@ def _decode_pnm(data: bytes) -> RasterImage:
     channels = 1 if magic == b"P5" else 3
     pos = header.end() + 1  # single whitespace byte after maxval
     expected = width * height * channels
-    raw = data[pos : pos + expected]
-    if len(raw) != expected:
+    available = max(len(data) - pos, 0)
+    if available < expected:
         raise DomainError(
-            f"truncated PNM payload: expected {expected} bytes, got {len(raw)}"
+            f"truncated PNM payload: expected {expected} bytes, got {available}"
         )
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, channels)
-    if int(pixels.max()) > maxval:
+    pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)
+    pixels = pixels.reshape(height, width, channels)
+    # a uint8 sample cannot exceed maxval 255
+    if maxval < 255 and int(pixels.max()) > maxval:
         raise DomainError(f"PNM sample {int(pixels.max())} exceeds maxval {maxval}")
-    return RasterImage(intensities=pixels.astype(float) / float(maxval))
+    return pixels, maxval
 
 
 def save_pnm(image: RasterImage, path: str | Path) -> None:

@@ -41,9 +41,9 @@ import numpy as np
 from .descriptors import (
     BLOCK_DOUBLES,
     DescriptorParams,
+    _parse_pnm,
     descriptor_radius_bound,
     descriptor_stack,
-    load_pnm,
 )
 from .errors import DomainError
 from .geometry import MAX_DIM, expm_stack, logm_stack, vecd_stack
@@ -279,9 +279,17 @@ def _sorted_entries(directory: str | Path, want_dirs: bool) -> list[os.DirEntry]
 
 def _image_classes(root: Path) -> list[tuple[str, list[str]]]:
     """(class name, file paths) per subdirectory of ``root``, or one class
-    named "" of the files in ``root`` when it has no subdirectories."""
+    named "" of the files in ``root`` when it has no subdirectories.  Files
+    next to class subdirectories are ignored with a warning."""
     subdirs = _sorted_entries(root, want_dirs=True)
     if subdirs:
+        ignored = len(_sorted_entries(root, want_dirs=False))
+        if ignored:
+            log.warning(
+                "ignoring %d top-level file(s) in %s: it has class subdirectories",
+                ignored,
+                root,
+            )
         return [
             (d.name, [f.path for f in _sorted_entries(d.path, want_dirs=False)])
             for d in subdirs
@@ -289,24 +297,25 @@ def _image_classes(root: Path) -> list[tuple[str, list[str]]]:
     return [("", [f.path for f in _sorted_entries(root, want_dirs=False)])]
 
 
-def _class_images(name: str, files: list[str]):
-    """Intensities of a class's parseable images, decoded one at a time in
+def _class_samples(name: str, files: list[str]):
+    """(8-bit samples (h, w, c), maxval) of a class's parseable files, in
     file order; unparseable files are skipped with a warning."""
     channels = None
     for path in files:
         try:
-            image = load_pnm(path)
+            with open(path, "rb", buffering=0) as f:
+                pixels, maxval = _parse_pnm(f.read())
         except DomainError as exc:
             log.warning("skipping %s: %s", path, exc)
             continue
         if channels is None:
-            channels = image.channels
-        elif image.channels != channels:
+            channels = pixels.shape[2]
+        elif pixels.shape[2] != channels:
             raise DomainError(
                 f"class {name!r} mixes gray and RGB images; descriptors "
                 "would have different dimensions"
             )
-        yield image.intensities
+        yield pixels, maxval
 
 
 def _class_descriptors(
@@ -314,15 +323,24 @@ def _class_descriptors(
 ) -> np.ndarray:
     """Descriptors (n, k, k) of a class's parseable images, in file order.
 
-    Each run of same-size images goes to :func:`descriptor_stack` in blocks
-    holding at most ``BLOCK_DOUBLES`` feature values (at least one image),
-    so memory does not grow with the class; only the covariances are kept.
+    Each run of same-size images is copied into a reused uint8 block of at
+    most ``BLOCK_DOUBLES`` feature values (at least one image), which is
+    converted to [0, 1] once, image i divided by its own maxval, and goes to
+    :func:`descriptor_stack`; memory does not grow with the class, and only
+    the covariances are kept.
     """
     blocks = []
-    for (h, w, c), run in itertools.groupby(_class_images(name, files), key=np.shape):
+    runs = itertools.groupby(_class_samples(name, files), key=lambda s: s[0].shape)
+    for (h, w, c), run in runs:
         per_block = max(1, BLOCK_DOUBLES // (h * w * (8 + c)))
+        samples = np.empty((per_block, h, w, c), dtype=np.uint8)
+        maxvals = np.empty(per_block)
         while chunk := list(itertools.islice(run, per_block)):
-            blocks.append(descriptor_stack(np.stack(chunk), params))
+            for i, (pixels, maxval) in enumerate(chunk):
+                samples[i], maxvals[i] = pixels, maxval
+            m = len(chunk)
+            intensities = samples[:m].astype(float) / maxvals[:m, None, None, None]
+            blocks.append(descriptor_stack(intensities, params))
     if not blocks:
         raise DomainError(f"class {name!r} contains no parseable images")
     return np.concatenate(blocks)

@@ -430,6 +430,21 @@ class TestRunImage:
         assert len(records) == 1
         assert any("skipping" in m for m in caplog.messages)
 
+    def test_top_level_files_next_to_classes_warned(self, tmp_path, caplog):
+        write_corpus(tmp_path, classes=("a",), per_class=300)
+        rng = np.random.default_rng(2)
+        for i in range(30):
+            arr = rng.integers(0, 256, size=(10, 10, 1)) / 255.0
+            save_pnm(RasterImage(arr), tmp_path / f"top_{i}.pgm")
+        with caplog.at_level("WARNING"):
+            with_top = render_csv(run_image(image_spec(tmp_path, trials=1)))
+        assert caplog.messages == [
+            f"ignoring 30 top-level file(s) in {tmp_path}: it has class subdirectories"
+        ]
+        for path in tmp_path.glob("top_*"):
+            path.unlink()
+        assert render_csv(run_image(image_spec(tmp_path, trials=1))) == with_top
+
     def test_empty_class_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(DomainError, match="no parseable images"):
@@ -479,8 +494,8 @@ class TestImageBlocks:
         return shapes
 
     def check_against_one_at_a_time(self, d, monkeypatch, mechanism="tangent_analytic"):
-        """Same n, descriptor order and center as descriptors computed one
-        image at a time."""
+        """Bit for bit the n, descriptors and center of descriptors computed
+        one image at a time by ``load_pnm``."""
         params = DescriptorParams(eta=1e-6)
         ref = []
         for path in sorted(d.iterdir()):
@@ -489,17 +504,15 @@ class TestImageBlocks:
             except DomainError:
                 continue
         ref = np.stack(ref)
-        got = harness._class_descriptors("c", sorted(d.iterdir()), params)
-        assert got.shape == ref.shape
-        for g, r in zip(got, ref):
-            assert np.linalg.norm(g - r) <= 1e-12 * np.linalg.norm(r)
+        got = harness._class_descriptors("c", [str(p) for p in sorted(d.iterdir())], params)
+        assert np.array_equal(got, ref)
         groups = []
         monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs, t: groups.extend(gs) or [])
         run_image(image_spec(d, mechanism=mechanism))
         mean_log = logm_stack(ref).mean(axis=0)
         want = vecd_stack(expm_stack(mean_log) if mechanism == "extrinsic_analytic" else mean_log)
         assert [g.n for g in groups] == [len(ref)]
-        np.testing.assert_allclose(groups[0].center, want, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(groups[0].center, want)
 
     @pytest.mark.parametrize("mechanism", ["tangent_analytic", "extrinsic_analytic"])
     def test_class_larger_than_one_block(self, tmp_path, monkeypatch, blocks, mechanism):
@@ -520,6 +533,25 @@ class TestImageBlocks:
             self.check_against_one_at_a_time(tmp_path / "c", monkeypatch)
         assert any("skipping" in m and "junk" in m for m in caplog.messages)
         assert blocks == [(3, 8, 8), (3, 8, 8), (1, 8, 8)] * 2
+
+    def test_mixed_maxvals_and_bad_sample_inside_block(self, tmp_path, monkeypatch, blocks,
+                                                      caplog):
+        # each image scales by its own maxval; a sample above maxval is
+        # skipped mid-block and the block fills from the next file
+        rng = np.random.default_rng(45)
+        d = tmp_path / "c"
+        d.mkdir()
+        for i, maxval in enumerate([255, 100, 100, 255, 100, 255, 255]):
+            samples = rng.integers(0, maxval + 1, size=64, dtype=np.uint8)
+            if i == 2:
+                samples[17] = 200
+            (d / f"{i:03d}.pgm").write_bytes(b"P5\n8 8\n%d\n" % maxval + samples.tobytes())
+        with caplog.at_level("WARNING"):
+            self.check_against_one_at_a_time(d, monkeypatch)
+        skipped = [m for m in caplog.messages if m.startswith("skipping")]
+        assert len(skipped) == 2  # once directly, once by run_image
+        assert all("002.pgm" in m and "PNM sample 200 exceeds maxval 100" in m for m in skipped)
+        assert blocks == [(3, 8, 8), (3, 8, 8)] * 2
 
     def test_single_image_larger_than_block(self, tmp_path, monkeypatch, blocks):
         monkeypatch.setattr(harness, "BLOCK_DOUBLES", 100)
@@ -842,6 +874,19 @@ class TestCli:
         cfg.write_text("mystery = 1\n")
         assert main(["synthetic-bench", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_abbreviated_flag_rejected(self, tmp_path, capsys):
+        # a prefix of --eps would otherwise lose to the config file's eps
+        cfg = tmp_path / "ab.cfg"
+        cfg.write_text("eps = 0.1\n")
+        argv = ["synthetic-bench", "--k", "2", "--n", "20", "--trials", "1",
+                "--config", str(cfg), "--ep", "0.4"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --ep 0.4" in captured.err
+        assert captured.out == ""
 
     def test_parser_built_once_per_process(self, capsys):
         cli.build_parser.cache_clear()
