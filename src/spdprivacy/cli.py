@@ -31,7 +31,7 @@ from .mechanisms import (
     acceptance_warning,
     calibrate_analytic,
     calibrate_classical,
-    gaussian_release,
+    gaussian_release_block,
     laplace_release,
 )
 from .plotting import emit_plot
@@ -140,7 +140,7 @@ def _cmd_privatize(args: argparse.Namespace) -> int:
         if warning := acceptance_warning(ratio):
             print(f"warning: {warning}", file=sys.stderr)
     else:
-        z = gaussian_release(rng, center, sigma)
+        z = gaussian_release_block(center, sigma, rng.generator.standard_normal(center.size))
     print(format_matrix(mechanism.export(z, summary.dim).entries))
     return 0
 

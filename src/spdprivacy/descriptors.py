@@ -12,10 +12,10 @@ is what feeds the Fréchet-mean sensitivity for image experiments.
 
 The pipeline is batched: :func:`descriptor_stack` maps a stack
 (n, h, w, c) of same-size images to their (n, k, k) descriptors in one
-pass, and :func:`extract_features` and :func:`covariance_descriptor` run it
-on a stack of one.  The luminance stack is edge-padded once, and each
-derivative kernel is a sum of shifted slices times its nonzero taps, taken
-in row-major order of the flipped kernel.  That is the order in which
+pass, and :func:`covariance_descriptor` runs it on a stack of one.  The
+luminance stack is edge-padded once, and each derivative kernel is a sum
+of shifted slices times its nonzero taps, taken in row-major order of the
+flipped kernel.  That is the order in which
 ``scipy.ndimage.convolve(..., mode="nearest")`` sums them, so the responses
 equal it bit for bit; this matters because the orientation feature is
 discontinuous where the gradient vanishes, and rounding noise there would
@@ -143,36 +143,6 @@ class RasterImage:
         return 8 + self.channels
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureField:
-    """Per-pixel feature vectors; all components nonnegative and bounded."""
-
-    values: np.ndarray  # (h, w, feat_dim)
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 3:
-            raise DimensionError(f"values must be h x w x f, got shape {arr.shape}")
-        if arr.shape[2] not in (9, 11):
-            raise DimensionError(
-                f"feature dimension must be 9 (gray) or 11 (RGB), got {arr.shape[2]}"
-            )
-        _check_features(arr.reshape(1, -1, arr.shape[2]).transpose(0, 2, 1))
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def feat_dim(self) -> int:
-        return self.values.shape[2]
-
-
 @dataclass(frozen=True)
 class DescriptorParams:
     """Regularisation strength added to the covariance diagonal."""
@@ -205,8 +175,17 @@ def _derivatives(lum: np.ndarray) -> list[np.ndarray]:
 
 
 def _feature_stack(intensities: np.ndarray) -> np.ndarray:
-    """Validated feature layers (n, f, h * w) of a stack (n, h, w, c) of
-    images, one contiguous row per feature."""
+    """Validated feature layers (n, 8 + c, h * w) of a stack (n, h, w, c) of
+    images, one contiguous row per feature, pixels in row-major order.
+
+    The rows are [x, y, intensities, |Ix|, |Iy|, |Ixx|, |Iyy|, gradient
+    magnitude, gradient orientation].  Grid coordinates are normalised to
+    [0, 1] (0 along a side of one pixel).  Derivatives are taken on the
+    single channel for grayscale and on the Rec. 601 luminance for RGB, with
+    replicate-edge padding, so the kernel normalisations keep every
+    derivative in [-1, 1].  Orientation is arctan(|Ix| / |Iy|), defined as
+    pi/2 when only |Iy| vanishes and 0 when both derivatives vanish.
+    """
     n, h, w, c = intensities.shape
     feats = np.empty((n, 8 + c, h, w))
     feats[:, 0] = np.zeros(w) if w == 1 else np.arange(w) / (w - 1)
@@ -238,20 +217,6 @@ def descriptor_stack(
     centered = layers - layers.mean(axis=2, keepdims=True)
     cov = np.matmul(centered, centered.transpose(0, 2, 1)) / layers.shape[2]
     return 0.5 * (cov + cov.transpose(0, 2, 1)) + params.eta * np.eye(layers.shape[1])
-
-
-def extract_features(image: RasterImage) -> FeatureField:
-    """Per-pixel feature vectors [x, y, intensities, |Ix|, |Iy|, |Ixx|,
-    |Iyy|, gradient magnitude, gradient orientation].
-
-    Grid coordinates are normalised to [0, 1].  Derivatives are taken on the
-    single channel for grayscale and on the Rec. 601 luminance for RGB, with
-    replicate-edge padding, so the kernel normalisations keep every
-    derivative in [-1, 1].  Orientation is arctan(|Ix| / |Iy|), defined as
-    pi/2 when only |Iy| vanishes and 0 when both derivatives vanish.
-    """
-    layers = _feature_stack(image.intensities[None])[0]
-    return FeatureField(values=layers.T.reshape(image.height, image.width, -1))
 
 
 def covariance_descriptor(

@@ -7,7 +7,7 @@ is ``row.export(core(rng, row.center(summary), sigma), k)``: the row
 centers the summary as a d-vector, d = k(k+1)/2, one of the two vector
 cores perturbs it, and the row exports the result as a k x k matrix.
 
-The tangent Gaussian mechanism (:func:`gaussian_release` around
+The tangent Gaussian mechanism (:func:`gaussian_release_block` around
 vecd(log summary), exported through expm) always outputs an SPD matrix,
 and the squared log-Euclidean deviation from the summary is exactly
 sigma^2 chi^2_d distributed.  The extrinsic Gaussian baseline perturbs the
@@ -44,7 +44,7 @@ from .geometry import (
     logm_stack,
     vecd_stack,
 )
-from .sampling import _MAX_SYNTHETIC_R, RngState
+from .sampling import _MAX_SYNTHETIC_R, RngState, _positive_int
 
 # Metropolis acceptance ratios outside this band get a warning diagnostic.
 ACCEPTANCE_BAND = (0.2, 0.9)
@@ -93,9 +93,7 @@ class Sensitivity:
 def sensitivity_frechet_le(n: int, r: float) -> Sensitivity:
     """Sensitivity 2r/n of the log-Euclidean Fréchet mean over datasets of
     size n inside a geodesic ball of radius r."""
-    n = int(n)
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = _positive_int(n, "n")
     if not (r > 0):
         raise DomainError("r must be positive")
     return Sensitivity(value=2.0 * r / n, kind=SensitivityKind.LOG_EUCLIDEAN)
@@ -109,9 +107,7 @@ def sensitivity_extrinsic(n: int, r: float) -> Sensitivity:
     radius r, and the matrix exponential is e^r-Lipschitz in Frobenius norm
     there (Higham, Functions of Matrices, 2008).
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = _positive_int(n, "n")
     if not 0 < r <= _MAX_SYNTHETIC_R:
         raise DomainError(f"r must be in (0, {_MAX_SYNTHETIC_R:.6g}] so e^r is finite, got {r}")
     return Sensitivity(value=2.0 * r * math.exp(r) / n, kind=SensitivityKind.EXTRINSIC)
@@ -182,7 +178,8 @@ class Mechanism:
     """One release of the Fréchet mean, as a row of :data:`MECHANISMS`.
 
     A chain release is one :func:`laplace_release`, any other one
-    :func:`gaussian_release`, between :meth:`center` and :meth:`export`.
+    :func:`gaussian_release_block` on a draw of d standard normals, between
+    :meth:`center` and :meth:`export`.
     """
 
     sensitivity: Callable[[int, float], Sensitivity]
@@ -215,32 +212,21 @@ MECHANISMS = {
 }
 
 
-def gaussian_release(rng: RngState, center: np.ndarray, sigma: float) -> np.ndarray:
-    """Core of both Gaussian mechanisms: ``center + sigma * N(0, I_d)``.
-
-    ``center`` is vecd(log summary) for the tangent mechanism, whose
-    utility ||z - center||^2 is then the squared log-Euclidean deviation,
-    and vecd(summary) for the extrinsic baseline.  The noise is one draw
-    of ``d`` standard normals from ``rng``, added by
-    :func:`gaussian_release_block`.
-    """
-    center = np.asarray(center, dtype=float)
-    if center.ndim != 1 or center.size < 1:
-        raise DimensionError(f"center must be a nonempty vector, got shape {center.shape}")
-    return gaussian_release_block(center, sigma, rng.generator.standard_normal(center.size))
-
-
 def gaussian_release_block(
     center: np.ndarray, sigma: float, noise: np.ndarray
 ) -> np.ndarray:
     """The Gaussian law on a block of standard normal rows ``noise``
     (trials, d): release ``center + sigma * noise``, with ``center`` one
-    d-vector for every row or one row per trial."""
+    d-vector for every row or one row per trial.
+
+    ``center`` is vecd(log summary) for the tangent mechanism, whose
+    utility ||z - center||^2 is then the squared log-Euclidean deviation,
+    and vecd(summary) for the extrinsic baseline."""
     if not (sigma > 0):
         raise DomainError("sigma must be positive")
     center, noise = np.asarray(center, dtype=float), np.asarray(noise, dtype=float)
-    if noise.shape[max(0, noise.ndim - center.ndim) :] != center.shape:
-        raise DimensionError(f"center {center.shape} does not fit noise {noise.shape}")
+    if center.size < 1 or noise.shape[max(0, noise.ndim - center.ndim) :] != center.shape:
+        raise DimensionError(f"center {center.shape} is empty or does not fit noise {noise.shape}")
     return center + float(sigma) * noise
 
 
@@ -252,9 +238,7 @@ def tangent_gaussian_stack(
     Returns a (size, k, k) array of SPD matrices, each distributed as one
     tangent Gaussian release of ``summary``; for Monte-Carlo diagnostics.
     """
-    size = int(size)
-    if size < 1:
-        raise DomainError("size must be >= 1")
+    size = _positive_int(size, "size")
     center = vecd_stack(logm_stack(summary.entries))
     noise = rng.generator.standard_normal((size, center.size))
     return expm_stack(invvecd_stack(gaussian_release_block(center, sigma, noise), summary.dim))
@@ -289,10 +273,8 @@ def _chain_start(
     """
     if not (sigma > 0):
         raise DomainError("sigma must be positive")
-    if burn_in < 1:
-        raise DomainError("burn_in must be >= 1")
-    if n_chains < 1:
-        raise DomainError("n_chains must be >= 1")
+    burn_in = _positive_int(burn_in, "burn_in")
+    n_chains = _positive_int(n_chains, "n_chains")
     if proposal_sigma is None:
         proposal_sigma = sigma
     if not (proposal_sigma > 0):
@@ -305,7 +287,7 @@ def _chain_start(
     norms = np.linalg.norm(direction, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     offsets = (d * sigma) * direction / norms
-    return center, offsets, _proposal_blocks(gen, proposal_sigma, int(burn_in), n_chains, d)
+    return center, offsets, _proposal_blocks(gen, proposal_sigma, burn_in, n_chains, d)
 
 
 def _proposal_blocks(
@@ -445,27 +427,6 @@ def laplace_chains_stack(
     recomputed exactly at every block boundary.
     """
     center = vecd_stack(logm_stack(summary.entries))
-    states, ratio = _laplace_chains(
-        rng, center, sigma, burn_in, proposal_sigma, int(n_chains)
-    )
+    states, ratio = _laplace_chains(rng, center, sigma, burn_in, proposal_sigma, n_chains)
     return expm_stack(invvecd_stack(states, summary.dim)), ratio
 
-
-def privacy_loss(
-    y: SpdMatrix, f_d: SpdMatrix, f_dp: SpdMatrix, sigma: float
-) -> float:
-    """Log ratio of tangent Gaussian output densities at ``y`` for summaries
-    ``f_d`` and ``f_dp``.
-
-    The log-chart volume term depends on ``y`` alone and cancels, leaving
-    (||v'||^2 - ||v||^2) / (2 sigma^2) with v, v' the log-chart offsets of
-    ``y`` from the two summaries.
-    """
-    if not (sigma > 0):
-        raise DomainError("sigma must be positive")
-    if y.dim != f_d.dim or y.dim != f_dp.dim:
-        raise DimensionError("privacy loss requires matching dimensions")
-    log_y = logm_stack(y.entries)
-    v = vecd_stack(log_y - logm_stack(f_d.entries))
-    v_prime = vecd_stack(log_y - logm_stack(f_dp.entries))
-    return float((v_prime @ v_prime - v @ v) / (2.0 * sigma**2))

@@ -1,5 +1,4 @@
-"""Deterministic, seedable randomness, synthetic SPD data and the log-Gaussian
-density on SPD(k).
+"""Deterministic, seedable randomness and synthetic SPD data.
 
 All randomness in the package flows through :class:`RngState`, a thin wrapper
 over a counter-based Philox generator.  Substreams forked with
@@ -10,30 +9,18 @@ regardless of scheduling.
 Synthetic data E diag(l) E^T (l uniform in [e^-r, e^r], E Haar) is drawn
 n matrices at once (n = 1 for one SPD matrix) as n·k uniforms then n·k²
 normals.  E is a QR factor without the sign fix that makes it exactly Haar
-(which :func:`haar_orthogonal` keeps): the fix flips columns of E by ±1,
-which cancels exactly in E diag(l) E^T.
-
-The log-Gaussian distribution LN(M, sigma^2 I) is the distribution on SPD(k)
-whose vectorised matrix logarithm is Gaussian: vecd(log X) ~ N(vecd(log M),
-sigma^2 I): the law of the tangent Gaussian mechanism's release, which
-:func:`spdprivacy.mechanisms.tangent_gaussian_stack` samples.  The density
-additionally carries the volume term of the log chart, exposed here via
-:func:`log_jacobian`.
+(signing its columns by the diagonal of R, Mezzadri 2007): the fix flips
+columns of E by ±1, which cancels exactly in E diag(l) E^T.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .geometry import SpdMatrix, _rebuild, logm_stack, vecd_stack
-
-# Two eigenvalues count as equal when their gap is below this relative
-# tolerance; the pairwise volume factor then uses its continuous limit.
-EQUAL_EIG_RTOL = 1e-12
+from .geometry import SpdMatrix, _rebuild
 
 # Largest r whose e^r is finite: the synthetic eigenvalue range [e^-r, e^r].
 _MAX_SYNTHETIC_R = float(np.log(np.finfo(float).max))
@@ -48,6 +35,15 @@ def _nonnegative_int(value, what: str = "stream path element") -> int:
         raise DomainError(f"{what} must be a nonnegative integer, got {value!r}") from None
     if value < 0:
         raise DomainError(f"{what} must be a nonnegative integer, got {value}")
+    return value
+
+
+def _positive_int(value, what: str) -> int:
+    """``value`` as a Python int >= 1, else :class:`DomainError`; floats are
+    rejected, not truncated."""
+    value = _nonnegative_int(value, what)
+    if value < 1:
+        raise DomainError(f"{what} must be >= 1")
     return value
 
 
@@ -79,79 +75,6 @@ class RngState:
         return f"RngState(seed={self.seed}, stream={self.stream})"
 
 
-@dataclass(frozen=True)
-class LogGaussianParams:
-    """Mean and isotropic tangent scale of a log-Gaussian on SPD(k).
-
-    ``sigma`` is the standard deviation per tangent coordinate (covariance
-    sigma^2 I on the k(k+1)/2-dimensional tangent space).  ``sigma == 0`` is
-    admitted, but the density is only defined for ``sigma > 0``.
-    """
-
-    mean: SpdMatrix
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.sigma) or self.sigma < 0:
-            raise DomainError(f"sigma must be a finite nonnegative real, got {self.sigma}")
-
-
-def haar_orthogonal(rng: RngState, k: int) -> np.ndarray:
-    """Draw a k x k orthogonal matrix from the Haar distribution.
-
-    QR of a standard Gaussian matrix, with columns rescaled by the signs of
-    the R diagonal; the sign correction is what makes the law exactly Haar
-    rather than QR-convention dependent.
-    """
-    k = _dimension(k)
-    q, r = np.linalg.qr(rng.generator.standard_normal((k, k)))
-    signs = np.sign(np.diagonal(r))
-    signs[signs == 0] = 1.0
-    return q * signs
-
-
-def log_jacobian(eigenvalues: np.ndarray) -> np.ndarray:
-    """Log volume term of the log chart at matrices with the given eigenvalues.
-
-    For eigenvalues (l_1 .. l_k) this is ``-sum_i ln l_i + sum_{i<j} ln
-    h(l_i, l_j)`` with ``h`` the divided difference of ln, ``(ln l_i - ln
-    l_j)/(l_i - l_j)``, evaluated as its limit ``1/l_i`` (larger eigenvalue
-    first) when the pair is equal to within :data:`EQUAL_EIG_RTOL`.
-    Accepts a stack (..., k) and returns shape (...).
-    """
-    w = np.asarray(eigenvalues, dtype=float)
-    if np.any(w <= 0):
-        raise DomainError("eigenvalues must be strictly positive")
-    k = w.shape[-1]
-    out = -np.sum(np.log(w), axis=-1)
-    if k > 1:
-        iu, ju = np.triu_indices(k, 1)
-        lo = np.minimum(w[..., iu], w[..., ju])
-        hi = np.maximum(w[..., iu], w[..., ju])
-        equal = (hi - lo) <= EQUAL_EIG_RTOL * hi
-        gap = np.where(equal, 1.0, hi - lo)
-        h = np.where(equal, 1.0 / hi, (np.log(hi) - np.log(lo)) / gap)
-        out = out + np.sum(np.log(h), axis=-1)
-    return out
-
-
-def log_gaussian_logdensity(x: SpdMatrix, params: LogGaussianParams) -> float:
-    """Log density of LN(M, sigma^2 I) at ``x``."""
-    if x.dim != params.mean.dim:
-        raise DimensionError(f"dimension mismatch: {x.dim} vs {params.mean.dim}")
-    k = x.dim
-    d = k * (k + 1) // 2
-    w, u = np.linalg.eigh(x.entries)
-    if w[0] <= 0:
-        raise DomainError("log density requires a positive definite argument")
-    z = vecd_stack(_rebuild(u, np.log(w)) - logm_stack(params.mean.entries))
-    if params.sigma <= 0:
-        raise DomainError("density requires sigma > 0")
-    scale_term = d * np.log(params.sigma)
-    quad = float(z @ z) / (2.0 * params.sigma**2)
-    return float(log_jacobian(w) - 0.5 * d * np.log(2.0 * np.pi) - scale_term - quad)
-
-
 def _dimension(k) -> int:
     """``k`` as a Python int >= 1; floats are rejected, not truncated."""
     k = _nonnegative_int(k, "k")
@@ -165,10 +88,7 @@ def _check_synthetic_args(k: int, r: float, n: int = 1) -> tuple[int, int]:
     k = _dimension(k)
     if not 0 < r <= _MAX_SYNTHETIC_R:
         raise DomainError(f"r must be in (0, {_MAX_SYNTHETIC_R:.6g}] so e^r is finite, got {r}")
-    n = _nonnegative_int(n, "n")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    return k, n
+    return k, _positive_int(n, "n")
 
 
 def _synthetic_factors(

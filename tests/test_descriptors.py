@@ -20,10 +20,10 @@ from spdprivacy.descriptors import (
     RasterImage,
     _decode_pnm,
     _derivatives,
+    _feature_stack,
     covariance_descriptor,
     descriptor_radius_bound,
     descriptor_stack,
-    extract_features,
     load_pnm,
     save_pnm,
 )
@@ -108,6 +108,11 @@ def gray_image(rng, h=12, w=12):
 
 def rgb_image(rng, h=12, w=12):
     return RasterImage(rng.integers(0, 256, size=(h, w, 3)) / 255.0)
+
+
+def features(image):
+    """The feature layers of one image as an (h, w, 8 + c) field."""
+    return _feature_stack(image.intensities[None])[0].T.reshape(image.height, image.width, -1)
 
 
 def conv_replicate_reference(img, kernel):
@@ -208,8 +213,7 @@ class TestBatchedPipeline:
         for i in range(4):
             image = RasterImage(stack[i])
             assert np.array_equal(covariance_descriptor(image).entries, batch[i])
-        field = extract_features(RasterImage(stack[0]))
-        assert field.values.shape == (10, 8, 11)
+        assert _feature_stack(stack).shape == (4, 11, 80)
 
     @pytest.mark.parametrize(
         "shape", [(0, 4, 4, 1), (2, 0, 4, 1), (2, 4, 4, 2), (4, 4, 1), (2, 4, 4, 1, 1)]
@@ -256,70 +260,70 @@ class TestRasterImage:
         assert img.height == 4 and img.width == 5
 
 
-class TestExtractFeatures:
+class TestFeatureLayers:
     def test_constant_image_has_zero_derivatives(self):
         img = RasterImage(np.full((8, 8, 1), 0.5))
-        field = extract_features(img)
+        field = features(img)
         # [x, y, I, |Ix|, |Iy|, |Ixx|, |Iyy|, mag, orient]
-        assert np.all(field.values[:, :, 3:] == 0.0)
-        assert np.all(field.values[:, :, 2] == 0.5)
+        assert np.all(field[:, :, 3:] == 0.0)
+        assert np.all(field[:, :, 2] == 0.5)
 
     def test_feature_dims(self):
         rng = np.random.default_rng(0)
-        assert extract_features(gray_image(rng)).feat_dim == 9
-        assert extract_features(rgb_image(rng)).feat_dim == 11
+        assert features(gray_image(rng)).shape[2] == 9
+        assert features(rgb_image(rng)).shape[2] == 11
 
     def test_grid_coordinates_normalised(self):
         img = RasterImage(np.zeros((3, 5, 1)))
-        field = extract_features(img)
-        assert field.values[0, 0, 0] == 0.0 and field.values[0, 0, 1] == 0.0
-        assert field.values[2, 4, 0] == 1.0 and field.values[2, 4, 1] == 1.0
-        single = extract_features(RasterImage(np.zeros((1, 1, 1))))
-        assert single.values[0, 0, 0] == 0.0 and single.values[0, 0, 1] == 0.0
+        field = features(img)
+        assert field[0, 0, 0] == 0.0 and field[0, 0, 1] == 0.0
+        assert field[2, 4, 0] == 1.0 and field[2, 4, 1] == 1.0
+        single = features(RasterImage(np.zeros((1, 1, 1))))
+        assert single[0, 0, 0] == 0.0 and single[0, 0, 1] == 0.0
 
     def test_horizontal_step_edge(self):
         # step in the vertical direction: rows 0-3 dark, rows 4-7 bright
         img_arr = np.zeros((8, 6, 1))
         img_arr[4:, :, :] = 1.0
-        field = extract_features(RasterImage(img_arr))
-        d_y = field.values[:, :, 4]
+        field = features(RasterImage(img_arr))
+        d_y = field[:, :, 4]
         assert np.all(d_y[:2, :] == 0.0)
         assert np.all(d_y[6:, :] == 0.0)
         assert np.all(d_y[3:5, :] > 0.0)
-        assert np.all(field.values[:, :, 3] <= 1.0)
+        assert np.all(field[:, :, 3] <= 1.0)
 
     def test_against_naive_convolution(self):
         rng = np.random.default_rng(7)
         img = gray_image(rng, 7, 9)
         lum = img.intensities[:, :, 0]
-        field = extract_features(img)
+        field = features(img)
         for col, kernel in ((3, KERNEL_DX), (4, KERNEL_DY), (5, KERNEL_DXX), (6, KERNEL_DYY)):
             expected = np.abs(conv_replicate_reference(lum, kernel))
-            assert np.max(np.abs(field.values[:, :, col] - expected)) <= 1e-14
+            assert np.max(np.abs(field[:, :, col] - expected)) <= 1e-14
 
     def test_rgb_uses_luminance_for_derivatives(self):
         rng = np.random.default_rng(8)
         img = rgb_image(rng, 6, 6)
         lum = img.intensities @ np.array([0.299, 0.587, 0.114])
-        field = extract_features(img)
+        field = features(img)
         expected = np.abs(conv_replicate_reference(lum, KERNEL_DX))
-        assert np.max(np.abs(field.values[:, :, 5] - expected)) <= 1e-14
+        assert np.max(np.abs(field[:, :, 5] - expected)) <= 1e-14
 
     def test_orientation_conventions(self):
         # vertical edge: |Iy| = 0 and |Ix| > 0 at the jump, orientation pi/2
         img_arr = np.zeros((6, 8, 1))
         img_arr[:, 4:, :] = 1.0
-        field = extract_features(RasterImage(img_arr))
-        orient = field.values[:, :, 8]
+        field = features(RasterImage(img_arr))
+        orient = field[:, :, 8]
         assert np.all(orient[:, 3:5] == math.pi / 2)
         assert np.all(orient[:, 0] == 0.0)
 
     def test_component_bounds(self):
         rng = np.random.default_rng(9)
         for img in (gray_image(rng), rgb_image(rng)):
-            field = extract_features(img)
+            field = features(img)
             c = img.channels
-            flat = field.values.reshape(-1, field.feat_dim)
+            flat = field.reshape(-1, field.shape[2])
             assert flat.min() >= 0.0
             assert np.all(flat[:, : 2 + c + 4] <= 1.0 + 1e-12)
             assert np.all(flat[:, 2 + c + 4] <= math.sqrt(2.0) + 1e-12)

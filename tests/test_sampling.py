@@ -9,18 +9,13 @@ from spdprivacy.geometry import (
     SpdMatrix,
     expm_stack,
     identity,
-    invvecd_stack,
     le_add,
     logm_stack,
     vecd_stack,
 )
-from spdprivacy.mechanisms import MECHANISMS, gaussian_release, tangent_gaussian_stack
+from spdprivacy.mechanisms import MECHANISMS, gaussian_release_block, tangent_gaussian_stack
 from spdprivacy.sampling import (
-    LogGaussianParams,
     RngState,
-    haar_orthogonal,
-    log_gaussian_logdensity,
-    log_jacobian,
     sample_synthetic_logs,
     sample_synthetic_spd,
 )
@@ -30,10 +25,10 @@ class TestRngState:
     def test_replay_bit_identical(self):
         a = RngState(42)
         b = RngState(42)
-        va = gaussian_release(a, np.zeros(5), 1.0)
-        qa = haar_orthogonal(a, 3)
-        vb = gaussian_release(b, np.zeros(5), 1.0)
-        qb = haar_orthogonal(b, 3)
+        va = tangent_gaussian_stack(a, identity(3), 1.0, 5)
+        qa = sample_synthetic_logs(a, 3, 0.25, 2)
+        vb = tangent_gaussian_stack(b, identity(3), 1.0, 5)
+        qb = sample_synthetic_logs(b, 3, 0.25, 2)
         assert np.array_equal(va, vb)
         assert np.array_equal(qa, qb)
 
@@ -90,44 +85,41 @@ class TestRngState:
 
 class TestGaussianRelease:
     def test_moments_match_standard_errors(self):
-        rng = RngState(7)
-        draws = np.array([gaussian_release(rng, np.zeros(1), 1.0)[0] for _ in range(10**5)])
+        noise = RngState(7).generator.standard_normal((10**5, 1))
+        draws = gaussian_release_block(np.zeros(1), 1.0, noise)[:, 0]
         assert abs(draws.mean()) <= 0.01
         assert abs(draws.var(ddof=1) - 1.0) <= 0.015
 
     def test_shape_validated(self):
-        rng = RngState(1)
         with pytest.raises(DimensionError):
-            gaussian_release(rng, np.zeros((2, 3)), 1.0)
+            gaussian_release_block(np.zeros((2, 3)), 1.0, np.zeros(3))
         with pytest.raises(DimensionError):
-            gaussian_release(rng, np.zeros(0), 1.0)
+            gaussian_release_block(np.zeros(0), 1.0, np.zeros(0))
+        with pytest.raises(DimensionError):
+            gaussian_release_block(np.zeros(3), 1.0, np.zeros((4, 2)))
         with pytest.raises(DomainError):
-            gaussian_release(rng, np.zeros(2), -1.0)
+            gaussian_release_block(np.zeros(2), -1.0, np.zeros(2))
 
 
 class TestHaarOrthogonal:
+    """The reference :func:`signed_haar_basis` is Haar; the synthetic
+    generator equals it bit for bit (test_spd_equals_sign_fixed_construction)."""
+
     def test_orthogonality(self):
         rng = RngState(3)
         for k in (1, 2, 5, 12):
-            q = haar_orthogonal(rng, k)
+            q = signed_haar_basis(rng.generator.standard_normal((k, k)))
             assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-10
 
-    @pytest.mark.parametrize("k", [1, 2, 10, 30])
-    def test_equals_signed_qr_reference(self, k):
-        q = haar_orthogonal(RngState(11), k)
-        assert np.array_equal(q, signed_haar_basis(RngState(11).generator.standard_normal((k, k))))
-
     def test_k1_sign_symmetry(self):
-        rng = RngState(5)
-        signs = np.array([haar_orthogonal(rng, 1)[0, 0] for _ in range(10**4)])
+        gauss = RngState(5).generator.standard_normal((10**4, 1, 1))
+        signs = np.array([signed_haar_basis(g)[0, 0] for g in gauss])
         assert set(np.unique(signs)) <= {-1.0, 1.0}
         assert abs((signs > 0).mean() - 0.5) <= 0.02
 
     def test_k2_first_column_angle_uniform(self):
-        rng = RngState(9)
-        angles = np.array(
-            [math.atan2(*haar_orthogonal(rng, 2)[:, 0][::-1]) for _ in range(10**4)]
-        )
+        gauss = RngState(9).generator.standard_normal((10**4, 2, 2))
+        angles = np.array([math.atan2(*signed_haar_basis(g)[:, 0][::-1]) for g in gauss])
         pvalue = stats.kstest(angles, stats.uniform(-math.pi, 2 * math.pi).cdf).pvalue
         assert pvalue > 0.01
 
@@ -139,13 +131,11 @@ class TestLogGaussianLaw:
         # the bulk sampler and the scalar sampler share one distribution
         mean, sigma = SpdMatrix([[2.0, 0.4], [0.4, 1.0]]), 0.7
         row = MECHANISMS["tangent_analytic"]
+        noise = (RngState(61).substream(i).generator.standard_normal(3) for i in range(2000))
         scalar = np.array(
             [
                 np.sum(logm_stack(row.export(z, 2).entries) ** 2)
-                for z in (
-                    gaussian_release(RngState(61).substream(i), row.center(mean), sigma)
-                    for i in range(2000)
-                )
+                for z in (gaussian_release_block(row.center(mean), sigma, e) for e in noise)
             ]
         )
         bulk = tangent_gaussian_stack(RngState(67), mean, sigma, 2000)
@@ -201,80 +191,20 @@ class TestLogGaussianLaw:
         one = SpdMatrix(base[0])
         assert np.allclose(le_add(one, m).entries, shifted[0], atol=1e-10)
 
-
-class TestLogDensity:
-    def test_univariate_closed_form(self):
-        for x in (0.2, 1.0, 3.7):
-            got = log_gaussian_logdensity(
-                SpdMatrix([[x]]), LogGaussianParams(identity(1), 1.0)
-            )
-            expected = -math.log(x) - 0.5 * math.log(2 * math.pi) - math.log(x) ** 2 / 2
-            assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_jacobian_cancels_in_ratio(self):
-        x = SpdMatrix([[2.0, 0.7], [0.7, 1.1]])
-        m1 = identity(2)
-        m2 = SpdMatrix(np.diag([3.0, 0.5]))
-        sigma = 0.9
-        ratio = log_gaussian_logdensity(
-            x, LogGaussianParams(m1, sigma)
-        ) - log_gaussian_logdensity(x, LogGaussianParams(m2, sigma))
-        log_x = logm_stack(x.entries)
-        v1 = vecd_stack(log_x - logm_stack(m1.entries))
-        v2 = vecd_stack(log_x - logm_stack(m2.entries))
-        expected = (v2 @ v2 - v1 @ v1) / (2 * sigma**2)
-        assert ratio == pytest.approx(expected, rel=1e-10)
-
-    def test_density_mass_matches_monte_carlo(self):
-        # integrate over a coordinate box and compare with the hit fraction
-        sigma = 0.5
-        rng = RngState(41)
-        n = 2 * 10**5
-        draws = tangent_gaussian_stack(rng, identity(2), sigma, n)
-        w = vecd_stack(draws)
-        lo = np.array([0.7, 0.7, -0.3])
-        hi = np.array([1.6, 1.6, 0.3])
-        frac = np.all((w >= lo) & (w <= hi), axis=1).mean()
-
-        m = 72
-        grids = [
-            np.linspace(a + (b - a) / (2 * m), b - (b - a) / (2 * m), m)
-            for a, b in zip(lo, hi)
-        ]
-        mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, 3)
-        mats = invvecd_stack(mesh, 2)
-        eigs = np.linalg.eigvalsh(mats)
-        d = 3
-        logs = logm_stack(mats)
-        quad = np.sum(vecd_stack(logs) ** 2, axis=1) / (2 * sigma**2)
-        log_dens = (
-            log_jacobian(eigs) - 0.5 * d * math.log(2 * math.pi) - d * math.log(sigma) - quad
-        )
-        mass = np.exp(log_dens).sum() * np.prod((hi - lo) / m)
-        assert abs(mass - frac) / frac <= 0.05
-        # the scalar API agrees with the vectorised evaluation above
-        params = LogGaussianParams(identity(2), sigma)
-        for i in range(0, mesh.shape[0], mesh.shape[0] // 97):
-            got = log_gaussian_logdensity(SpdMatrix(mats[i]), params)
-            assert got == pytest.approx(float(log_dens[i]), rel=1e-10)
-
-    def test_sigma_zero_density_rejected(self):
-        with pytest.raises(DomainError):
-            log_gaussian_logdensity(
-                identity(2), LogGaussianParams(identity(2), 0.0)
-            )
-
-    def test_log_jacobian_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            log_jacobian(np.array([1.0, -1.0]))
-
-    def test_log_jacobian_equal_eigenvalue_limit(self):
-        lam = 2.0
-        exact = log_jacobian(np.array([lam, lam]))
-        near = log_jacobian(np.array([lam, lam * (1 + 1e-9)]))
-        # -2 ln(lam) + ln(1/lam) = -3 ln(lam); nearby pair converges to it
-        assert exact == pytest.approx(-3 * math.log(lam), rel=1e-12)
-        assert near == pytest.approx(exact, rel=1e-6)
+    @pytest.mark.parametrize("k,seed", [(2, 101), (5, 103)])
+    def test_chart_offsets_mean_zero_covariance_sigma2(self, k, seed):
+        # vecd(log X) - vecd(log M) ~ N(0, sigma^2 I_d): each sample mean and
+        # covariance entry within 4 standard errors of its value
+        m = sample_synthetic_spd(RngState(seed), k, 0.5)
+        sigma, n = 0.6, 2 * 10**4
+        d = k * (k + 1) // 2
+        draws = tangent_gaussian_stack(RngState(seed).substream(1), m, sigma, n)
+        offsets = vecd_stack(logm_stack(draws) - logm_stack(m.entries))
+        assert np.all(np.abs(offsets.mean(axis=0)) <= 4.0 * sigma / math.sqrt(n))
+        cov = np.cov(offsets, rowvar=False)
+        off_diag = cov[~np.eye(d, dtype=bool)]
+        assert np.all(np.abs(np.diag(cov) - sigma**2) <= 4.0 * sigma**2 * math.sqrt(2.0 / n))
+        assert np.all(np.abs(off_diag) <= 4.0 * sigma**2 / math.sqrt(n))
 
 
 class TestSyntheticGenerator:
@@ -366,14 +296,13 @@ class TestSyntheticGenerator:
 
     @pytest.mark.parametrize("bad", [2.7, 1.5, np.float64(3.0), "3"])
     def test_sizes_not_truncated(self, bad):
+        # counts are rejected, never truncated: 2.7 data points is not 2
         with pytest.raises(DomainError, match="integer"):
             sample_synthetic_logs(RngState(1), bad, 0.25, 2)
         with pytest.raises(DomainError, match="integer"):
             sample_synthetic_logs(RngState(1), 3, 0.25, bad)
         with pytest.raises(DomainError, match="integer"):
             sample_synthetic_spd(RngState(1), bad, 0.25)
-        with pytest.raises(DomainError, match="integer"):
-            haar_orthogonal(RngState(1), bad)
 
 
 def signed_haar_basis(gauss):
