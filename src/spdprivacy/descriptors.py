@@ -138,10 +138,6 @@ class RasterImage:
     def channels(self) -> int:
         return self.intensities.shape[2]
 
-    @property
-    def feature_dim(self) -> int:
-        return 8 + self.channels
-
 
 @dataclass(frozen=True)
 class DescriptorParams:

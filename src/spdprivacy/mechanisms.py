@@ -14,10 +14,10 @@ sigma^2 chi^2_d distributed.  The extrinsic Gaussian baseline perturbs the
 summary's own entries in SYM(k) and may leave the SPD cone.  The
 Riemannian Laplace baseline (:func:`laplace_release`) samples a density
 proportional to exp(-distance/sigma) with a Metropolis chain run in the
-flat log chart.  The chain draws its proposal steps and acceptance
-uniforms in blocks of up to 2^16 doubles, after one starting-direction
-draw, and tracks its distance to the center incrementally, recomputing it
-exactly at every block boundary.
+flat log chart.  Target and proposal are both invariant under rotations
+about the center, so the chain runs on its distance to the center alone:
+three scalars per step, drawn in blocks of up to 2^16 doubles after one
+direction draw that fixes both the start and the output direction.
 
 Noise calibration comes in two flavors: the classical closed form
 ``sensitivity * sqrt(2 ln(1.25/delta)) / epsilon`` (valid for epsilon < 1)
@@ -49,8 +49,10 @@ from .sampling import _MAX_SYNTHETIC_R, RngState, _positive_int
 # Metropolis acceptance ratios outside this band get a warning diagnostic.
 ACCEPTANCE_BAND = (0.2, 0.9)
 
-# Doubles of proposal noise a Laplace chain run draws per block: a block is
-# max(1, min(burn_in, _BLOCK_DOUBLES // (n_chains * d))) steps.
+# Doubles a Laplace chain run draws per block, three per chain and step (the
+# proposal's radial part, its orthogonal squared norm and the acceptance
+# uniform): a block is max(1, min(burn_in, _BLOCK_DOUBLES // (3 * n_chains)))
+# steps, whatever d.
 _BLOCK_DOUBLES = 2**16
 
 # Bisection bracket for the analytic calibration, as multiples of the
@@ -262,14 +264,19 @@ def _chain_start(
     burn_in: int,
     proposal_sigma: float | None,
     n_chains: int,
-) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Check the chain arguments, draw the starting offsets w = z - center
-    (n_chains, d) and return them with the chains' proposal blocks.
+) -> tuple[np.ndarray, np.ndarray, float, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Check the chain arguments, draw one unit direction per chain
+    (n_chains, d) and return the directions with the start radius and the
+    chains' radial blocks.
 
-    Chains start on the sphere of radius d*sigma around the center (the
-    mean radius of the target), which keeps the burn-in in the stationary
-    bulk for every dimension; starting near the center instead leaves the
-    chain with an exponentially small escape rate in high dimension.
+    Chains start at radius d*sigma from the center (the mean radius of the
+    target), which keeps the burn-in in the stationary bulk for every
+    dimension; starting near the center instead leaves the chain with an
+    exponentially small escape rate in high dimension.  The start direction
+    is uniform and the Metropolis kernel commutes with rotations about the
+    center, so a chain's final state is center + r * u with r its final
+    radius and u a uniform direction independent of r: one draw serves for
+    both the start and the output.
     """
     if not (sigma > 0):
         raise DomainError("sigma must be positive")
@@ -283,26 +290,31 @@ def _chain_start(
     _ambient_dim(center)
     d = center.shape[0]
     gen = rng.generator
-    direction = gen.standard_normal((n_chains, d))
-    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    directions = gen.standard_normal((n_chains, d))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    offsets = (d * sigma) * direction / norms
-    return center, offsets, _proposal_blocks(gen, proposal_sigma, burn_in, n_chains, d)
+    blocks = _proposal_blocks(gen, proposal_sigma, burn_in, n_chains, d)
+    return center, directions / norms, d * sigma, blocks
 
 
 def _proposal_blocks(
     gen: np.random.Generator, proposal_sigma: float, burn_in: int, n_chains: int, d: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield the chains' Metropolis draws block by block: proposal steps
-    (b, n_chains, d), log-uniforms (b, n_chains) and the steps' squared
-    norms (b, n_chains), with b = :data:`_BLOCK_DOUBLES` // (n_chains*d)
-    steps (at least 1, at most burn_in) and a shorter last block."""
-    block = max(1, min(burn_in, _BLOCK_DOUBLES // (n_chains * d)))
+    """Yield the chains' Metropolis draws block by block, each (b, n_chains):
+    the proposal step's component alpha ~ N(0, proposal_sigma^2) along the
+    state's direction, the squared norm q ~ proposal_sigma^2 chi^2_{d-1} of
+    its orthogonal part (0 when d = 1) and the log acceptance uniforms, with
+    b = :data:`_BLOCK_DOUBLES` // (3 * n_chains) steps (at least 1, at most
+    burn_in) and a shorter last block."""
+    block = max(1, min(burn_in, _BLOCK_DOUBLES // (3 * n_chains)))
     for done in range(0, burn_in, block):
-        size = min(block, burn_in - done)
-        steps = proposal_sigma * gen.standard_normal((size, n_chains, d))
-        log_u = np.log(gen.random((size, n_chains)))
-        yield steps, log_u, np.einsum("bnd,bnd->bn", steps, steps)
+        size = (min(block, burn_in - done), n_chains)
+        alpha = proposal_sigma * gen.standard_normal(size)
+        if d > 1:
+            q = (2.0 * proposal_sigma**2) * gen.standard_gamma((d - 1) / 2, size)
+        else:
+            q = np.zeros(size)
+        yield alpha, q, np.log(gen.random(size))
 
 
 def _laplace_chain(
@@ -313,27 +325,21 @@ def _laplace_chain(
     proposal_sigma: float | None,
 ) -> tuple[np.ndarray, float, int]:
     """One Metropolis chain on Python floats; return its final state, its
-    tracked distance ||z - center|| and its accepted step count.
+    distance r = ||z - center|| and its accepted step count.
 
     The same draws and acceptance rule as :func:`_laplace_chains` with
-    ``n_chains=1``: the candidate's squared distance is
-    dist^2 + 2<w, s> + ||s||^2 with w = z - center, and ||w|| is
-    recomputed exactly at every block boundary.
+    ``n_chains=1``.
     """
-    center, offsets, blocks = _chain_start(rng, center, sigma, burn_in, proposal_sigma, 1)
-    w = offsets[0]
+    center, directions, r, blocks = _chain_start(rng, center, sigma, burn_in, proposal_sigma, 1)
     accepted = 0
-    for steps, log_u, sq in blocks:
-        dist2 = float(w @ w)
-        dist = math.sqrt(dist2)
-        for s, lu, s2 in zip(steps[:, 0], log_u[:, 0].tolist(), sq[:, 0].tolist()):
-            cand2 = max(dist2 + 2.0 * float(w @ s) + s2, 0.0)
-            cand = math.sqrt(cand2)
-            if lu < (dist - cand) / sigma:
-                w += s
-                dist2, dist = cand2, cand
+    for alpha, q, log_u in blocks:
+        for a, q2, lu in zip(alpha[:, 0].tolist(), q[:, 0].tolist(), log_u[:, 0].tolist()):
+            t = r + a
+            cand = math.sqrt(t * t + q2)
+            if lu < (r - cand) / sigma:
+                r = cand
                 accepted += 1
-    return center + w, dist, accepted
+    return center + r * directions[0], r, accepted
 
 
 def _laplace_chains(
@@ -348,26 +354,28 @@ def _laplace_chains(
     states (n_chains, d) and the pooled acceptance ratio.
 
     The target exp(-||z - center||/sigma) is the Laplace density in the flat
-    chart, whose Riemannian volume is Lebesgue measure; the proposal is a
-    symmetric Gaussian step there, so plain Metropolis with the target
-    ratio is exact.  Each step is vectorised over the chains; see
-    :func:`_laplace_chain` for the distance update.
+    chart, whose Riemannian volume is Lebesgue measure; the proposal is an
+    isotropic Gaussian step s there, so plain Metropolis with the target
+    ratio is exact.  That ratio reads only radii: with w = z - center and
+    s = alpha * w/||w|| + s_perp, the candidate's radius is
+    sqrt((||w|| + alpha)^2 + ||s_perp||^2), where alpha and ||s_perp||^2
+    are independent of each other and of w.  So each chain runs on its
+    radius r alone, vectorised over the chains, and its direction is drawn
+    once (see :func:`_chain_start`).
     """
-    center, w, blocks = _chain_start(rng, center, sigma, burn_in, proposal_sigma, n_chains)
+    center, directions, start, blocks = _chain_start(
+        rng, center, sigma, burn_in, proposal_sigma, n_chains
+    )
+    r = np.full(n_chains, start)
     accepted = 0
-    for steps, log_u, sq in blocks:
-        dist2 = np.einsum("nd,nd->n", w, w)
-        dist = np.sqrt(dist2)
-        for s, lu, s2 in zip(steps, log_u, sq):
-            cand2 = np.maximum(dist2 + 2.0 * np.einsum("nd,nd->n", w, s) + s2, 0.0)
-            cand = np.sqrt(cand2)
-            take = lu < (dist - cand) / sigma
-            # masked writes: boolean fancy indexing costs ~3x more at 10^4 chains
-            np.add(w, s, out=w, where=take[:, None])
-            np.copyto(dist2, cand2, where=take)
-            np.copyto(dist, cand, where=take)
+    for alpha, q, log_u in blocks:
+        for a, q2, lu in zip(alpha, q, log_u):
+            t = r + a
+            cand = np.sqrt(t * t + q2)
+            take = lu < (r - cand) / sigma
+            np.copyto(r, cand, where=take)
             accepted += int(np.count_nonzero(take))
-    return center + w, accepted / (int(burn_in) * n_chains)
+    return center + r[:, None] * directions, accepted / (int(burn_in) * n_chains)
 
 
 def acceptance_warning(ratio: float) -> str | None:
@@ -393,13 +401,15 @@ def laplace_release(
     exp(-||z - center||/sigma) in log-chart coordinates.
 
     Returns the final state z (so the utility is ||z - center||^2) and the
-    chain's acceptance ratio.  Stream layout: ``standard_normal((1, d))``
-    for the starting direction, then per block of
-    b = max(1, min(burn_in, 2^16 // d)) steps (the last block may be
-    shorter) ``standard_normal((b, 1, d))`` proposal steps, scaled by
-    ``proposal_sigma``, followed by ``random((b, 1))`` acceptance
-    uniforms.  The distance ||z - center|| is updated per accepted step
-    and recomputed exactly at every block boundary.  The final state is
+    chain's acceptance ratio.  The chain runs on its radius
+    r = ||z - center||, from r = d*sigma, and z = center + r*u with u the
+    normalised direction draw.  Stream layout: ``standard_normal((1, d))``
+    for the direction, then per block of b = max(1, min(burn_in,
+    2^16 // 3)) steps (the last block may be shorter)
+    ``standard_normal((b, 1))`` radial proposal components, scaled by
+    ``proposal_sigma``, ``standard_gamma((d - 1)/2, (b, 1))`` orthogonal
+    squared norms, scaled by 2 proposal_sigma^2 (not drawn when d = 1),
+    and ``random((b, 1))`` acceptance uniforms.  The final state is
     bit-identical to :func:`laplace_chains_stack` with ``n_chains=1``.
     """
     z, _, accepted = _laplace_chain(rng, center, sigma, burn_in, proposal_sigma)
@@ -417,14 +427,15 @@ def laplace_chains_stack(
     """Final states of ``n_chains`` independent Laplace chains as a
     (n_chains, k, k) SPD stack, plus the pooled acceptance ratio.
 
-    Stream layout: ``standard_normal((n_chains, d))`` for the starting
+    Stream layout: ``standard_normal((n_chains, d))`` for the chains'
     directions, then per block of b = max(1, min(burn_in,
-    2^16 // (n_chains * d))) steps (the last block may be shorter)
-    ``standard_normal((b, n_chains, d))`` proposal steps, scaled by
-    ``proposal_sigma``, followed by ``random((b, n_chains))`` acceptance
-    uniforms.  Each
-    chain's distance to the center is updated per accepted step and
-    recomputed exactly at every block boundary.
+    2^16 // (3 * n_chains))) steps (the last block may be shorter)
+    ``standard_normal((b, n_chains))`` radial proposal components, scaled
+    by ``proposal_sigma``, ``standard_gamma((d - 1)/2, (b, n_chains))``
+    orthogonal squared norms, scaled by 2 proposal_sigma^2 (not drawn when
+    d = 1), and ``random((b, n_chains))`` acceptance uniforms.  Each chain
+    runs on its distance r to the center, from r = d*sigma, and ends at
+    center + r*u with u its normalised direction draw.
     """
     center = vecd_stack(logm_stack(summary.entries))
     states, ratio = _laplace_chains(rng, center, sigma, burn_in, proposal_sigma, n_chains)

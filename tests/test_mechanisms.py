@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -441,61 +442,92 @@ class TestRiemannianLaplace:
             laplace_chains_stack(RngState(1), identity(2), 1.0, burn_in=10, n_chains=0)
 
 
-def reference_chain(rng, center, sigma, burn_in):
-    """Plain single-chain Metropolis over the documented block-drawn stream
-    (one starting direction, then per block of b = min(burn_in, 2^16 // d)
-    steps the proposal normals and then the uniforms), tracking the state
-    itself and recomputing both norms every step."""
+def reference_chains(rng, center, sigma, burn_in, n_chains=1):
+    """Plain radial Metropolis over the documented stream: one direction
+    draw (n_chains, d), then per block of b = min(burn_in, 2^16 // (3 *
+    n_chains)) steps the radial components, the orthogonal squared norms
+    (none when d = 1) and the uniforms, each (b, n_chains).  Each chain
+    steps on its own column; the candidate is the norm of the 2-vector
+    (r + alpha, sqrt(q)) and the target ratio is evaluated directly."""
     gen = rng.generator
     d = center.size
-    direction = gen.standard_normal((1, d))[0]
-    z = center + (d * sigma) * direction / np.linalg.norm(direction)
-    block = max(1, min(burn_in, 2**16 // d))
+    directions = gen.standard_normal((n_chains, d))
+    radii = [d * sigma] * n_chains
+    block = max(1, min(burn_in, 2**16 // (3 * n_chains)))
     accepted = 0
     for done in range(0, burn_in, block):
-        size = min(block, burn_in - done)
-        steps = sigma * gen.standard_normal((size, 1, d))
-        log_u = np.log(gen.random((size, 1)))
-        for s, lu in zip(steps[:, 0], log_u[:, 0]):
-            cand = z + s
-            log_ratio = (np.linalg.norm(z - center) - np.linalg.norm(cand - center)) / sigma
-            if lu < log_ratio:
-                z = cand
-                accepted += 1
-    return z, accepted
+        size = (min(block, burn_in - done), n_chains)
+        alpha = sigma * gen.standard_normal(size)
+        q = 2 * sigma**2 * gen.standard_gamma((d - 1) / 2, size) if d > 1 else np.zeros(size)
+        log_u = np.log(gen.random(size))
+        for i in range(n_chains):
+            for a, q_, lu in zip(alpha[:, i], q[:, i], log_u[:, i]):
+                cand = np.linalg.norm([radii[i] + a, math.sqrt(q_)])
+                if lu < -(cand - radii[i]) / sigma:
+                    radii[i] = cand
+                    accepted += 1
+    units = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    return center + np.array(radii)[:, None] * units, accepted
+
+
+def cartesian_chains(gen, center, sigma, burn_in, n_chains):
+    """The law oracle of the radial kernels: the same Metropolis chains run
+    on their full state in R^d.  Each starts at radius d*sigma in a uniform
+    direction and proposes z + s with s ~ N(0, sigma^2 I_d); returns the
+    final states (n_chains, d) and each chain's accepted step count."""
+    d = center.size
+    w = gen.standard_normal((n_chains, d))
+    w *= d * sigma / np.linalg.norm(w, axis=1, keepdims=True)
+    dist = np.linalg.norm(w, axis=1)
+    accepted = np.zeros(n_chains, dtype=int)
+    for _ in range(burn_in):
+        cand = w + sigma * gen.standard_normal((n_chains, d))
+        cand_dist = np.linalg.norm(cand, axis=1)
+        take = np.log(gen.random(n_chains)) < (dist - cand_dist) / sigma
+        w[take], dist[take] = cand[take], cand_dist[take]
+        accepted += take
+    return center + w, accepted
 
 
 def assert_close_in_norm(z, want, rtol=1e-12):
-    # norm-wise: the reference sums its steps onto the state, the kernel onto
-    # the offset from the center, so near-zero coordinates differ by rounding
+    # norm-wise: the reference and the kernel round their radii differently
     assert np.linalg.norm(z - want) <= rtol * np.linalg.norm(want)
 
 
 class TestLaplaceKernel:
-    """The block-drawn chain kernel against a per-step-norm reference."""
+    """The radial chain kernels against a plain radial reference on the
+    same stream, and against the full-state chain in law."""
 
     @staticmethod
     def center(k, seed):
         return vecd_stack(logm_stack(sample_synthetic_spd(RngState(seed), k, 0.25).entries))
 
-    @pytest.mark.parametrize("k, sigma, burn_in", [(2, 0.5, 3000), (10, 0.02, 2500)])
+    @pytest.mark.parametrize("k, sigma, burn_in", [(1, 0.5, 3000), (2, 0.5, 3000), (10, 0.02, 2500)])
     def test_matches_reference_loop(self, k, sigma, burn_in):
         center = self.center(k, 70)
         z, ratio = laplace_release(RngState(71), center, sigma, burn_in=burn_in)
-        want, accepted = reference_chain(RngState(71), center, sigma, burn_in)
+        want, accepted = reference_chains(RngState(71), center, sigma, burn_in)
         assert ratio == accepted / burn_in
-        assert_close_in_norm(z, want)
+        assert_close_in_norm(z, want[0])
 
     @pytest.mark.parametrize("offset", [None, -1, 1])
     def test_burn_in_around_block_size(self, offset):
-        k = 10
-        d = k * (k + 1) // 2
-        burn_in = 1 if offset is None else 2**16 // d + offset
-        center = self.center(k, 72)
+        burn_in = 1 if offset is None else 2**16 // 3 + offset
+        center = self.center(10, 72)
         z, ratio = laplace_release(RngState(73), center, 0.02, burn_in=burn_in)
-        want, accepted = reference_chain(RngState(73), center, 0.02, burn_in)
+        want, accepted = reference_chains(RngState(73), center, 0.02, burn_in)
         assert ratio == accepted / burn_in
-        assert_close_in_norm(z, want)
+        assert_close_in_norm(z, want[0])
+
+    def test_chain_stack_matches_reference_loop(self):
+        # three chains over two full blocks and a short one
+        center = self.center(5, 78)
+        burn_in = 2 * (2**16 // 9) + 5
+        states, ratio = _laplace_chains(RngState(79), center, 0.1, burn_in, None, 3)
+        want, accepted = reference_chains(RngState(79), center, 0.1, burn_in, n_chains=3)
+        assert ratio == accepted / (3 * burn_in)
+        for z, w in zip(states, want):
+            assert_close_in_norm(z, w)
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_single_chain_equals_chain_stack(self, k):
@@ -514,6 +546,73 @@ class TestLaplaceKernel:
         z, dist, accepted = _laplace_chain(RngState(77), center, sigma, 1000, None)
         assert 0 < accepted < 1000
         assert dist == pytest.approx(np.linalg.norm(z - center), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_law_of_cartesian_chain(self, k):
+        # same start and burn-in: the final radius, the acceptance ratio and
+        # the direction have the full-state chain's law, not only at
+        # stationarity
+        d, n, sigma, burn_in = k * (k + 1) // 2, 3000, 0.3, 25
+        center = self.center(k, 80)
+        states, ratio = _laplace_chains(RngState(81), center, sigma, burn_in, None, n)
+        want, accepted = cartesian_chains(RngState(82).generator, center, sigma, burn_in, n)
+        radii = np.linalg.norm(states - center, axis=1)
+        assert stats.ks_2samp(radii, np.linalg.norm(want - center, axis=1)).pvalue > 0.01
+        per_chain = accepted / burn_in
+        se = per_chain.std(ddof=1) / math.sqrt(n)
+        assert abs(ratio - per_chain.mean()) <= 4 * math.sqrt(2) * se
+        # <u, e> for a unit e is 2 Beta((d-1)/2, (d-1)/2) - 1 for u uniform
+        e = np.ones(d) / math.sqrt(d)
+        law = stats.beta((d - 1) / 2, (d - 1) / 2, loc=-1.0, scale=2.0)
+        assert stats.kstest((states - center) @ e / radii, law.cdf).pvalue > 0.01
+
+
+def k_norm_sample(gen, center, sigma, size):
+    """Exact draws of the l2 K-norm mechanism, density proportional to
+    exp(-||z - center||/sigma) on R^d (Hardt & Talwar, STOC 2010): the
+    radius is Gamma(d, sigma) and the direction uniform on the sphere."""
+    radius = gen.gamma(center.size, sigma, size)
+    direction = gen.standard_normal((size, center.size))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    return center + radius[:, None] * direction
+
+
+@functools.cache
+def chain_radii(k, sigma=0.05, n_chains=3000, burn_in=5000):
+    """Final distances to the center of ``n_chains`` Laplace chains around
+    a synthetic k x k summary, through :func:`laplace_chains_stack`."""
+    summary = sample_synthetic_spd(RngState(90 + k), k, 0.25)
+    chains, _ = laplace_chains_stack(RngState(95 + k), summary, sigma, burn_in, n_chains)
+    offsets = vecd_stack(logm_stack(chains)) - vecd_stack(logm_stack(summary.entries))
+    return np.linalg.norm(offsets, axis=1), sigma
+
+
+class TestKNormOracle:
+    """The chain's target is the l2 K-norm mechanism in the flat chart;
+    its exact sampler checks the chain's output law."""
+
+    @pytest.mark.parametrize("d", [1, 3, 55])
+    def test_sampler_radius_is_gamma(self, d):
+        center = np.linspace(-1.0, 1.0, d)
+        z = k_norm_sample(np.random.default_rng(d), center, 0.7, 20000)
+        radii = np.linalg.norm(z - center, axis=1)
+        assert stats.kstest(radii, stats.gamma(d, scale=0.7).cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    def test_chain_radii_match_sampler(self, k):
+        radii, sigma = chain_radii(k)
+        d = k * (k + 1) // 2
+        exact = k_norm_sample(np.random.default_rng(100 + k), np.zeros(d), sigma, 20000)
+        assert stats.ks_2samp(radii, np.linalg.norm(exact, axis=1)).pvalue > 0.01
+
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    def test_chain_mean_utility(self, k):
+        # E||z - c||^2 = sigma^2 d(d+1) for a Gamma(d, sigma) radius
+        radii, sigma = chain_radii(k)
+        d = k * (k + 1) // 2
+        mean = sigma**2 * d * (d + 1)
+        var = sigma**4 * d * (d + 1) * ((d + 2) * (d + 3) - d * (d + 1))
+        assert abs(np.mean(radii**2) - mean) <= 4 * math.sqrt(var / radii.size)
 
 
 class TestLogChartCores:
@@ -538,10 +637,6 @@ class TestLogChartCores:
             assert np.allclose(row.center(row.export(z, 3)), z, rtol=0, atol=1e-12)
 
     def test_cores_validate(self):
-        with pytest.raises(DomainError):
-            gaussian_release_block(np.zeros(3), 0.0, np.zeros(3))
-        with pytest.raises(DimensionError):
-            gaussian_release_block(np.zeros((1, 3)), 1.0, np.zeros(3))
         with pytest.raises(DimensionError):
             laplace_release(RngState(1), np.zeros(4), 1.0, burn_in=10)
         with pytest.raises(DomainError):
