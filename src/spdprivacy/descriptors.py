@@ -10,21 +10,39 @@ the descriptor's spectrum is sandwiched between eta and 12 + eta
 the identity by sqrt(k) * max(|ln eta|, |ln(12 or 14 + eta)|).  That radius
 is what feeds the Fréchet-mean sensitivity for image experiments.
 
-The pipeline is batched: :func:`descriptor_stack` maps a stack
-(n, h, w, c) of same-size images to their (n, k, k) descriptors in one
-pass, and :func:`covariance_descriptor` runs it on a stack of one.  The
-luminance stack is edge-padded once, and each derivative kernel is a sum
-of shifted slices times its nonzero taps, taken in row-major order of the
-flipped kernel.  That is the order in which
+The pipeline is batched and runs in place.  A :class:`_BlockBuffers` owns
+every block-sized array for up to ``capacity`` images of one size (h, w,
+c): the 8-bit samples, the [0, 1] intensities, the luminance, the
+edge-padded block, the derivative scratch, the feature layers (whose grid
+rows are written once), the centered layers (in the memory of the
+derivatives' scaled copies, which are dead by then) and the covariances.
+Each block writes every intermediate into them with ``out=``, so a run of
+same-size images allocates its buffers once however many blocks it spans,
+and the C allocator does not map and unmap a megabyte of temporaries per
+block.  :func:`descriptor_stack` maps a stack (n, h, w, c) of same-size
+images to their (n, k, k) descriptors with one call on buffers of capacity
+n, and :func:`covariance_descriptor` runs it on a stack of one.
+
+The derivative kernels act on the flattened padded block.  It is scaled
+once by each of the seven distinct tap magnitudes (1/32, 1/16, 1/8, 3/16,
+1/4, 3/8 and 1/2); tap (w, a, b) is then one contiguous add or subtract of
+the |w| copy at the fixed offset (off + a) * W + off + b, with W the
+padded width, which lines the tap up with every output pixel of the block
+at once (positions that fall in the padding are computed and ignored).
+Each term is still fl(|w| * x) with an exact sign, and the terms are summed
+in row-major order of the flipped kernel, the order in which
 ``scipy.ndimage.convolve(..., mode="nearest")`` sums them, so the responses
-equal it bit for bit; this matters because the orientation feature is
-discontinuous where the gradient vanishes, and rounding noise there would
-flip it.  The harness feeds each class to :func:`descriptor_stack` in
-blocks of at most :data:`BLOCK_DOUBLES` feature values, so memory does not
-grow with the class size.  It parses each file's 8-bit samples straight
-into a uint8 block and converts the block to [0, 1] once, dividing each
-image by its own maxval; that is the same division :func:`load_pnm` makes,
-so the descriptors are bit for bit those of one image at a time.
+equal it bit for bit, subnormal inputs included.  (Factoring a power of two
+out of the weights would not be exact: scaling a subnormal rounds.)  This
+matters because the orientation feature is discontinuous where the
+gradient vanishes, and rounding noise there would flip it.  The harness
+feeds each class through one set of buffers per run of same-size images,
+in blocks of at most :data:`BLOCK_DOUBLES` feature values, so memory does
+not grow with the class size.  It parses each file's 8-bit samples straight
+into the buffers' uint8 block and converts the block to [0, 1] once,
+dividing each image by its own maxval; that is the same division
+:func:`load_pnm` makes, so the descriptors are bit for bit those of one
+image at a time.
 
 Ingestion reads binary PGM (P5, grayscale) and PPM (P6, RGB) files with
 8-bit samples; intensities are divided by the header's maxval so
@@ -75,19 +93,22 @@ BLOCK_DOUBLES = 2**17
 _PAD = 2  # radius of the widest kernel
 
 
-def _flipped_taps(kernel: np.ndarray) -> tuple[int, tuple[tuple[float, int, int], ...]]:
-    """(radius, taps) of a square kernel: each nonzero weight of the flipped
-    kernel with its row and column, in row-major order (the order in which
-    ``scipy.ndimage.convolve`` accumulates them)."""
+def _flipped_taps(kernel: np.ndarray) -> tuple[tuple[float, int, int], ...]:
+    """Each nonzero weight of the flipped square kernel with its row and
+    column in a block edge-padded by _PAD, in row-major order (the order in
+    which ``scipy.ndimage.convolve`` accumulates them)."""
     flipped = kernel[::-1, ::-1]
+    off = _PAD - kernel.shape[0] // 2
     rows, cols = np.nonzero(flipped)
-    taps = tuple((float(flipped[a, b]), int(a), int(b)) for a, b in zip(rows, cols))
-    return kernel.shape[0] // 2, taps
+    return tuple((float(flipped[a, b]), off + int(a), off + int(b)) for a, b in zip(rows, cols))
 
 
 _DERIVATIVE_TAPS = tuple(
     _flipped_taps(k) for k in (KERNEL_DX, KERNEL_DY, KERNEL_DXX, KERNEL_DYY)
 )
+
+# The distinct tap magnitudes: 1/32, 1/16, 1/8, 3/16, 1/4, 3/8 and 1/2.
+_TAP_SCALES = tuple(sorted({abs(wt) for taps in _DERIVATIVE_TAPS for wt, _, _ in taps}))
 
 
 def _check_features(layers: np.ndarray) -> None:
@@ -150,52 +171,131 @@ class DescriptorParams:
             raise DomainError(f"eta must be a positive real, got {self.eta}")
 
 
-def _derivatives(lum: np.ndarray) -> list[np.ndarray]:
-    """Responses (n, h, w) of a luminance stack (n, h, w) to KERNEL_DX,
-    KERNEL_DY, KERNEL_DXX and KERNEL_DYY with replicate-edge padding: for
-    each kernel, the sum of its taps' shifted slices of one padded stack."""
-    h, w = lum.shape[1:]
-    padded = np.pad(lum, ((0, 0), (_PAD, _PAD), (_PAD, _PAD)), mode="edge")
-    out = []
-    for radius, taps in _DERIVATIVE_TAPS:
-        off = _PAD - radius
-        acc = None
-        for weight, a, b in taps:
-            term = weight * padded[:, off + a : off + a + h, off + b : off + b + w]
-            if acc is None:
-                acc = term
-            else:
-                acc += term
-        out.append(acc)
-    return out
+class _BlockBuffers:
+    """Every block-sized array of the descriptor pipeline for up to
+    ``capacity`` images of size (h, w, c), allocated once; each block writes
+    its intermediates into them in place.  Views of the buffers that a
+    method returns are overwritten by the next block."""
 
+    def __init__(self, capacity: int, h: int, w: int, c: int) -> None:
+        self.shape = (h, w, c)
+        k = 8 + c
+        self.samples = np.empty((capacity, h, w, c), dtype=np.uint8)
+        self.maxvals = np.empty(capacity)
+        self._intensities = np.empty((capacity, h, w, c))
+        self._lum = np.empty((capacity, h, w))  # RGB only
+        self._padded = np.empty((capacity, h + 2 * _PAD, w + 2 * _PAD))
+        self._scratch = np.empty(self._padded.size)
+        self._layers = np.empty((capacity, k, h, w))
+        self._layers[:, 0] = np.zeros(w) if w == 1 else np.arange(w) / (w - 1)
+        self._layers[:, 1] = (np.zeros(h) if h == 1 else np.arange(h) / (h - 1))[:, None]
+        # the scaled copies are dead once the responses are taken, so the
+        # centered layers reuse their memory
+        n_scaled, n_centered = len(_TAP_SCALES) * self._padded.size, capacity * k * h * w
+        work = np.empty(max(n_scaled, n_centered))
+        self._scaled = work[:n_scaled].reshape(len(_TAP_SCALES), self._padded.size)
+        self._centered = work[:n_centered].reshape(capacity, k, h * w)
+        self._cov = np.empty((capacity, k, k))
+        # per kernel: (index into _TAP_SCALES, sign, flat offset) of each tap
+        padded_w = w + 2 * _PAD
+        self._taps = tuple(
+            tuple((_TAP_SCALES.index(abs(wt)), math.copysign(1.0, wt), a * padded_w + b)
+                  for wt, a, b in taps)
+            for taps in _DERIVATIVE_TAPS
+        )
 
-def _feature_stack(intensities: np.ndarray) -> np.ndarray:
-    """Validated feature layers (n, 8 + c, h * w) of a stack (n, h, w, c) of
-    images, one contiguous row per feature, pixels in row-major order.
+    def sample_descriptors(self, m: int, params: DescriptorParams) -> np.ndarray:
+        """Descriptors (m, k, k) of the first m images of ``samples``, image
+        i divided by ``maxvals[i]``: the division :func:`load_pnm` makes."""
+        intensities = np.divide(
+            self.samples[:m], self.maxvals[:m, None, None, None], out=self._intensities[:m]
+        )
+        return self.descriptors(intensities, params)
 
-    The rows are [x, y, intensities, |Ix|, |Iy|, |Ixx|, |Iyy|, gradient
-    magnitude, gradient orientation].  Grid coordinates are normalised to
-    [0, 1] (0 along a side of one pixel).  Derivatives are taken on the
-    single channel for grayscale and on the Rec. 601 luminance for RGB, with
-    replicate-edge padding, so the kernel normalisations keep every
-    derivative in [-1, 1].  Orientation is arctan(|Ix| / |Iy|), defined as
-    pi/2 when only |Iy| vanishes and 0 when both derivatives vanish.
-    """
-    n, h, w, c = intensities.shape
-    feats = np.empty((n, 8 + c, h, w))
-    feats[:, 0] = np.zeros(w) if w == 1 else np.arange(w) / (w - 1)
-    feats[:, 1] = (np.zeros(h) if h == 1 else np.arange(h) / (h - 1))[:, None]
-    feats[:, 2 : 2 + c] = intensities.transpose(0, 3, 1, 2)
-    lum = intensities[..., 0] if c == 1 else intensities @ _LUMA
-    for layer, response in enumerate(_derivatives(lum), start=2 + c):
-        np.abs(response, out=feats[:, layer])
-    d_x, d_y = feats[:, 2 + c], feats[:, 3 + c]
-    np.sqrt(d_x**2 + d_y**2, out=feats[:, 6 + c])
-    np.arctan2(d_x, d_y, out=feats[:, 7 + c])
-    layers = feats.reshape(n, 8 + c, h * w)
-    _check_features(layers)
-    return layers
+    def descriptors(self, intensities: np.ndarray, params: DescriptorParams) -> np.ndarray:
+        """Covariance descriptors (m, k, k) of a stack (m, h, w, c) of images
+        with intensities in [0, 1], m <= capacity: the empirical covariance
+        of each image's features plus eta * identity.  Symmetric by
+        construction."""
+        layers = self.features(intensities)
+        m, k, pixels = layers.shape
+        centered = np.subtract(
+            layers, layers.mean(axis=2, keepdims=True), out=self._centered[:m]
+        )
+        cov = np.matmul(centered, centered.transpose(0, 2, 1), out=self._cov[:m])
+        cov /= pixels
+        return 0.5 * (cov + cov.transpose(0, 2, 1)) + params.eta * np.eye(k)
+
+    def features(self, intensities: np.ndarray) -> np.ndarray:
+        """Validated feature layers (m, 8 + c, h * w) of a stack (m, h, w, c)
+        of images, one contiguous row per feature, pixels in row-major order.
+
+        The rows are [x, y, intensities, |Ix|, |Iy|, |Ixx|, |Iyy|, gradient
+        magnitude, gradient orientation].  Grid coordinates are normalised to
+        [0, 1] (0 along a side of one pixel).  Derivatives are taken on the
+        single channel for grayscale and on the Rec. 601 luminance for RGB,
+        with replicate-edge padding, so the kernel normalisations keep every
+        derivative in [-1, 1].  Orientation is arctan(|Ix| / |Iy|), defined
+        as pi/2 when only |Iy| vanishes and 0 when both derivatives vanish.
+        """
+        m = len(intensities)
+        h, w, c = self.shape
+        feats = self._layers[:m]
+        feats[:, 2 : 2 + c] = intensities.transpose(0, 3, 1, 2)
+        lum = intensities[..., 0] if c == 1 else np.matmul(intensities, _LUMA, out=self._lum[:m])
+        for layer, response in enumerate(self._derivatives(lum), start=2 + c):
+            np.abs(response, out=feats[:, layer])
+        d_x, d_y, mag = feats[:, 2 + c], feats[:, 3 + c], feats[:, 6 + c]
+        np.square(d_x, out=mag)
+        mag += np.square(d_y, out=self._scratch[: m * h * w].reshape(m, h, w))
+        np.sqrt(mag, out=mag)
+        np.arctan2(d_x, d_y, out=feats[:, 7 + c])
+        layers = feats.reshape(m, 8 + c, h * w)
+        _check_features(layers)
+        return layers
+
+    def _derivatives(self, lum: np.ndarray):
+        """Responses (m, h, w) of a luminance stack (m, h, w) to KERNEL_DX,
+        KERNEL_DY, KERNEL_DXX and KERNEL_DYY with replicate-edge padding, in
+        that order; each is a view of the scratch buffer, valid until the
+        next is yielded.
+
+        The stack is edge-padded into one block, flattened, and scaled once
+        by each tap magnitude.  Pixel (i, j) of image n of the response sits
+        at flat index n * H * W + i * W + j of the (m, H, W) padded layout,
+        and tap (w, a, b) reads the |w| copy at that index plus the fixed
+        offset a * W + b, so each tap is one contiguous add or subtract over
+        the whole block.  Each term is fl(|w| * x) with an exact sign, taken
+        in row-major order of the flipped kernel: the same products, signs
+        and order of additions as ``scipy.ndimage.convolve(...,
+        mode="nearest")``, so every response equals it bit for bit, subnormal
+        inputs included.
+        """
+        m, h, w = lum.shape
+        padded = self._padded[:m]
+        padded[:, _PAD:-_PAD, _PAD:-_PAD] = lum
+        padded[:, :_PAD, _PAD:-_PAD] = lum[:, :1]
+        padded[:, -_PAD:, _PAD:-_PAD] = lum[:, -1:]
+        padded[:, :, :_PAD] = padded[:, :, _PAD : _PAD + 1]
+        padded[:, :, -_PAD:] = padded[:, :, -_PAD - 1 : -_PAD]
+        flat = padded.reshape(-1)
+        for scaled, scale in zip(self._scaled, _TAP_SCALES):
+            np.multiply(flat, scale, out=scaled[: flat.size])
+        # the largest offset, 2 * _PAD rows and columns, must still read inside
+        # the block; the last pixel, 2 * _PAD rows and 2 * _PAD + 1 columns
+        # before its end, is then the last output
+        length = flat.size - 2 * _PAD * (padded.shape[2] + 1)
+        acc = self._scratch[:length]
+        for taps in self._taps:
+            (first, sign, offset), *rest = taps
+            np.multiply(self._scaled[first, offset : offset + length], sign, out=acc)
+            for scale, sign, offset in rest:
+                term = self._scaled[scale, offset : offset + length]
+                if sign > 0:
+                    acc += term
+                else:
+                    acc -= term
+            yield self._scratch[: flat.size].reshape(padded.shape)[:, :h, :w]
 
 
 def descriptor_stack(
@@ -209,10 +309,7 @@ def descriptor_stack(
         raise DimensionError(
             f"intensities must be a nonempty stack n x h x w x (1 or 3), got shape {stack.shape}"
         )
-    layers = _feature_stack(stack)
-    centered = layers - layers.mean(axis=2, keepdims=True)
-    cov = np.matmul(centered, centered.transpose(0, 2, 1)) / layers.shape[2]
-    return 0.5 * (cov + cov.transpose(0, 2, 1)) + params.eta * np.eye(layers.shape[1])
+    return _BlockBuffers(*stack.shape).descriptors(stack, params)
 
 
 def covariance_descriptor(

@@ -41,9 +41,9 @@ import numpy as np
 from .descriptors import (
     BLOCK_DOUBLES,
     DescriptorParams,
+    _BlockBuffers,
     _parse_pnm,
     descriptor_radius_bound,
-    descriptor_stack,
 )
 from .errors import DomainError
 from .geometry import MAX_DIM, expm_stack, logm_stack, vecd_stack
@@ -323,24 +323,22 @@ def _class_descriptors(
 ) -> np.ndarray:
     """Descriptors (n, k, k) of a class's parseable images, in file order.
 
-    Each run of same-size images is copied into a reused uint8 block of at
-    most ``BLOCK_DOUBLES`` feature values (at least one image), which is
-    converted to [0, 1] once, image i divided by its own maxval, and goes to
-    :func:`descriptor_stack`; memory does not grow with the class, and only
-    the covariances are kept.
+    Each run of same-size images gets one :class:`_BlockBuffers`, which
+    holds at most ``BLOCK_DOUBLES`` feature values (at least one image) and
+    is reused by every block of the run: the files' samples are copied into
+    its uint8 block, which is converted to [0, 1] once, image i divided by
+    its own maxval.  Memory does not grow with the class, and only the
+    covariances are kept.
     """
     blocks = []
     runs = itertools.groupby(_class_samples(name, files), key=lambda s: s[0].shape)
     for (h, w, c), run in runs:
         per_block = max(1, BLOCK_DOUBLES // (h * w * (8 + c)))
-        samples = np.empty((per_block, h, w, c), dtype=np.uint8)
-        maxvals = np.empty(per_block)
+        buffers = _BlockBuffers(per_block, h, w, c)
         while chunk := list(itertools.islice(run, per_block)):
             for i, (pixels, maxval) in enumerate(chunk):
-                samples[i], maxvals[i] = pixels, maxval
-            m = len(chunk)
-            intensities = samples[:m].astype(float) / maxvals[:m, None, None, None]
-            blocks.append(descriptor_stack(intensities, params))
+                buffers.samples[i], buffers.maxvals[i] = pixels, maxval
+            blocks.append(buffers.sample_descriptors(len(chunk), params))
     if not blocks:
         raise DomainError(f"class {name!r} contains no parseable images")
     return np.concatenate(blocks)

@@ -200,10 +200,22 @@ class Mechanism:
 
     def export(self, z: np.ndarray, k: int) -> SymMatrix:
         """The release ``z`` as a k x k matrix, the inverse of :meth:`center`:
-        expm of invvecd(z), an SPD matrix, in the log chart, else invvecd(z)."""
-        if self.log_chart:
-            return SpdMatrix(expm_stack(invvecd_stack(z, k)))
-        return SymMatrix(invvecd_stack(z, k))
+        expm of invvecd(z), an SPD matrix, in the log chart, else invvecd(z).
+
+        A finite log-chart release whose exponential fails the SPD check
+        raises :class:`NumericalError`: its eigenvalues span more than
+        float64 resolves, so the release has no float64 SPD form."""
+        if not self.log_chart:
+            return SymMatrix(invvecd_stack(z, k))
+        mats = expm_stack(invvecd_stack(z, k))
+        try:
+            return SpdMatrix(mats)
+        except DomainError as exc:
+            raise NumericalError(
+                "release is not representable in float64: the exponential of the "
+                "log-chart release has eigenvalues spanning more than float64 "
+                "resolves (noise scale too large for this budget and n)"
+            ) from exc
 
 
 MECHANISMS = {

@@ -18,9 +18,8 @@ from spdprivacy.descriptors import (
     KERNEL_DYY,
     DescriptorParams,
     RasterImage,
+    _BlockBuffers,
     _decode_pnm,
-    _derivatives,
-    _feature_stack,
     covariance_descriptor,
     descriptor_radius_bound,
     descriptor_stack,
@@ -112,7 +111,8 @@ def rgb_image(rng, h=12, w=12):
 
 def features(image):
     """The feature layers of one image as an (h, w, 8 + c) field."""
-    return _feature_stack(image.intensities[None])[0].T.reshape(image.height, image.width, -1)
+    buffers = _BlockBuffers(1, image.height, image.width, image.channels)
+    return buffers.features(image.intensities[None])[0].T.reshape(image.height, image.width, -1)
 
 
 def conv_replicate_reference(img, kernel):
@@ -180,17 +180,25 @@ class TestBatchedPipeline:
     """
 
     @pytest.mark.parametrize("c", [1, 3])
-    @pytest.mark.parametrize("h,w", SHAPES)
+    # plus the benchmark corpus sizes, 28x28 gray and 40x40 RGB
+    @pytest.mark.parametrize("h,w", SHAPES + [(28, 28), (40, 40)])
     def test_derivatives_equal_ndimage_convolve(self, h, w, c):
         rng = np.random.default_rng(100 + h * 10 + w + c)
         stack = edgy_stack(rng, 6, h, w, c)
         lum = stack[..., 0] if c == 1 else stack @ LUMA
-        got = _derivatives(lum)
-        for kernel, layer in zip((KERNEL_DX, KERNEL_DY, KERNEL_DXX, KERNEL_DYY), got):
-            assert layer.shape == (6, h, w)
-            for i in range(6):
-                want = ndimage.convolve(lum[i], kernel, mode="nearest")
-                assert np.array_equal(layer[i], want)
+        # the same stack scaled into the subnormal range, where each
+        # weighted term rounds (2^-1030 is below the smallest normal 2^-1022)
+        tiny = lum * 2.0**-1030
+        assert np.any((tiny > 0) & (tiny < np.finfo(float).tiny))
+        buffers = _BlockBuffers(6, h, w, 1)
+        for values in (lum, tiny):
+            kernels = (KERNEL_DX, KERNEL_DY, KERNEL_DXX, KERNEL_DYY)
+            # each response is checked before the next overwrites its buffer
+            for kernel, layer in zip(kernels, buffers._derivatives(values), strict=True):
+                assert layer.shape == (6, h, w)
+                for i in range(6):
+                    want = ndimage.convolve(values[i], kernel, mode="nearest")
+                    assert np.array_equal(layer[i], want)
 
     @pytest.mark.parametrize("c", [1, 3])
     @pytest.mark.parametrize("h,w", SHAPES)
@@ -213,7 +221,7 @@ class TestBatchedPipeline:
         for i in range(4):
             image = RasterImage(stack[i])
             assert np.array_equal(covariance_descriptor(image).entries, batch[i])
-        assert _feature_stack(stack).shape == (4, 11, 80)
+        assert _BlockBuffers(*stack.shape).features(stack).shape == (4, 11, 80)
 
     @pytest.mark.parametrize(
         "shape", [(0, 4, 4, 1), (2, 0, 4, 1), (2, 4, 4, 2), (4, 4, 1), (2, 4, 4, 1, 1)]

@@ -473,25 +473,34 @@ def write_shapes(d, shapes, seed, junk_at=None):
 
 
 class TestImageBlocks:
-    """``run_image`` streams a class through ``descriptor_stack`` in blocks;
-    the result must not depend on where the blocks fall."""
+    """``run_image`` streams a class through ``_BlockBuffers.descriptors`` in
+    blocks; the result must not depend on where the blocks fall."""
 
     G8, G6 = (8, 8, 1), (6, 11, 1)  # 576 and 594 feature values per image
 
     @pytest.fixture
-    def blocks(self, monkeypatch):
-        """Cap blocks at three 8x8 gray images and record each block's shape
-        (each class is streamed twice per check: directly and by run_image)."""
+    def buffers(self, monkeypatch):
+        """Cap blocks at three 8x8 gray images, and record the size of each
+        ``_BlockBuffers`` the harness builds and each block's shape (each
+        class is streamed twice per check: directly and by run_image)."""
         monkeypatch.setattr(harness, "BLOCK_DOUBLES", 3 * 576)
-        shapes = []
-        real = harness.descriptor_stack
+        built, shapes = [], []
 
-        def spy(stack, params):
-            shapes.append(stack.shape[:3])
-            return real(stack, params)
+        class Spy(harness._BlockBuffers):
+            def __init__(self, capacity, h, w, c):
+                built.append((h, w, c))
+                super().__init__(capacity, h, w, c)
 
-        monkeypatch.setattr(harness, "descriptor_stack", spy)
-        return shapes
+            def descriptors(self, stack, params):
+                shapes.append(stack.shape[:3])
+                return super().descriptors(stack, params)
+
+        monkeypatch.setattr(harness, "_BlockBuffers", Spy)
+        return built, shapes
+
+    @pytest.fixture
+    def blocks(self, buffers):
+        return buffers[1]
 
     def check_against_one_at_a_time(self, d, monkeypatch, mechanism="tangent_analytic"):
         """Bit for bit the n, descriptors and center of descriptors computed
@@ -519,6 +528,16 @@ class TestImageBlocks:
         write_shapes(tmp_path / "c", [self.G8] * 10, seed=40)
         self.check_against_one_at_a_time(tmp_path / "c", monkeypatch, mechanism)
         assert blocks == [(3, 8, 8), (3, 8, 8), (3, 8, 8), (1, 8, 8)] * 2
+
+    def test_buffers_built_once_per_size_run(self, tmp_path, monkeypatch, buffers):
+        G8, G6 = self.G8, self.G6
+        write_shapes(tmp_path / "c", [G8] * 10 + [G6] * 7 + [G8] * 2, seed=46)
+        self.check_against_one_at_a_time(tmp_path / "c", monkeypatch)
+        built, blocks = buffers
+        once = [(3, 8, 8)] * 3 + [(1, 8, 8)] + [(2, 6, 11)] * 3 + [(1, 6, 11), (2, 8, 8)]
+        assert blocks == once * 2
+        # each run of one size builds one set, however many blocks it spans
+        assert built == [G8, G6, G8] * 2
 
     def test_size_change_mid_block(self, tmp_path, monkeypatch, blocks):
         G8, G6 = self.G8, self.G6
@@ -915,6 +934,7 @@ class TestCliInputErrors:
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
         assert needle in lines[0]
         assert captured.out == ""
+        return lines[0]
 
     @pytest.mark.parametrize(
         "text, needle",
@@ -980,6 +1000,17 @@ class TestCliInputErrors:
         # the extrinsic sensitivity takes e^radius, here with radius sqrt(2) * 700
         self.check(SYNTHETIC + ["--mechanism", "extrinsic_analytic", "--r", "700"], capsys,
                    "e^r is finite")
+
+    @pytest.mark.parametrize("mechanism", ["tangent_analytic", "riemannian_laplace"])
+    def test_privatize_release_not_representable(self, tmp_path, capsys, mechanism):
+        # the log-chart release is finite; its exponential is not an SPD
+        # matrix float64 can resolve, which is no fault of the input matrix
+        path = tmp_path / "I2.txt"
+        path.write_text("1 0\n0 1\n")
+        argv = ["privatize", "--matrix", str(path), "--n", "1", "--r", "0.25", "--eps", "0.01",
+                "--delta", "1e-6", "--mechanism", mechanism]
+        line = self.check(argv, capsys, "release is not representable in float64")
+        assert "positive definite" not in line
 
     def test_privatize_extrinsic_radius_without_finite_exp(self, tmp_path, capsys):
         path = tmp_path / "m.txt"

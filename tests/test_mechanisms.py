@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spdprivacy.errors import DimensionError, DomainError
+from spdprivacy.errors import DimensionError, DomainError, NumericalError
 from spdprivacy.geometry import (
     SpdMatrix,
     SymMatrix,
@@ -307,6 +307,14 @@ class TestMechanismTable:
                 assert np.array_equal(out.entries, invvecd_stack(z, 2))
         assert [m.chain for m in MECHANISMS.values()] == [False, False, False, True]
         assert [m.log_chart for m in MECHANISMS.values()] == [True, True, False, True]
+
+    @pytest.mark.parametrize("name", ["tangent_analytic", "riemannian_laplace"])
+    def test_export_beyond_float64_is_numerical_error(self, name):
+        # log-eigenvalues -40 and 40 are finite, and so is their exponential,
+        # but e^-40 is below float64 resolution next to e^40
+        z = np.array([-40.0, 40.0, 0.0])
+        with pytest.raises(NumericalError, match="not representable in float64"):
+            MECHANISMS[name].export(z, 2)
 
 
 class TestTangentGaussian:
