@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .descriptors import DescriptorParams, covariance_descriptor, load_pnm
-from .errors import SpdPrivacyError
-from .geometry import SpdMatrix
+from .errors import NumericalError, SpdPrivacyError
+from .geometry import SpdMatrix, invvecd_stack
 from .harness import ExperimentSpec, emit_csv, render_csv, run_image, run_synthetic
 from .mechanisms import (
     MECHANISMS,
@@ -130,8 +130,13 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_privatize(args: argparse.Namespace) -> int:
-    summary = SpdMatrix(read_matrix(args.matrix))
     mechanism = MECHANISMS[args.mechanism]
+    if args.output == "log" and not mechanism.log_chart:
+        raise SpdPrivacyError(
+            f"--output log needs a log-chart mechanism: {args.mechanism} "
+            "releases matrix entries, which have no log form"
+        )
+    summary = SpdMatrix(read_matrix(args.matrix))
     sigma = mechanism.noise_scale(args.n, args.r, args.eps, args.delta)
     center = mechanism.center(summary)
     rng = RngState(args.seed)
@@ -141,7 +146,14 @@ def _cmd_privatize(args: argparse.Namespace) -> int:
             print(f"warning: {warning}", file=sys.stderr)
     else:
         z = gaussian_release_block(center, sigma, rng.generator.standard_normal(center.size))
-    print(format_matrix(mechanism.export(z, summary.dim).entries))
+    if args.output == "log":
+        print(format_matrix(invvecd_stack(z, summary.dim)))
+        return 0
+    try:
+        release = mechanism.export(z, summary.dim)
+    except NumericalError as exc:
+        raise NumericalError(f"{exc}; --output log prints the log-chart release") from exc
+    print(format_matrix(release.entries))
     return 0
 
 
@@ -244,6 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     priv.add_argument("--r", type=float, required=True, help="geodesic ball radius of the data")
     priv.add_argument("--seed", type=int, default=0)
     priv.add_argument("--burn-in", type=int, default=50000, dest="burn_in")
+    priv.add_argument(
+        "--output",
+        choices=("matrix", "log"),
+        default="matrix",
+        help="print the SPD release, or its symmetric log-matrix (log-chart mechanisms)",
+    )
     priv.set_defaults(func=_cmd_privatize)
 
     syn = add_parser("synthetic-bench", help="synthetic-data experiment grid")

@@ -150,10 +150,21 @@ def _eigvalsh(mats: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _rebuild(basis: np.ndarray, eigs: np.ndarray) -> np.ndarray:
-    """Symmetric U diag(w) U^T for stacks of bases and eigenvalue vectors."""
-    out = (basis * eigs[..., None, :]) @ np.swapaxes(basis, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+def _rebuild(
+    basis: np.ndarray,
+    eigs: np.ndarray,
+    scaled: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Symmetric U diag(w) U^T for stacks of bases and eigenvalue vectors.
+
+    ``scaled`` and ``out`` are optional buffers of the bases' shape, not
+    overlapping ``basis``, for U diag(w) and the product; the result
+    overwrites U diag(w)."""
+    scaled = np.multiply(basis, eigs[..., None, :], out=scaled)
+    product = np.matmul(scaled, np.swapaxes(basis, -1, -2), out=out)
+    symmetric = np.add(product, np.swapaxes(product, -1, -2), out=scaled)
+    return np.multiply(0.5, symmetric, out=symmetric)
 
 
 def logm_stack(mats: np.ndarray) -> np.ndarray:

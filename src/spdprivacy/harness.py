@@ -54,7 +54,7 @@ from .mechanisms import (
     gaussian_release_block,
     laplace_release,
 )
-from .sampling import RngState, _check_synthetic_args, sample_synthetic_logs
+from .sampling import RngState, _check_synthetic_args, _synthetic_log_summary
 
 log = logging.getLogger(__name__)
 
@@ -143,10 +143,9 @@ class _Group:
     radius: float
 
 
-def _center(mechanism: Mechanism, logs: np.ndarray) -> np.ndarray:
-    """Release center of the Fréchet mean of a stack of log-matrices: its
-    log-chart vector, or outside the log chart, vecd of the mean itself."""
-    mean_log = logs.mean(axis=0)
+def _center(mechanism: Mechanism, mean_log: np.ndarray) -> np.ndarray:
+    """Release center of the Fréchet mean exp(mean_log): its log-chart
+    vector, or outside the log chart, vecd of the mean itself."""
     return vecd_stack(mean_log if mechanism.log_chart else expm_stack(mean_log))
 
 
@@ -187,8 +186,8 @@ def _run_cells(
         cell_index, trial = task
         if resample:
             data_rng = base.substream(_DATA_STREAM, cell_index, trial)
-            logs = sample_synthetic_logs(data_rng, spec.k, spec.r, spec.n)
-            return _center(mechanism, logs)
+            mean_log, _ = _synthetic_log_summary(data_rng, spec.k, spec.r, spec.n)
+            return _center(mechanism, mean_log)
         return cells[cell_index][0].center
 
     def laplace_trial(task: tuple[int, int]) -> tuple[float, int, float]:
@@ -253,6 +252,8 @@ def run_synthetic(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     radius defaults to the generator's guarantee sqrt(k) * r; with
     ``measured_radius`` the observed radius of the shared dataset, which is
     drawn (on its own substream) only when its center or radius is read.
+    Each dataset is streamed block by block into its mean log-matrix (and
+    the radius only when it is read); its (n, k, k) stack is never built.
     """
     if spec.kind != "synthetic":
         raise DomainError("run_synthetic requires a synthetic spec")
@@ -260,11 +261,13 @@ def run_synthetic(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     base = RngState(spec.seed)
     radius, center = math.sqrt(spec.k) * spec.r, None
     if spec.measured_radius or not spec.resample_data:
-        logs = sample_synthetic_logs(base.substream(_DATA_STREAM), spec.k, spec.r, spec.n)
+        mean_log, measured = _synthetic_log_summary(
+            base.substream(_DATA_STREAM), spec.k, spec.r, spec.n, radius=spec.measured_radius
+        )
         if spec.measured_radius:
-            radius = float(np.max(np.linalg.norm(logs, axis=(1, 2))))
+            radius = measured
         if not spec.resample_data:
-            center = _center(MECHANISMS[spec.mechanism], logs)
+            center = _center(MECHANISMS[spec.mechanism], mean_log)
     group = _Group(center=center, n=spec.n, k=spec.k, radius=radius)
     return _run_cells(spec, base, [group], threads)
 
@@ -368,7 +371,9 @@ def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
         n, k = descriptors.shape[:2]
         groups.append(
             _Group(
-                center=_center(MECHANISMS[spec.mechanism], logm_stack(descriptors)),
+                center=_center(
+                    MECHANISMS[spec.mechanism], logm_stack(descriptors).mean(axis=0)
+                ),
                 n=n,
                 k=k,
                 radius=descriptor_radius_bound(k - 8, spec.eta),  # k = 8 + channels

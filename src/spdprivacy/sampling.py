@@ -7,15 +7,21 @@ parallel work keyed by a path such as (cell, trial) replays bit-exactly
 regardless of scheduling.
 
 Synthetic data E diag(l) E^T (l uniform in [e^-r, e^r], E Haar) is drawn
-n matrices at once (n = 1 for one SPD matrix) as n·k uniforms then n·k²
-normals.  E is a QR factor without the sign fix that makes it exactly Haar
-(signing its columns by the diagonal of R, Mezzadri 2007): the fix flips
-columns of E by ±1, which cancels exactly in E diag(l) E^T.
+as n·k uniforms, then n·k² normals (n = 1 for one SPD matrix).  The normals
+are streamed: they fill one reused buffer of at most :data:`_BLOCK_DOUBLES`
+doubles (one matrix when k² is larger, all n draws at k = 1) block by
+block, in the order of a single (n, k, k) draw, so the stream is that of
+one draw, and each block is rebuilt in place.  Beyond the n·k eigenvalues,
+the memory of a draw does not grow with n, and the harness folds each
+block into the Fréchet-mean summary without building the (n, k, k) stack.  E is a QR factor without the sign fix that makes it
+exactly Haar (signing its columns by the diagonal of R, Mezzadri 2007): the
+fix flips columns of E by ±1, which cancels exactly in E diag(l) E^T.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -24,6 +30,10 @@ from .geometry import SpdMatrix, _rebuild
 
 # Largest r whose e^r is finite: the synthetic eigenvalue range [e^-r, e^r].
 _MAX_SYNTHETIC_R = float(np.log(np.finfo(float).max))
+
+# Normals per block of a streamed synthetic draw: a block is
+# max(1, _BLOCK_DOUBLES // k²) matrices, whatever n (see _synthetic_blocks).
+_BLOCK_DOUBLES = 2**14
 
 
 def _nonnegative_int(value, what: str = "stream path element") -> int:
@@ -91,14 +101,52 @@ def _check_synthetic_args(k: int, r: float, n: int = 1) -> tuple[int, int]:
     return k, _positive_int(n, "n")
 
 
-def _synthetic_factors(
-    rng: RngState, k: int, r: float, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (n, k) uniform in [e^-r, e^r], then the unsigned QR bases
-    (n, k, k) of n Gaussian blocks: n·k uniforms, then n·k² normals."""
+def _synthetic_blocks(
+    rng: RngState, k: int, r: float, n: int, logs: bool = True
+) -> Iterator[np.ndarray]:
+    """The n draws E diag(w) E^T, w = ln l (or l itself when ``logs`` is
+    false), as consecutive (m, k, k) blocks.
+
+    All n·k uniforms are drawn first, then the normals of each block into
+    one reused buffer, so the stream is that of one (n, k, k) draw.  Each
+    block is a view of that buffer and is overwritten by the next one; a
+    caller may change it in place.  At k = 1 one block holds all n draws:
+    numpy sums an (n, 1, 1) stack over axis 0 pairwise, not row by row, so
+    only one block keeps a mean of the blocks bit-identical to the stack's,
+    and n doubles are no more than the eigenvalues already held.
+    """
     k, n = _check_synthetic_args(k, r, n)
-    lam = rng.generator.uniform(np.exp(-r), np.exp(r), size=(n, k))
-    return lam, np.linalg.qr(rng.generator.standard_normal((n, k, k)))[0]
+    eigs = rng.generator.uniform(np.exp(-r), np.exp(r), size=(n, k))
+    if logs:
+        np.log(eigs, out=eigs)
+    m = n if k == 1 else min(n, max(1, _BLOCK_DOUBLES // (k * k)))
+    normals, product = np.empty((m, k, k)), np.empty((m, k, k))
+    for start in range(0, n, m):
+        rows = min(m, n - start)
+        gauss = rng.generator.standard_normal(out=normals[:rows])
+        basis = np.linalg.qr(gauss)[0]
+        yield _rebuild(basis, eigs[start : start + rows], scaled=gauss, out=product[:rows])
+
+
+def _synthetic_log_summary(
+    rng: RngState, k: int, r: float, n: int, radius: bool = False
+) -> tuple[np.ndarray, float | None]:
+    """The mean log-matrix of :func:`sample_synthetic_logs`'s draw and, when
+    ``radius`` asks for it, the largest Frobenius norm of a log-matrix, both
+    bit-identical to those of the (n, k, k) stack, which is never built.
+
+    Each block is added into a running total in the row order of
+    ``logs.mean(axis=0)``: the total goes into the block's first row, then
+    the block is summed over its rows; the total is divided by n once.
+    """
+    total, top = None, 0.0 if radius else None
+    for block in _synthetic_blocks(rng, k, r, n):
+        if radius:
+            top = max(top, float(np.max(np.linalg.norm(block, axis=(1, 2)))))
+        if total is not None:
+            block[0] += total
+        total = np.add.reduce(block, axis=0)
+    return total / n, top
 
 
 def sample_synthetic_spd(rng: RngState, k: int, r: float) -> SpdMatrix:
@@ -109,8 +157,7 @@ def sample_synthetic_spd(rng: RngState, k: int, r: float) -> SpdMatrix:
     Every draw lies in the log-Euclidean ball of radius sqrt(k) * r around
     the identity, since ||log X||_F^2 = sum (ln l_i)^2 <= k r^2.
     """
-    lam, basis = _synthetic_factors(rng, k, r, 1)
-    return SpdMatrix(_rebuild(basis, lam)[0])
+    return SpdMatrix(next(_synthetic_blocks(rng, k, r, 1, logs=False))[0])
 
 
 def sample_synthetic_logs(rng: RngState, k: int, r: float, n: int) -> np.ndarray:
@@ -118,8 +165,14 @@ def sample_synthetic_logs(rng: RngState, k: int, r: float, n: int) -> np.ndarray
     :func:`sample_synthetic_spd`, as an (n, k, k) stack.
 
     The stream is n·k uniforms, then n·k² normals, so it is not that of
-    ``n`` :func:`sample_synthetic_spd` calls.  E comes from one batched QR
+    ``n`` :func:`sample_synthetic_spd` calls.  E comes from a batched QR
     without the sign fix, which cancels; no eigendecomposition is needed.
+    The stack is filled from the blocks of :func:`_synthetic_log_summary`'s
+    draw, so both see the same matrices.
     """
-    lam, basis = _synthetic_factors(rng, k, r, n)
-    return _rebuild(basis, np.log(lam, out=lam))
+    k, n = _check_synthetic_args(k, r, n)
+    logs, start = np.empty((n, k, k)), 0
+    for block in _synthetic_blocks(rng, k, r, n):
+        logs[start : start + len(block)] = block
+        start += len(block)
+    return logs

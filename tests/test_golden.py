@@ -13,7 +13,9 @@ and radius bound (the utility ``||z - c||^2`` does not move with the center
 descriptor`` output for three images of the mixed corpus, each matrix at
 Frobenius-relative tolerance 1e-12, and ``privatize.txt`` pins the
 ``spd-bench privatize`` output of every mechanism for one 2x2 matrix at a
-fixed seed, as text, exactly.
+fixed seed, as text, exactly.  ``privatize_log.txt`` pins the ``--output
+log`` release of each log-chart mechanism for the 2x2 identity at a budget
+whose matrix export is not representable in float64.
 
 Rewrite fixtures with ``python tests/test_golden.py [case ...]`` from the
 repository root (with ``src`` on ``PYTHONPATH``); it rewrites only the named
@@ -113,6 +115,12 @@ PRIVATIZE_ARGS = ["--eps", "0.5", "--delta", "1e-6", "--n", "100", "--r", "1", "
 PRIVATIZE_MECHANISMS = ("tangent_classical", "tangent_analytic", "extrinsic_analytic",
                         "riemannian_laplace")
 
+PRIVATIZE_LOG_CASE = "privatize_log"
+PRIVATIZE_LOG_MATRIX = "1 0\n0 1\n"
+PRIVATIZE_LOG_ARGS = ["--n", "1", "--r", "0.25", "--eps", "0.01", "--delta", "1e-6",
+                      "--output", "log"]
+PRIVATIZE_LOG_MECHANISMS = ("tangent_classical", "tangent_analytic", "riemannian_laplace")
+
 
 def run_case(name: str, workdir: Path) -> str:
     argv = list(CASES[name])
@@ -143,14 +151,25 @@ def run_descriptor_case(workdir: Path) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def run_privatize_case(workdir: Path) -> str:
-    """``spd-bench privatize`` output of PRIVATIZE_MATRIX for each of
-    PRIVATIZE_MECHANISMS, each matrix after a ``# mechanism`` line."""
+def run_privatize_case(
+    workdir: Path,
+    text: str = PRIVATIZE_MATRIX,
+    args: list[str] = PRIVATIZE_ARGS,
+    mechanisms: tuple[str, ...] = PRIVATIZE_MECHANISMS,
+) -> str:
+    """``spd-bench privatize`` output of the matrix ``text`` with ``args``
+    for each of ``mechanisms``, each matrix after a ``# mechanism`` line."""
     matrix = workdir / "privatize_matrix.txt"
-    matrix.write_text(PRIVATIZE_MATRIX)
-    argv = ["privatize", "--matrix", str(matrix)] + PRIVATIZE_ARGS
-    blocks = [f"# {m}\n" + _stdout(argv + ["--mechanism", m]) for m in PRIVATIZE_MECHANISMS]
+    matrix.write_text(text)
+    argv = ["privatize", "--matrix", str(matrix)] + args
+    blocks = [f"# {m}\n" + _stdout(argv + ["--mechanism", m]) for m in mechanisms]
     return "\n\n".join(blocks) + "\n"
+
+
+def run_privatize_log_case(workdir: Path) -> str:
+    return run_privatize_case(
+        workdir, PRIVATIZE_LOG_MATRIX, PRIVATIZE_LOG_ARGS, PRIVATIZE_LOG_MECHANISMS
+    )
 
 
 def _parse_matrices(text: str) -> list[np.ndarray]:
@@ -192,10 +211,15 @@ def test_privatize_matches_golden(workdir):
     assert run_privatize_case(workdir) == want
 
 
+def test_privatize_log_matches_golden(workdir):
+    want = (GOLDEN_DIR / f"{PRIVATIZE_LOG_CASE}.txt").read_text()
+    assert run_privatize_log_case(workdir) == want
+
+
 if __name__ == "__main__":
     import tempfile
 
-    known = sorted(CASES) + [DESCRIPTOR_CASE, PRIVATIZE_CASE]
+    known = sorted(CASES) + [DESCRIPTOR_CASE, PRIVATIZE_CASE, PRIVATIZE_LOG_CASE]
     cases = sys.argv[1:] or known
     unknown = sorted(set(cases) - set(known))
     if unknown:
@@ -209,6 +233,9 @@ if __name__ == "__main__":
             elif case == PRIVATIZE_CASE:
                 path = GOLDEN_DIR / f"{case}.txt"
                 path.write_text(run_privatize_case(Path(tmp)))
+            elif case == PRIVATIZE_LOG_CASE:
+                path = GOLDEN_DIR / f"{case}.txt"
+                path.write_text(run_privatize_log_case(Path(tmp)))
             else:
                 path = GOLDEN_DIR / f"{case}.csv"
                 path.write_text(run_case(case, Path(tmp)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from spdprivacy.geometry import (
 )
 from spdprivacy.mechanisms import MECHANISMS, gaussian_release_block, tangent_gaussian_stack
 from spdprivacy.sampling import (
+    _BLOCK_DOUBLES,
     RngState,
+    _synthetic_log_summary,
     sample_synthetic_logs,
     sample_synthetic_spd,
 )
@@ -303,6 +306,65 @@ class TestSyntheticGenerator:
             sample_synthetic_logs(RngState(1), 3, 0.25, bad)
         with pytest.raises(DomainError, match="integer"):
             sample_synthetic_spd(RngState(1), bad, 0.25)
+
+
+class TestStreamedSummary:
+    """The synthetic draw is streamed in blocks of at most _BLOCK_DOUBLES
+    normals; the stack and the Fréchet-mean summary built from the blocks
+    must equal those of one whole (n, k, k) draw bit for bit, at and around
+    block boundaries."""
+
+    @staticmethod
+    def sizes(k):
+        m = max(1, _BLOCK_DOUBLES // (k * k))  # matrices per block at k >= 2
+        return sorted({1, m - 1, m, m + 1, 3 * m + 1} - {0})
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 30])
+    def test_summary_equals_stack(self, k):
+        for n in self.sizes(k):
+            logs = sample_synthetic_logs(RngState(61, (n,)), k, 0.25, n)
+            assert np.array_equal(logs, one_shot_logs(RngState(61, (n,)), k, 0.25, n))
+            rng = RngState(61, (n,))
+            mean, radius = _synthetic_log_summary(rng, k, 0.25, n, radius=True)
+            assert np.array_equal(mean, logs.mean(axis=0)), n
+            assert radius == float(np.max(np.linalg.norm(logs, axis=(1, 2)))), n
+            # the summary leaves the stream where the stack draw does
+            ref = RngState(61, (n,))
+            sample_synthetic_logs(ref, k, 0.25, n)
+            assert rng.generator.random() == ref.generator.random()
+
+    def test_radius_only_on_request(self):
+        mean, radius = _synthetic_log_summary(RngState(5), 3, 0.25, 40)
+        assert radius is None
+        assert np.array_equal(mean, _synthetic_log_summary(RngState(5), 3, 0.25, 40, True)[0])
+
+    def test_memory_does_not_grow_with_n(self):
+        # the stack of k = 30, n = 5000 log-matrices alone is 36 MB; the
+        # summary holds the n·k eigenvalues and a few block-sized arrays
+        k, n = 30, 5000
+        _synthetic_log_summary(RngState(1), k, 0.25, 50, radius=True)  # warm numpy up
+        rng = RngState(2)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _synthetic_log_summary(rng, k, 0.25, n, radius=True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 8 * (n * k + 16 * _BLOCK_DOUBLES)
+
+
+def one_shot_logs(rng, k, r, n):
+    """Reference: the draw as one (n, k, k) block, n·k uniforms then n·k²
+    normals in one call each, one batched QR, and the rebuild written out."""
+    lam = rng.generator.uniform(np.exp(-r), np.exp(r), size=(n, k))
+    basis = np.linalg.qr(rng.generator.standard_normal((n, k, k)))[0]
+    out = (basis * np.log(lam)[:, None, :]) @ np.swapaxes(basis, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def signed_haar_basis(gauss):

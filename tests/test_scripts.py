@@ -16,6 +16,7 @@ def run(args, cwd):
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_scripts_write_canonical_csv(tmp_path):
@@ -28,3 +29,13 @@ def test_scripts_write_canonical_csv(tmp_path):
          "--out-csv", "image.csv"], tmp_path)
     for name in ("synthetic_sweep.csv", "image.csv"):
         assert (tmp_path / name).read_text().splitlines()[0] == CSV_HEADER
+
+
+def test_pass_rusage_reports_each_pass(tmp_path):
+    out = run([ROOT / "scripts" / "pass_rusage.py", "--workload", "fresh-data", "--passes", "1",
+               "--scale", "tiny"], tmp_path)
+    lines = out.splitlines()
+    assert lines[1] == "pass minor_faults user_ms sys_ms maxrss_mb"
+    fields = lines[2].split()
+    assert len(lines) == 3 and fields[0] == "1"
+    assert int(fields[1]) >= 0 and all(float(v) >= 0 for v in fields[2:])
