@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer check, shared across the package."""
+
+import operator
 
 
 class SpdPrivacyError(Exception):
@@ -15,3 +17,17 @@ class DimensionError(SpdPrivacyError, ValueError):
 
 class NumericalError(SpdPrivacyError, RuntimeError):
     """A numerical routine failed to converge or produced unusable output."""
+
+
+def _nonnegative_int(
+    value, what: str = "stream path element", error: type[SpdPrivacyError] = DomainError
+) -> int:
+    """``value`` as a Python int, or ``error`` when it is not a nonnegative
+    integer (floats are rejected, not truncated; numpy integers pass)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be a nonnegative integer, got {value!r}") from None
+    if value < 0:
+        raise error(f"{what} must be a nonnegative integer, got {value}")
+    return value

@@ -16,7 +16,12 @@ utility is ``||z - c||^2``, so no SPD matrix is built per trial.
 A Gaussian cell draws the noise of all its trials as one (trials, d)
 block from its substream, row t for trial t, so trial t's noise does not
 depend on the number of trials; the thread pool runs Laplace chains and
-resampled datasets.
+resampled datasets.  One block per distinct d is allocated per call and
+reused by every Gaussian cell of that d: the cell's normals fill it (the
+same stream as a fresh ``standard_normal((trials, d))`` draw), and it is
+overwritten in place by the release and then by the deviation z - c,
+whose rows are scored by one batched dot, so a cell allocates no
+(trials, d) temporaries.
 
 Wall-clock timing of the privatization call is optional (``record_timing``)
 because real timings are not reproducible; with timing off the
@@ -35,6 +40,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,8 +118,7 @@ class ExperimentSpec:
             object.__setattr__(self, name, grid)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """One measured outcome row."""
 
     mechanism: str
@@ -126,7 +131,7 @@ class TrialRecord:
     acceptance_ratio: float | None = None
 
     def sort_key(self) -> tuple:
-        return (self.mechanism, self.k, self.epsilon, self.delta, self.trial)
+        return self[:5]  # (mechanism, k, epsilon, delta, trial)
 
 
 @dataclass(frozen=True)
@@ -149,6 +154,14 @@ def _center(mechanism: Mechanism, mean_log: np.ndarray) -> np.ndarray:
     return vecd_stack(mean_log if mechanism.log_chart else expm_stack(mean_log))
 
 
+def _row_dots(rows: np.ndarray) -> np.ndarray:
+    """``row @ row`` of each row of a (trials, d) block, bit for bit: the
+    matmul of each (1, d) row by its (d, 1) column runs numpy's dot loop, as
+    the product of two vectors does, so a trial's utility does not depend on
+    how trials are batched (``np.einsum`` sums in another order)."""
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
 def _check_threads(threads: int) -> None:
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
@@ -161,8 +174,10 @@ def _run_cells(
     scale is calibrated once per cell.
 
     A Gaussian cell releases all its trials at once: row t of the block
-    drawn from substream (_NOISE_STREAM, cell) is trial t's noise.  A
-    Laplace trial runs its own chain on substream (_NOISE_STREAM, cell, t).
+    drawn from substream (_NOISE_STREAM, cell) is trial t's noise.  The
+    block, one per distinct d, is reused by every Gaussian cell of the call
+    and overwritten in place.  A Laplace trial runs its own chain on
+    substream (_NOISE_STREAM, cell, t).
     The thread pool runs Laplace chains and resampled datasets, one
     (cell, trial) per task.
     """
@@ -205,19 +220,22 @@ def _run_cells(
         deviation = z - center
         return float(deviation @ deviation), elapsed, acceptance
 
+    blocks: dict[int, np.ndarray] = {}
+
     def gaussian_cell(cell_index: int, center: np.ndarray) -> list[tuple]:
         """(utility, wall_time_ns, None) of each trial; the cell's release
         time is shared over its trials, rounded up."""
+        d = center.shape[-1]
+        block = blocks.get(d)
+        if block is None:
+            block = blocks[d] = np.empty((spec.trials, d))
         start = time.perf_counter_ns() if spec.record_timing else 0
-        noise = base.substream(_NOISE_STREAM, cell_index).generator.standard_normal(
-            (spec.trials, center.shape[-1])
-        )
-        z = gaussian_release_block(center, cells[cell_index][3], noise)
+        base.substream(_NOISE_STREAM, cell_index).generator.standard_normal(out=block)
+        gaussian_release_block(center, cells[cell_index][3], block, out=block)
         elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
         per_trial = -(-elapsed // spec.trials)
-        # one dot per row, as for a single release, so that a trial's
-        # utility does not depend on how trials are batched
-        return [(float(row @ row), per_trial, None) for row in z - center]
+        block -= center
+        return [(u, per_trial, None) for u in _row_dots(block).tolist()]
 
     if mechanism.chain:
         outcomes = fan_out(laplace_trial)
@@ -228,17 +246,8 @@ def _run_cells(
             centers = [group.center for group, *_ in cells]
         outcomes = [o for ci, c in enumerate(centers) for o in gaussian_cell(ci, c)]
     records = [
-        TrialRecord(
-            mechanism=spec.mechanism,
-            k=cells[ci][0].k,
-            epsilon=cells[ci][1],
-            delta=cells[ci][2],
-            trial=trial,
-            utility=utility,
-            wall_time_ns=elapsed,
-            acceptance_ratio=acceptance,
-        )
-        for (ci, trial), (utility, elapsed, acceptance) in zip(tasks, outcomes)
+        TrialRecord(spec.mechanism, cells[ci][0].k, cells[ci][1], cells[ci][2], trial, *outcome)
+        for (ci, trial), outcome in zip(tasks, outcomes)
     ]
     records.sort(key=TrialRecord.sort_key)
     return records
@@ -392,24 +401,17 @@ def render_csv(records: list[TrialRecord]) -> str:
     if not records:
         raise DomainError("no records to emit")
     lines = [CSV_HEADER]
+    prefixes: dict[tuple, str] = {}  # "mechanism,k,epsilon,delta," per cell
     for rec in records:
-        acceptance = (
-            "" if rec.acceptance_ratio is None else _format_float(rec.acceptance_ratio)
-        )
-        lines.append(
-            ",".join(
-                [
-                    rec.mechanism,
-                    str(rec.k),
-                    _format_float(rec.epsilon),
-                    _format_float(rec.delta),
-                    str(rec.trial),
-                    _format_float(rec.utility),
-                    str(rec.wall_time_ns),
-                    acceptance,
-                ]
+        cell, (trial, utility, wall_time_ns, acceptance) = rec[:4], rec[4:]
+        prefix = prefixes.get(cell)
+        if prefix is None:
+            mechanism, k, epsilon, delta = cell
+            prefix = prefixes[cell] = (
+                f"{mechanism},{k},{_format_float(epsilon)},{_format_float(delta)},"
             )
-        )
+        acceptance = "" if acceptance is None else _format_float(acceptance)
+        lines.append(f"{prefix}{trial},{_format_float(utility)},{wall_time_ns},{acceptance}")
     return "\n".join(lines) + "\n"
 
 

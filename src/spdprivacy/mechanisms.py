@@ -227,7 +227,7 @@ MECHANISMS = {
 
 
 def gaussian_release_block(
-    center: np.ndarray, sigma: float, noise: np.ndarray
+    center: np.ndarray, sigma: float, noise: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """The Gaussian law on a block of standard normal rows ``noise``
     (trials, d): release ``center + sigma * noise``, with ``center`` one
@@ -235,13 +235,26 @@ def gaussian_release_block(
 
     ``center`` is vecd(log summary) for the tangent mechanism, whose
     utility ||z - center||^2 is then the squared log-Euclidean deviation,
-    and vecd(summary) for the extrinsic baseline."""
+    and vecd(summary) for the extrinsic baseline.
+
+    The release is written to ``out`` (of ``noise``'s shape) when given,
+    and ``out=noise`` overwrites the noise in place; with ``out=None``
+    ``noise`` is left untouched.  Either way ``sigma * noise`` is rounded
+    first and the center added second, so every element is the one
+    ``center + sigma * noise`` gives.  The harness passes ``out=noise``:
+    one block, reused by every Gaussian cell of a run, is filled with the
+    cell's normals (the stream of a fresh (trials, d) draw) and then
+    overwritten in place by the release."""
     if not (sigma > 0):
         raise DomainError("sigma must be positive")
     center, noise = np.asarray(center, dtype=float), np.asarray(noise, dtype=float)
     if center.size < 1 or noise.shape[max(0, noise.ndim - center.ndim) :] != center.shape:
         raise DimensionError(f"center {center.shape} is empty or does not fit noise {noise.shape}")
-    return center + float(sigma) * noise
+    if out is not None and out.shape != noise.shape:
+        raise DimensionError(f"out {out.shape} does not match noise {noise.shape}")
+    out = np.multiply(float(sigma), noise, out=out)
+    out += center
+    return out
 
 
 def tangent_gaussian_stack(

@@ -20,12 +20,11 @@ fix flips columns of E by ±1, which cancels exactly in E diag(l) E^T.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _nonnegative_int
 from .geometry import SpdMatrix, _rebuild
 
 # Largest r whose e^r is finite: the synthetic eigenvalue range [e^-r, e^r].
@@ -34,18 +33,6 @@ _MAX_SYNTHETIC_R = float(np.log(np.finfo(float).max))
 # Normals per block of a streamed synthetic draw: a block is
 # max(1, _BLOCK_DOUBLES // k²) matrices, whatever n (see _synthetic_blocks).
 _BLOCK_DOUBLES = 2**14
-
-
-def _nonnegative_int(value, what: str = "stream path element") -> int:
-    """``value`` as a Python int, or :class:`DomainError` when it is not a
-    nonnegative integer (floats are rejected, not truncated)."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be a nonnegative integer, got {value!r}") from None
-    if value < 0:
-        raise DomainError(f"{what} must be a nonnegative integer, got {value}")
-    return value
 
 
 def _positive_int(value, what: str) -> int:

@@ -15,6 +15,7 @@ from spdprivacy.geometry import (
     frechet_mean_le,
     identity,
     invvecd,
+    invvecd_stack,
     le_add,
     le_distance,
     le_scale,
@@ -72,6 +73,23 @@ class TestTypes:
         TangentVector(2, [1.0, 2.0, 3.0])
         with pytest.raises(DimensionError):
             TangentVector(2, [1.0, 2.0])
+
+    def test_tangent_vector_rejects_non_integer_dimension(self):
+        with pytest.raises(DimensionError, match="integer"):
+            TangentVector(2.5, [1.0, 2.0, 3.0])
+        v = TangentVector(np.int64(2), [1.0, 2.0, 3.0])
+        assert v.dim_ambient == 2 and type(v.dim_ambient) is int
+
+    def test_identity_rejects_non_integer_dimension(self):
+        with pytest.raises(DimensionError, match="integer"):
+            identity(2.9)
+        assert np.array_equal(identity(np.int64(2)).entries, np.eye(2))
+
+    def test_invvecd_stack_rejects_non_integer_dimension(self):
+        z = np.arange(6.0).reshape(2, 3)
+        with pytest.raises(DimensionError, match="integer"):
+            invvecd_stack(z, 2.9)
+        assert np.array_equal(invvecd_stack(z, np.int64(2)), invvecd_stack(z, 2))
 
     def test_entries_read_only(self):
         x = identity(2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,9 +168,9 @@ class TestRunSynthetic:
         centers = []
         release = harness.gaussian_release_block
 
-        def spy(center, sigma, noise):
+        def spy(center, sigma, noise, out=None):
             centers.append(center)
-            return release(center, sigma, noise)
+            return release(center, sigma, noise, out=out)
 
         monkeypatch.setattr(harness, "gaussian_release_block", spy)
         for mechanism in ("tangent_analytic", "extrinsic_analytic"):
@@ -308,6 +309,32 @@ def per_cell_utilities(spec):
         for trial, deviation in enumerate(z - centers):
             out[eps, delta, trial] = float(deviation @ deviation)
     return out
+
+
+class TestGaussianCellBlock:
+    """A Gaussian cell releases, centers and scores its trials in one
+    reused (trials, d) block."""
+
+    @pytest.mark.parametrize("trials", [1, 2, 120])
+    @pytest.mark.parametrize("d", [1, 3, 55, 465])
+    def test_row_dots_equal_per_row_dots(self, d, trials):
+        rows = np.random.default_rng(1000 * d + trials).standard_normal((trials, d))
+        assert harness._row_dots(rows).tolist() == [float(r @ r) for r in rows]
+
+    def test_cells_allocate_under_two_blocks(self):
+        # three k = 30 cells of 120 trials: one (120, 465) block for all of
+        # them, not fresh noise, release and deviation blocks per cell
+        spec = small_spec(k=30, n=500, trials=120, epsilon_grid=(0.1, 0.2, 0.3))
+        center = np.linspace(-1.0, 1.0, 465)
+        group = harness._Group(center=center, n=500, k=30, radius=math.sqrt(30) * 0.25)
+        harness._run_cells(spec, RngState(5), [group], 1)  # warm-up
+        tracemalloc.start()
+        try:
+            harness._run_cells(spec, RngState(5), [group], 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 120 * 465 * 8
 
 
 class TestBatchedGaussianCells:
@@ -599,6 +626,35 @@ class TestCsv:
     def test_acceptance_column_filled_for_mcmc(self):
         rec = TrialRecord("riemannian_laplace", 2, 0.1, 1e-6, 0, 0.5, 0, 0.62)
         assert render_csv([rec]).splitlines()[1].endswith(",0.62")
+
+    def test_record_is_immutable_hashable_row(self):
+        rec = TrialRecord("tangent_analytic", 2, 0.1, 1e-6, 3, 0.5)
+        assert rec.wall_time_ns == 0 and rec.acceptance_ratio is None
+        assert rec.sort_key() == ("tangent_analytic", 2, 0.1, 1e-6, 3)
+        with pytest.raises(AttributeError):
+            rec.utility = 1.0
+        same = TrialRecord("tangent_analytic", 2, 0.1, 1e-6, 3, 0.5, 0, None)
+        assert hash(rec) == hash(same) and len({rec, same}) == 1
+
+    def test_numpy_scalars_render_as_python_scalars(self):
+        plain = [
+            TrialRecord("riemannian_laplace", 10, 0.1, 1e-6, t, 0.1 * t + 1 / 3, 7 * t, 0.25)
+            for t in range(3)
+        ] + [TrialRecord("tangent_analytic", 2, 0.2, 1e-5, 0, 2 / 3)]
+        as_numpy = [
+            TrialRecord(
+                r.mechanism,
+                np.int64(r.k),
+                np.float64(r.epsilon),
+                np.float64(r.delta),
+                np.int64(r.trial),
+                np.float64(r.utility),
+                np.int64(r.wall_time_ns),
+                None if r.acceptance_ratio is None else np.float64(r.acceptance_ratio),
+            )
+            for r in plain
+        ]
+        assert render_csv(as_numpy) == render_csv(plain)
 
 
 class TestPlot:

@@ -102,6 +102,21 @@ class TestGaussianRelease:
             gaussian_release_block(np.zeros(3), 1.0, np.zeros((4, 2)))
         with pytest.raises(DomainError):
             gaussian_release_block(np.zeros(2), -1.0, np.zeros(2))
+        with pytest.raises(DimensionError):
+            gaussian_release_block(np.zeros(3), 1.0, np.zeros(3), out=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("center_shape", [(6,), (5, 6)])
+    def test_out_buffer_gives_the_same_release(self, center_shape):
+        rng = np.random.default_rng(3)
+        noise, center = rng.standard_normal((5, 6)), rng.standard_normal(center_shape)
+        expected, kept = center + 0.7 * noise, noise.copy()
+        assert np.array_equal(gaussian_release_block(center, 0.7, noise), expected)
+        assert np.array_equal(noise, kept)  # out=None leaves the noise untouched
+        out = np.empty_like(noise)
+        assert gaussian_release_block(center, 0.7, noise, out=out) is out
+        assert np.array_equal(out, expected)
+        assert gaussian_release_block(center, 0.7, noise, out=noise) is noise
+        assert np.array_equal(noise, expected)
 
 
 class TestHaarOrthogonal:

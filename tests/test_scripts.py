@@ -39,3 +39,14 @@ def test_pass_rusage_reports_each_pass(tmp_path):
     fields = lines[2].split()
     assert len(lines) == 3 and fields[0] == "1"
     assert int(fields[1]) >= 0 and all(float(v) >= 0 for v in fields[2:])
+
+
+def test_pass_stages_reports_each_stage(tmp_path):
+    out = run([ROOT / "scripts" / "pass_stages.py", "--workload", "gaussian-grid", "--passes", "1",
+               "--scale", "tiny"], tmp_path)
+    lines = out.splitlines()
+    assert lines[1] == "pass pass_ms data_ms cells_ms descriptors_ms csv_ms svg_ms"
+    assert len(lines) == 4 and lines[2].split()[0] == "1" and lines[3].split()[0] == "median"
+    total, data, cells, descriptors, csv, svg = map(float, lines[2].split()[1:])
+    assert descriptors == 0 and min(data, cells, csv, svg) > 0
+    assert data + cells + csv + svg <= total
