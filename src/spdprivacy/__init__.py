@@ -35,7 +35,6 @@ from .mechanisms import (
 )
 from .sampling import (
     RngState,
-    sample_synthetic_logs,
     sample_synthetic_spd,
 )
 from .descriptors import (
@@ -43,7 +42,6 @@ from .descriptors import (
     RasterImage,
     covariance_descriptor,
     descriptor_radius_bound,
-    descriptor_stack,
     load_pnm,
     save_pnm,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "identity",
     "RngState",
     "sample_synthetic_spd",
-    "sample_synthetic_logs",
     "PrivacyBudget",
     "Sensitivity",
     "SensitivityKind",
@@ -87,7 +84,6 @@ __all__ = [
     "DescriptorParams",
     "covariance_descriptor",
     "descriptor_radius_bound",
-    "descriptor_stack",
     "load_pnm",
     "save_pnm",
     "ExperimentSpec",

@@ -19,9 +19,9 @@ derivatives' scaled copies, which are dead by then) and the covariances.
 Each block writes every intermediate into them with ``out=``, so a run of
 same-size images allocates its buffers once however many blocks it spans,
 and the C allocator does not map and unmap a megabyte of temporaries per
-block.  :func:`descriptor_stack` maps a stack (n, h, w, c) of same-size
-images to their (n, k, k) descriptors with one call on buffers of capacity
-n, and :func:`covariance_descriptor` runs it on a stack of one.
+block.  :meth:`_BlockBuffers.descriptors` maps a stack (m, h, w, c) of
+same-size images to their (m, k, k) descriptors in one call, and
+:func:`covariance_descriptor` runs it on buffers for a stack of one.
 
 The derivative kernels act on the flattened padded block.  It is scaled
 once by each of the seven distinct tap magnitudes (1/32, 1/16, 1/8, 3/16,
@@ -298,25 +298,12 @@ class _BlockBuffers:
             yield self._scratch[: flat.size].reshape(padded.shape)[:, :h, :w]
 
 
-def descriptor_stack(
-    intensities: np.ndarray, params: DescriptorParams = DescriptorParams()
-) -> np.ndarray:
-    """Covariance descriptors (n, k, k) of a stack (n, h, w, c) of same-size
-    images with intensities in [0, 1]: the empirical covariance of each
-    image's features plus eta * identity.  Symmetric by construction."""
-    stack = np.asarray(intensities, dtype=float)
-    if stack.ndim != 4 or stack.shape[3] not in (1, 3) or min(stack.shape[:3]) < 1:
-        raise DimensionError(
-            f"intensities must be a nonempty stack n x h x w x (1 or 3), got shape {stack.shape}"
-        )
-    return _BlockBuffers(*stack.shape).descriptors(stack, params)
-
-
 def covariance_descriptor(
     image: RasterImage, params: DescriptorParams = DescriptorParams()
 ) -> SpdMatrix:
     """Empirical covariance of the feature field plus eta * identity."""
-    return SpdMatrix(descriptor_stack(image.intensities[None], params)[0])
+    stack = image.intensities[None]
+    return SpdMatrix(_BlockBuffers(*stack.shape).descriptors(stack, params)[0])
 
 
 def descriptor_radius_bound(channels: int, eta: float) -> float:

@@ -19,15 +19,22 @@ class NumericalError(SpdPrivacyError, RuntimeError):
     """A numerical routine failed to converge or produced unusable output."""
 
 
-def _nonnegative_int(
-    value, what: str = "stream path element", error: type[SpdPrivacyError] = DomainError
+def _checked_int(
+    value,
+    what: str,
+    low: int = 1,
+    high: int | None = None,
+    error: type[SpdPrivacyError] = DomainError,
 ) -> int:
-    """``value`` as a Python int, or ``error`` when it is not a nonnegative
-    integer (floats are rejected, not truncated; numpy integers pass)."""
+    """``value`` as a Python int in [low, high] (no upper bound when ``high``
+    is None), else ``error``.  Floats and strings are rejected, never
+    truncated; numpy integers pass.  Matrix sizes pass
+    :class:`DimensionError`, counts keep :class:`DomainError`."""
     try:
         value = operator.index(value)
     except TypeError:
-        raise error(f"{what} must be a nonnegative integer, got {value!r}") from None
-    if value < 0:
-        raise error(f"{what} must be a nonnegative integer, got {value}")
+        raise error(f"{what} must be an integer, got {value!r}") from None
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise error(f"{what} must be {bound}, got {value}")
     return value

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalError, _nonnegative_int
+from .errors import DimensionError, DomainError, NumericalError, _checked_int
 
 # Admission cap on the matrix dimension k.  Dense eigendecompositions are
 # the workhorse here; anything larger deserves a different tool.
@@ -114,9 +114,7 @@ class TangentVector:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        k = _nonnegative_int(self.dim_ambient, "ambient dimension", DimensionError)
-        if k < 1 or k > MAX_DIM:
-            raise DimensionError(f"ambient dimension {k} outside [1, {MAX_DIM}]")
+        k = _checked_int(self.dim_ambient, "ambient dimension", 1, MAX_DIM, DimensionError)
         arr = np.array(self.coords, dtype=float)
         if arr.ndim != 1:
             raise DimensionError(f"coords must be a vector, got shape {arr.shape}")
@@ -206,7 +204,7 @@ def vecd_stack(mats: np.ndarray) -> np.ndarray:
 def invvecd_stack(vecs: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`vecd_stack` for ambient dimension ``dim``."""
     vecs = np.asarray(vecs, dtype=float)
-    k = _nonnegative_int(dim, "dimension", DimensionError)
+    k = _checked_int(dim, "dimension", error=DimensionError)
     expected = k * (k + 1) // 2
     if vecs.shape[-1] != expected:
         raise DimensionError(
@@ -304,4 +302,4 @@ def ball_radius(dataset: Sequence[SpdMatrix], center: SpdMatrix) -> float:
 
 def identity(k: int) -> SpdMatrix:
     """The k x k identity, the zero element of the log-Euclidean vector space."""
-    return SpdMatrix(np.eye(_nonnegative_int(k, "dimension", DimensionError)))
+    return SpdMatrix(np.eye(_checked_int(k, "dimension", 1, MAX_DIM, DimensionError)))

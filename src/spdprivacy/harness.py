@@ -51,7 +51,7 @@ from .descriptors import (
     _parse_pnm,
     descriptor_radius_bound,
 )
-from .errors import DomainError
+from .errors import DimensionError, DomainError, _checked_int
 from .geometry import MAX_DIM, expm_stack, logm_stack, vecd_stack
 from .mechanisms import (
     MECHANISMS,
@@ -60,7 +60,7 @@ from .mechanisms import (
     gaussian_release_block,
     laplace_release,
 )
-from .sampling import RngState, _check_synthetic_args, _synthetic_log_summary
+from .sampling import _MAX_SEED, RngState, _check_radius, _synthetic_log_summary
 
 log = logging.getLogger(__name__)
 
@@ -100,16 +100,16 @@ class ExperimentSpec:
             )
         if not self.epsilon_grid or not self.delta_grid:
             raise DomainError("epsilon and delta grids must be nonempty")
-        if self.trials < 1:
-            raise DomainError("trials must be >= 1")
+        for name in ("n", "trials", "burn_in"):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name))
+        object.__setattr__(self, "seed", _checked_int(self.seed, "seed", 0, _MAX_SEED))
+        object.__setattr__(self, "k", _checked_int(self.k, "k", error=DimensionError))
         if self.kind == "synthetic" and not 2 <= self.k <= MAX_DIM:
             raise DomainError(f"synthetic experiments require 2 <= k <= {MAX_DIM}, got {self.k}")
         if self.kind == "synthetic":
-            _check_synthetic_args(self.k, self.r, self.n)
+            _check_radius(self.r)
         if self.kind == "image" and self.image_dir is None:
             raise DomainError("image experiments require image_dir")
-        if self.burn_in < 1:
-            raise DomainError("burn_in must be >= 1")
         for name in ("epsilon_grid", "delta_grid"):
             grid = tuple(float(v) for v in getattr(self, name))
             if len(set(grid)) != len(grid):
@@ -160,11 +160,6 @@ def _row_dots(rows: np.ndarray) -> np.ndarray:
     the product of two vectors does, so a trial's utility does not depend on
     how trials are batched (``np.einsum`` sums in another order)."""
     return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
-
-
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
 
 
 def _run_cells(
@@ -266,7 +261,7 @@ def run_synthetic(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     """
     if spec.kind != "synthetic":
         raise DomainError("run_synthetic requires a synthetic spec")
-    _check_threads(threads)
+    threads = _checked_int(threads, "threads")
     base = RngState(spec.seed)
     radius, center = math.sqrt(spec.k) * spec.r, None
     if spec.measured_radius or not spec.resample_data:
@@ -367,7 +362,7 @@ def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     """
     if spec.kind != "image":
         raise DomainError("run_image requires an image spec")
-    _check_threads(threads)
+    threads = _checked_int(threads, "threads")
     root = Path(spec.image_dir)
     if not root.is_dir():
         raise DomainError(f"image_dir {root} is not a directory")

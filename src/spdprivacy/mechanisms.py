@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalError
+from .errors import DimensionError, DomainError, NumericalError, _checked_int
 from .geometry import (
     SpdMatrix,
     SymMatrix,
@@ -44,7 +44,7 @@ from .geometry import (
     logm_stack,
     vecd_stack,
 )
-from .sampling import _MAX_SYNTHETIC_R, RngState, _positive_int
+from .sampling import RngState, _check_radius
 
 # Metropolis acceptance ratios outside this band get a warning diagnostic.
 ACCEPTANCE_BAND = (0.2, 0.9)
@@ -95,7 +95,7 @@ class Sensitivity:
 def sensitivity_frechet_le(n: int, r: float) -> Sensitivity:
     """Sensitivity 2r/n of the log-Euclidean Fréchet mean over datasets of
     size n inside a geodesic ball of radius r."""
-    n = _positive_int(n, "n")
+    n = _checked_int(n, "n")
     if not (r > 0):
         raise DomainError("r must be positive")
     return Sensitivity(value=2.0 * r / n, kind=SensitivityKind.LOG_EUCLIDEAN)
@@ -109,9 +109,8 @@ def sensitivity_extrinsic(n: int, r: float) -> Sensitivity:
     radius r, and the matrix exponential is e^r-Lipschitz in Frobenius norm
     there (Higham, Functions of Matrices, 2008).
     """
-    n = _positive_int(n, "n")
-    if not 0 < r <= _MAX_SYNTHETIC_R:
-        raise DomainError(f"r must be in (0, {_MAX_SYNTHETIC_R:.6g}] so e^r is finite, got {r}")
+    n = _checked_int(n, "n")
+    _check_radius(r)
     return Sensitivity(value=2.0 * r * math.exp(r) / n, kind=SensitivityKind.EXTRINSIC)
 
 
@@ -265,7 +264,7 @@ def tangent_gaussian_stack(
     Returns a (size, k, k) array of SPD matrices, each distributed as one
     tangent Gaussian release of ``summary``; for Monte-Carlo diagnostics.
     """
-    size = _positive_int(size, "size")
+    size = _checked_int(size, "size")
     center = vecd_stack(logm_stack(summary.entries))
     noise = rng.generator.standard_normal((size, center.size))
     return expm_stack(invvecd_stack(gaussian_release_block(center, sigma, noise), summary.dim))
@@ -305,8 +304,8 @@ def _chain_start(
     """
     if not (sigma > 0):
         raise DomainError("sigma must be positive")
-    burn_in = _positive_int(burn_in, "burn_in")
-    n_chains = _positive_int(n_chains, "n_chains")
+    burn_in = _checked_int(burn_in, "burn_in")
+    n_chains = _checked_int(n_chains, "n_chains")
     if proposal_sigma is None:
         proposal_sigma = sigma
     if not (proposal_sigma > 0):

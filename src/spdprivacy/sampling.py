@@ -11,11 +11,13 @@ as n·k uniforms, then n·k² normals (n = 1 for one SPD matrix).  The normals
 are streamed: they fill one reused buffer of at most :data:`_BLOCK_DOUBLES`
 doubles (one matrix when k² is larger, all n draws at k = 1) block by
 block, in the order of a single (n, k, k) draw, so the stream is that of
-one draw, and each block is rebuilt in place.  Beyond the n·k eigenvalues,
-the memory of a draw does not grow with n, and the harness folds each
-block into the Fréchet-mean summary without building the (n, k, k) stack.  E is a QR factor without the sign fix that makes it
-exactly Haar (signing its columns by the diagonal of R, Mezzadri 2007): the
-fix flips columns of E by ±1, which cancels exactly in E diag(l) E^T.
+one draw, and each block is rebuilt in place.  A dataset is never held as
+a stack: :func:`_synthetic_log_summary` folds each block of log-matrices
+into the Fréchet-mean summary, so beyond the n·k eigenvalues the memory of
+a draw does not grow with n.  E is a QR factor without the sign fix that
+makes it exactly Haar (signing its columns by the diagonal of R, Mezzadri
+2007): the fix flips columns of E by ±1, which cancels exactly in
+E diag(l) E^T.
 """
 
 from __future__ import annotations
@@ -24,8 +26,11 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, _nonnegative_int
-from .geometry import SpdMatrix, _rebuild
+from .errors import DimensionError, DomainError, _checked_int
+from .geometry import MAX_DIM, SpdMatrix, _rebuild
+
+# Seeds are unsigned 64-bit integers.
+_MAX_SEED = 2**64 - 1
 
 # Largest r whose e^r is finite: the synthetic eigenvalue range [e^-r, e^r].
 _MAX_SYNTHETIC_R = float(np.log(np.finfo(float).max))
@@ -33,15 +38,6 @@ _MAX_SYNTHETIC_R = float(np.log(np.finfo(float).max))
 # Normals per block of a streamed synthetic draw: a block is
 # max(1, _BLOCK_DOUBLES // k²) matrices, whatever n (see _synthetic_blocks).
 _BLOCK_DOUBLES = 2**14
-
-
-def _positive_int(value, what: str) -> int:
-    """``value`` as a Python int >= 1, else :class:`DomainError`; floats are
-    rejected, not truncated."""
-    value = _nonnegative_int(value, what)
-    if value < 1:
-        raise DomainError(f"{what} must be >= 1")
-    return value
 
 
 class RngState:
@@ -56,12 +52,9 @@ class RngState:
     __slots__ = ("seed", "stream", "generator")
 
     def __init__(self, seed: int, stream: tuple[int, ...] = ()):
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise DomainError("seed must be an unsigned 64-bit integer")
-        self.seed = seed
-        self.stream = tuple(_nonnegative_int(s) for s in stream)
-        sequence = np.random.SeedSequence(entropy=seed, spawn_key=self.stream)
+        self.seed = _checked_int(seed, "seed", 0, _MAX_SEED)
+        self.stream = tuple(_checked_int(s, "stream path element", 0) for s in stream)
+        sequence = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream)
         self.generator = np.random.Generator(np.random.Philox(sequence))
 
     def substream(self, *path: int) -> "RngState":
@@ -72,20 +65,10 @@ class RngState:
         return f"RngState(seed={self.seed}, stream={self.stream})"
 
 
-def _dimension(k) -> int:
-    """``k`` as a Python int >= 1; floats are rejected, not truncated."""
-    k = _nonnegative_int(k, "k")
-    if k < 1:
-        raise DimensionError("k must be >= 1")
-    return k
-
-
-def _check_synthetic_args(k: int, r: float, n: int = 1) -> tuple[int, int]:
-    """``(k, n)`` as Python ints, once r gives a finite range [e^-r, e^r]."""
-    k = _dimension(k)
+def _check_radius(r: float) -> None:
+    """:class:`DomainError` unless r gives a finite range [e^-r, e^r]."""
     if not 0 < r <= _MAX_SYNTHETIC_R:
         raise DomainError(f"r must be in (0, {_MAX_SYNTHETIC_R:.6g}] so e^r is finite, got {r}")
-    return k, _positive_int(n, "n")
 
 
 def _synthetic_blocks(
@@ -102,7 +85,9 @@ def _synthetic_blocks(
     only one block keeps a mean of the blocks bit-identical to the stack's,
     and n doubles are no more than the eigenvalues already held.
     """
-    k, n = _check_synthetic_args(k, r, n)
+    k = _checked_int(k, "k", 1, MAX_DIM, DimensionError)
+    _check_radius(r)
+    n = _checked_int(n, "n")
     eigs = rng.generator.uniform(np.exp(-r), np.exp(r), size=(n, k))
     if logs:
         np.log(eigs, out=eigs)
@@ -118,9 +103,10 @@ def _synthetic_blocks(
 def _synthetic_log_summary(
     rng: RngState, k: int, r: float, n: int, radius: bool = False
 ) -> tuple[np.ndarray, float | None]:
-    """The mean log-matrix of :func:`sample_synthetic_logs`'s draw and, when
-    ``radius`` asks for it, the largest Frobenius norm of a log-matrix, both
-    bit-identical to those of the (n, k, k) stack, which is never built.
+    """The mean of n synthetic log-matrices E diag(ln l) E^T and, when
+    ``radius`` asks for it, the largest Frobenius norm of one, both
+    bit-identical to those of the (n, k, k) stack of one whole draw (n·k
+    uniforms, then n·k² normals, one batched QR), which is never built.
 
     Each block is added into a running total in the row order of
     ``logs.mean(axis=0)``: the total goes into the block's first row, then
@@ -138,28 +124,10 @@ def _synthetic_log_summary(
 
 def sample_synthetic_spd(rng: RngState, k: int, r: float) -> SpdMatrix:
     """Draw a random SPD matrix E diag(l) E^T with eigenvalues uniform in
-    [e^-r, e^r] and E Haar orthogonal: the n = 1 case of
-    :func:`sample_synthetic_logs`'s draw, rebuilt from l instead of ln l.
+    [e^-r, e^r] and E Haar orthogonal: the n = 1 case of the draw that
+    :func:`_synthetic_log_summary` streams, rebuilt from l instead of ln l.
 
     Every draw lies in the log-Euclidean ball of radius sqrt(k) * r around
     the identity, since ||log X||_F^2 = sum (ln l_i)^2 <= k r^2.
     """
     return SpdMatrix(next(_synthetic_blocks(rng, k, r, 1, logs=False))[0])
-
-
-def sample_synthetic_logs(rng: RngState, k: int, r: float, n: int) -> np.ndarray:
-    """Matrix logarithms E diag(ln l) E^T of ``n`` draws with the law of
-    :func:`sample_synthetic_spd`, as an (n, k, k) stack.
-
-    The stream is n·k uniforms, then n·k² normals, so it is not that of
-    ``n`` :func:`sample_synthetic_spd` calls.  E comes from a batched QR
-    without the sign fix, which cancels; no eigendecomposition is needed.
-    The stack is filled from the blocks of :func:`_synthetic_log_summary`'s
-    draw, so both see the same matrices.
-    """
-    k, n = _check_synthetic_args(k, r, n)
-    logs, start = np.empty((n, k, k)), 0
-    for block in _synthetic_blocks(rng, k, r, n):
-        logs[start : start + len(block)] = block
-        start += len(block)
-    return logs

@@ -38,3 +38,21 @@ def spd_pairs(draw, max_dim=4):
 @pytest.fixture
 def nprng():
     return np.random.default_rng(20240817)
+
+
+def one_shot_logs(rng, k, r, n):
+    """Reference: the draw as one (n, k, k) block, n·k uniforms then n·k²
+    normals in one call each, one batched QR, and the rebuild written out."""
+    lam = rng.generator.uniform(np.exp(-r), np.exp(r), size=(n, k))
+    basis = np.linalg.qr(rng.generator.standard_normal((n, k, k)))[0]
+    out = (basis * np.log(lam)[:, None, :]) @ np.swapaxes(basis, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def signed_haar_basis(gauss):
+    """Reference: the Q factor of a Gaussian matrix with its columns signed
+    by the R diagonal, which makes it exactly Haar (Mezzadri 2007)."""
+    q, r = np.linalg.qr(gauss)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs

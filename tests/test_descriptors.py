@@ -22,11 +22,10 @@ from spdprivacy.descriptors import (
     _decode_pnm,
     covariance_descriptor,
     descriptor_radius_bound,
-    descriptor_stack,
     load_pnm,
     save_pnm,
 )
-from spdprivacy.errors import DimensionError, DomainError
+from spdprivacy.errors import DomainError
 from spdprivacy.geometry import identity, le_distance, logm_stack
 
 
@@ -206,7 +205,7 @@ class TestBatchedPipeline:
         rng = np.random.default_rng(200 + h * 10 + w + c)
         stack = edgy_stack(rng, 6, h, w, c)
         eta = 1e-6
-        got = descriptor_stack(stack, DescriptorParams(eta=eta))
+        got = _BlockBuffers(*stack.shape).descriptors(stack, DescriptorParams(eta=eta))
         assert got.shape == (6, 8 + c, 8 + c)
         for i in range(6):
             want = scipy_descriptor(stack[i], eta)
@@ -217,25 +216,18 @@ class TestBatchedPipeline:
     def test_wrappers_are_stacks_of_one(self):
         rng = np.random.default_rng(300)
         stack = edgy_stack(rng, 4, 10, 8, 3)
-        batch = descriptor_stack(stack)
+        batch = _BlockBuffers(*stack.shape).descriptors(stack, DescriptorParams())
         for i in range(4):
             image = RasterImage(stack[i])
             assert np.array_equal(covariance_descriptor(image).entries, batch[i])
         assert _BlockBuffers(*stack.shape).features(stack).shape == (4, 11, 80)
-
-    @pytest.mark.parametrize(
-        "shape", [(0, 4, 4, 1), (2, 0, 4, 1), (2, 4, 4, 2), (4, 4, 1), (2, 4, 4, 1, 1)]
-    )
-    def test_bad_stack_shapes_rejected(self, shape):
-        with pytest.raises(DimensionError):
-            descriptor_stack(np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
     def test_out_of_range_intensities_rejected(self, bad):
         stack = np.full((2, 4, 4, 1), 0.5)
         stack[1, 2, 3, 0] = bad
         with pytest.raises(DomainError):
-            descriptor_stack(stack)
+            _BlockBuffers(*stack.shape).descriptors(stack, DescriptorParams())
 
 
 def test_package_import_does_not_load_scipy():

@@ -91,6 +91,11 @@ class TestTypes:
             invvecd_stack(z, 2.9)
         assert np.array_equal(invvecd_stack(z, np.int64(2)), invvecd_stack(z, 2))
 
+    def test_invvecd_stack_rejects_zero_dimension(self):
+        # the empty vector is not the image of a 0 x 0 matrix: k >= 1 everywhere
+        with pytest.raises(DimensionError, match=">= 1"):
+            invvecd_stack(np.zeros(0), 0)
+
     def test_entries_read_only(self):
         x = identity(2)
         with pytest.raises(ValueError):

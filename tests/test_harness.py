@@ -43,7 +43,9 @@ from spdprivacy.mechanisms import (
     sensitivity_frechet_le,
 )
 from spdprivacy.plotting import emit_plot
-from spdprivacy.sampling import RngState, sample_synthetic_logs
+from spdprivacy.sampling import RngState
+
+from conftest import one_shot_logs
 
 
 def small_spec(**overrides):
@@ -121,6 +123,19 @@ class TestSpecValidation:
         with pytest.raises(DomainError, match="e\\^r is finite"):
             small_spec(r=r)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64])
+    def test_seed_checked_when_built(self, seed):
+        # seed 1.5 would run as seed 1, and -1 fails only in run_synthetic
+        with pytest.raises(DomainError, match="seed"):
+            small_spec(seed=seed)
+
+    def test_integer_fields_normalised(self):
+        spec = small_spec(k=np.int64(3), n=np.int64(40), trials=np.int64(2), seed=np.uint64(7))
+        assert [type(v) for v in (spec.k, spec.n, spec.trials, spec.seed)] == [int] * 4
+        assert render_csv(run_synthetic(spec)) == render_csv(
+            run_synthetic(small_spec(k=3, n=40, trials=2, seed=7))
+        )
+
     def test_image_needs_dir(self):
         with pytest.raises(DomainError):
             ExperimentSpec(
@@ -154,7 +169,7 @@ class TestRunSynthetic:
         with pytest.raises(DomainError, match="analytic"):
             run_synthetic(spec)
 
-    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("threads", [0, -3, 2.5])
     def test_threads_must_be_positive(self, threads, tmp_path):
         with pytest.raises(DomainError, match="threads"):
             run_synthetic(small_spec(), threads=threads)
@@ -287,7 +302,7 @@ def per_cell_utilities(spec):
     and center come from the public sensitivity and calibration functions,
     not from the harness."""
     base = RngState(spec.seed)
-    logs = sample_synthetic_logs(base.substream(0), spec.k, spec.r, spec.n)
+    logs = one_shot_logs(base.substream(0), spec.k, spec.r, spec.n)
     extrinsic = spec.mechanism == "extrinsic_analytic"
     sensitivity = sensitivity_extrinsic if extrinsic else sensitivity_frechet_le
     sens = sensitivity(spec.n, math.sqrt(spec.k) * spec.r)
@@ -300,7 +315,7 @@ def per_cell_utilities(spec):
         for trial in range(spec.trials):
             if spec.resample_data:
                 data = base.substream(0, cell, trial)
-                logs = sample_synthetic_logs(data, spec.k, spec.r, spec.n)
+                logs = one_shot_logs(data, spec.k, spec.r, spec.n)
             mean_log = logs.mean(axis=0)
             centers.append(vecd_stack(expm_stack(mean_log) if extrinsic else mean_log))
         centers = np.array(centers)

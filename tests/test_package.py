@@ -6,7 +6,25 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import spdprivacy
+from spdprivacy import (
+    DimensionError,
+    DomainError,
+    ExperimentSpec,
+    RngState,
+    TangentVector,
+    identity,
+    run_image,
+    run_synthetic,
+    sample_synthetic_spd,
+    sensitivity_extrinsic,
+    sensitivity_frechet_le,
+)
+from spdprivacy.geometry import invvecd_stack
+from spdprivacy.mechanisms import laplace_chains_stack, tangent_gaussian_stack
 
 # A Sphinx cross-reference in a docstring or comment, e.g. :func:`load_pnm`.
 ROLE_REF = re.compile(r":(func|class|data|meth):`([\w.]+)`")
@@ -48,3 +66,58 @@ def test_docstring_cross_references_resolve():
             if not resolves(module, role, name):
                 unresolved.append(f"{path.name}: :{role}:`{name}`")
     assert unresolved == []
+
+
+def spec(**overrides):
+    fields = dict(kind="synthetic", mechanism="tangent_analytic", epsilon_grid=(0.5,),
+                  delta_grid=(1e-6,), n=4, trials=1)
+    return ExperimentSpec(**{**fields, **overrides})
+
+
+# Every entry point that takes a matrix size or a count: a call with one
+# bad value, the error it must raise (a size is a DimensionError, a count a
+# DomainError) and the name the message gives the argument.
+INTEGER_ARGUMENTS = {
+    "identity": (identity, DimensionError, "dimension"),
+    "TangentVector": (lambda v: TangentVector(v, [0.0]), DimensionError, "ambient dimension"),
+    "invvecd_stack": (lambda v: invvecd_stack(np.zeros(1), v), DimensionError, "dimension"),
+    "sample_synthetic_spd": (
+        lambda v: sample_synthetic_spd(RngState(1), v, 0.25), DimensionError, "k"
+    ),
+    "ExperimentSpec.k": (lambda v: spec(k=v), DimensionError, "k"),
+    "sensitivity_frechet_le": (lambda v: sensitivity_frechet_le(v, 1.0), DomainError, "n"),
+    "sensitivity_extrinsic": (lambda v: sensitivity_extrinsic(v, 1.0), DomainError, "n"),
+    "tangent_gaussian_stack": (
+        lambda v: tangent_gaussian_stack(RngState(1), identity(2), 1.0, v), DomainError, "size"
+    ),
+    "laplace_chains_stack.burn_in": (
+        lambda v: laplace_chains_stack(RngState(1), identity(2), 1.0, v, 2), DomainError, "burn_in"
+    ),
+    "laplace_chains_stack.n_chains": (
+        lambda v: laplace_chains_stack(RngState(1), identity(2), 1.0, 10, v),
+        DomainError,
+        "n_chains",
+    ),
+    "ExperimentSpec.trials": (lambda v: spec(trials=v), DomainError, "trials"),
+    "ExperimentSpec.n": (lambda v: spec(n=v), DomainError, "n"),
+    "ExperimentSpec.burn_in": (lambda v: spec(burn_in=v), DomainError, "burn_in"),
+    "ExperimentSpec.seed": (lambda v: spec(seed=v), DomainError, "seed"),
+    "RngState": (RngState, DomainError, "seed"),
+    "run_synthetic.threads": (
+        lambda v: run_synthetic(spec(), threads=v), DomainError, "threads"
+    ),
+    "run_image.threads": (
+        lambda v: run_image(spec(kind="image", image_dir="unread"), threads=v),
+        DomainError,
+        "threads",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, -1, "3"])
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_arguments_validated(name, bad):
+    # rejected with the package's error, never truncated or left to a TypeError
+    call, error, what = INTEGER_ARGUMENTS[name]
+    with pytest.raises(error, match=f"^{what} must be"):
+        call(bad)

@@ -19,9 +19,10 @@ from spdprivacy.sampling import (
     _BLOCK_DOUBLES,
     RngState,
     _synthetic_log_summary,
-    sample_synthetic_logs,
     sample_synthetic_spd,
 )
+
+from conftest import one_shot_logs, signed_haar_basis
 
 
 class TestRngState:
@@ -29,9 +30,9 @@ class TestRngState:
         a = RngState(42)
         b = RngState(42)
         va = tangent_gaussian_stack(a, identity(3), 1.0, 5)
-        qa = sample_synthetic_logs(a, 3, 0.25, 2)
+        qa = _synthetic_log_summary(a, 3, 0.25, 2)[0]
         vb = tangent_gaussian_stack(b, identity(3), 1.0, 5)
-        qb = sample_synthetic_logs(b, 3, 0.25, 2)
+        qb = _synthetic_log_summary(b, 3, 0.25, 2)[0]
         assert np.array_equal(va, vb)
         assert np.array_equal(qa, qb)
 
@@ -266,9 +267,10 @@ class TestSyntheticGenerator:
 
     @pytest.mark.parametrize("k", [2, 10, 30])
     def test_logs_rebuilt_from_block_draws(self, k):
-        # the stream is all n*k uniforms, then all n*k*k normals
+        # the stream is all n*k uniforms, then all n*k*k normals; the
+        # reference equals the streamed summary (TestStreamedSummary)
         rng, ref = RngState(71), RngState(71)
-        logs = sample_synthetic_logs(rng, k, 0.25, 50)
+        logs = one_shot_logs(rng, k, 0.25, 50)
         assert logs.shape == (50, k, k)
         lam = ref.generator.uniform(math.exp(-0.25), math.exp(0.25), size=(50, k))
         gauss = ref.generator.standard_normal((50, k, k))
@@ -283,19 +285,21 @@ class TestSyntheticGenerator:
         # at k=2 the principal axis of E diag(ln l) E^T is uniform mod pi;
         # at k=1 the matrix is l itself, uniform in [e^-r, e^r]
         r = 0.5
-        logs = sample_synthetic_logs(RngState(89), 2, r, 10**4)
+        logs = one_shot_logs(RngState(89), 2, r, 10**4)
         a, b, c = logs[:, 0, 0], logs[:, 0, 1], logs[:, 1, 1]
         angles = np.mod(0.5 * np.arctan2(2.0 * b, a - c), math.pi)
         assert stats.kstest(angles, stats.uniform(0.0, math.pi).cdf).pvalue > 0.01
-        vals = np.exp(sample_synthetic_logs(RngState(97), 1, r, 10**4)[:, 0, 0])
+        vals = np.exp(one_shot_logs(RngState(97), 1, r, 10**4)[:, 0, 0])
         lo, hi = math.exp(-r), math.exp(r)
         assert stats.kstest(vals, stats.uniform(lo, hi - lo).cdf).pvalue > 0.01
 
     def test_logs_pinned(self):
         # no golden CSV pins data values (utilities are ||z - c||^2), so this
         # pin is what shows any change of the synthetic data stream
-        logs = sample_synthetic_logs(RngState(0).substream(0), 3, 0.25, 2)
+        logs = one_shot_logs(RngState(0).substream(0), 3, 0.25, 2)
         assert np.allclose(logs, PINNED_LOGS, rtol=0.0, atol=1e-14)
+        mean, _ = _synthetic_log_summary(RngState(0).substream(0), 3, 0.25, 2)
+        assert np.array_equal(mean, logs.mean(axis=0))
 
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, 800.0, 1e308])
     def test_radius_validated(self, r):
@@ -303,31 +307,32 @@ class TestSyntheticGenerator:
         with pytest.raises(DomainError, match="r must be"):
             sample_synthetic_spd(RngState(1), 3, r)
         with pytest.raises(DomainError, match="r must be"):
-            sample_synthetic_logs(RngState(1), 3, r, 5)
+            _synthetic_log_summary(RngState(1), 3, r, 5)
 
     def test_logs_parameter_validation(self):
         with pytest.raises(DomainError):
-            sample_synthetic_logs(RngState(1), 3, 0.25, 0)
+            _synthetic_log_summary(RngState(1), 3, 0.25, 0)
         with pytest.raises(DimensionError):
-            sample_synthetic_logs(RngState(1), 0, 0.25, 5)
-        assert sample_synthetic_logs(RngState(1), 2, 709.78, 2).shape == (2, 2, 2)
+            _synthetic_log_summary(RngState(1), 0, 0.25, 5)
+        assert _synthetic_log_summary(RngState(1), 2, 709.78, 2)[0].shape == (2, 2)
 
     @pytest.mark.parametrize("bad", [2.7, 1.5, np.float64(3.0), "3"])
     def test_sizes_not_truncated(self, bad):
-        # counts are rejected, never truncated: 2.7 data points is not 2
+        # sizes and counts are rejected, never truncated: 2.7 data points is
+        # not 2; a matrix size is a DimensionError, a count a DomainError
+        with pytest.raises(DimensionError, match="integer"):
+            _synthetic_log_summary(RngState(1), bad, 0.25, 2)
         with pytest.raises(DomainError, match="integer"):
-            sample_synthetic_logs(RngState(1), bad, 0.25, 2)
-        with pytest.raises(DomainError, match="integer"):
-            sample_synthetic_logs(RngState(1), 3, 0.25, bad)
-        with pytest.raises(DomainError, match="integer"):
+            _synthetic_log_summary(RngState(1), 3, 0.25, bad)
+        with pytest.raises(DimensionError, match="integer"):
             sample_synthetic_spd(RngState(1), bad, 0.25)
 
 
 class TestStreamedSummary:
     """The synthetic draw is streamed in blocks of at most _BLOCK_DOUBLES
-    normals; the stack and the Fréchet-mean summary built from the blocks
-    must equal those of one whole (n, k, k) draw bit for bit, at and around
-    block boundaries."""
+    normals; the Fréchet-mean summary built from the blocks must equal that
+    of one whole (n, k, k) draw bit for bit, at and around block
+    boundaries."""
 
     @staticmethod
     def sizes(k):
@@ -337,15 +342,14 @@ class TestStreamedSummary:
     @pytest.mark.parametrize("k", [1, 2, 10, 30])
     def test_summary_equals_stack(self, k):
         for n in self.sizes(k):
-            logs = sample_synthetic_logs(RngState(61, (n,)), k, 0.25, n)
-            assert np.array_equal(logs, one_shot_logs(RngState(61, (n,)), k, 0.25, n))
+            logs = one_shot_logs(RngState(61, (n,)), k, 0.25, n)
             rng = RngState(61, (n,))
             mean, radius = _synthetic_log_summary(rng, k, 0.25, n, radius=True)
             assert np.array_equal(mean, logs.mean(axis=0)), n
             assert radius == float(np.max(np.linalg.norm(logs, axis=(1, 2)))), n
-            # the summary leaves the stream where the stack draw does
+            # the summary leaves the stream where the one-shot draw does
             ref = RngState(61, (n,))
-            sample_synthetic_logs(ref, k, 0.25, n)
+            one_shot_logs(ref, k, 0.25, n)
             assert rng.generator.random() == ref.generator.random()
 
     def test_radius_only_on_request(self):
@@ -373,25 +377,7 @@ class TestStreamedSummary:
         assert peak <= 8 * (n * k + 16 * _BLOCK_DOUBLES)
 
 
-def one_shot_logs(rng, k, r, n):
-    """Reference: the draw as one (n, k, k) block, n·k uniforms then n·k²
-    normals in one call each, one batched QR, and the rebuild written out."""
-    lam = rng.generator.uniform(np.exp(-r), np.exp(r), size=(n, k))
-    basis = np.linalg.qr(rng.generator.standard_normal((n, k, k)))[0]
-    out = (basis * np.log(lam)[:, None, :]) @ np.swapaxes(basis, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-
-def signed_haar_basis(gauss):
-    """Reference: the Q factor of a Gaussian matrix with its columns signed
-    by the R diagonal, which makes it exactly Haar (Mezzadri 2007)."""
-    q, r = np.linalg.qr(gauss)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
-
-
-# sample_synthetic_logs(RngState(0).substream(0), 3, 0.25, 2), recorded
+# one_shot_logs(RngState(0).substream(0), 3, 0.25, 2), recorded
 # when the stream became two block draws
 PINNED_LOGS = np.array(
     [
