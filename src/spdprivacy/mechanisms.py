@@ -60,6 +60,9 @@ _BLOCK_DOUBLES = 2**16
 _ANALYTIC_BRACKET = (1e-6, 1e6)
 _ANALYTIC_RTOL = 1e-12
 
+# Largest epsilon whose e^epsilon, a factor of the analytic condition, is finite.
+_MAX_ANALYTIC_EPSILON = float(np.log(np.finfo(float).max))
+
 
 class SensitivityKind(str, enum.Enum):
     LOG_EUCLIDEAN = "log_euclidean"
@@ -119,6 +122,16 @@ def _std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def _finite_scale(sigma: float, sensitivity: Sensitivity, budget: PrivacyBudget) -> float:
+    """``sigma``, or :class:`DomainError` when it overflowed to infinity."""
+    if not math.isfinite(sigma):
+        raise DomainError(
+            f"noise scale overflows float64 for sensitivity {sensitivity.value} "
+            f"and epsilon {budget.epsilon}"
+        )
+    return sigma
+
+
 def calibrate_classical(sensitivity: Sensitivity, budget: PrivacyBudget) -> float:
     """Closed-form noise scale Delta * sqrt(2 ln(1.25/delta)) / epsilon."""
     if budget.epsilon >= 1:
@@ -128,11 +141,8 @@ def calibrate_classical(sensitivity: Sensitivity, budget: PrivacyBudget) -> floa
         )
     if sensitivity.value <= 0:
         raise DomainError("classical calibration requires a positive sensitivity")
-    return (
-        sensitivity.value
-        * math.sqrt(2.0 * math.log(1.25 / budget.delta))
-        / budget.epsilon
-    )
+    sigma = sensitivity.value * math.sqrt(2.0 * math.log(1.25 / budget.delta)) / budget.epsilon
+    return _finite_scale(sigma, sensitivity, budget)
 
 
 def _analytic_condition(sigma: float, delta_s: float, epsilon: float) -> float:
@@ -152,6 +162,11 @@ def calibrate_analytic(sensitivity: Sensitivity, budget: PrivacyBudget) -> float
         raise DomainError("analytic calibration requires a positive sensitivity")
     delta_s = sensitivity.value
     eps, delta = budget.epsilon, budget.delta
+    if eps > _MAX_ANALYTIC_EPSILON:
+        raise DomainError(
+            f"analytic calibration requires epsilon <= {_MAX_ANALYTIC_EPSILON:.6g} "
+            f"so e^epsilon is finite, got {eps}"
+        )
     lo = delta_s * _ANALYTIC_BRACKET[0]
     hi = delta_s * _ANALYTIC_BRACKET[1]
     if _analytic_condition(lo, delta_s, eps) <= delta:
@@ -166,12 +181,12 @@ def calibrate_analytic(sensitivity: Sensitivity, budget: PrivacyBudget) -> float
             hi = mid
         else:
             lo = mid
-    return hi
+    return _finite_scale(hi, sensitivity, budget)
 
 
 def _calibrate_pure(sensitivity: Sensitivity, budget: PrivacyBudget) -> float:
     # Pure-DP Laplace scale; delta plays no role.
-    return sensitivity.value / budget.epsilon
+    return _finite_scale(sensitivity.value / budget.epsilon, sensitivity, budget)
 
 
 @dataclass(frozen=True)
@@ -313,16 +328,15 @@ def _chain_start(
     center = np.asarray(center, dtype=float)
     _ambient_dim(center)
     d = center.shape[0]
-    gen = rng.generator
-    directions = gen.standard_normal((n_chains, d))
+    directions = rng.generator.standard_normal((n_chains, d))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    blocks = _proposal_blocks(gen, proposal_sigma, burn_in, n_chains, d)
+    blocks = _proposal_blocks(rng, proposal_sigma, burn_in, n_chains, d)
     return center, directions / norms, d * sigma, blocks
 
 
 def _proposal_blocks(
-    gen: np.random.Generator, proposal_sigma: float, burn_in: int, n_chains: int, d: int
+    rng: RngState, proposal_sigma: float, burn_in: int, n_chains: int, d: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield the chains' Metropolis draws block by block, each (b, n_chains):
     the proposal step's component alpha ~ N(0, proposal_sigma^2) along the
@@ -330,6 +344,7 @@ def _proposal_blocks(
     its orthogonal part (0 when d = 1) and the log acceptance uniforms, with
     b = :data:`_BLOCK_DOUBLES` // (3 * n_chains) steps (at least 1, at most
     burn_in) and a shorter last block."""
+    gen = rng.generator
     block = max(1, min(burn_in, _BLOCK_DOUBLES // (3 * n_chains)))
     for done in range(0, burn_in, block):
         size = (min(block, burn_in - done), n_chains)

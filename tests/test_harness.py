@@ -1043,6 +1043,40 @@ class TestCliInputErrors:
                     "--flavor", "analytic"], capsys,
                    f"sensitivity must be finite and nonnegative, got {value}")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["calibrate", "--sensitivity", "1", "--delta", "1e-6", "--flavor", "analytic"],
+            SYNTHETIC,
+        ],
+    )
+    def test_analytic_epsilon_without_finite_exp(self, capsys, argv):
+        self.check(argv + ["--eps", "800"], capsys, "epsilon <= 709.783")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["calibrate", "--sensitivity", "1", "--delta", "1e-6", "--flavor", "classical"],
+            SYNTHETIC + ["--mechanism", "tangent_classical"],
+            SYNTHETIC + ["--mechanism", "tangent_classical", "--out-plot", "never.svg"],
+            SYNTHETIC + ["--mechanism", "riemannian_laplace"],
+        ],
+    )
+    def test_noise_scale_overflows(self, tmp_path, monkeypatch, capsys, argv):
+        # no inf utility reaches the CSV, and no plot is attempted
+        monkeypatch.chdir(tmp_path)
+        self.check(argv + ["--eps", "5e-324"], capsys, "noise scale overflows float64")
+        assert not (tmp_path / "never.svg").exists()
+
+    @pytest.mark.parametrize("mechanism", ["tangent_classical", "riemannian_laplace"])
+    def test_privatize_noise_scale_overflows(self, tmp_path, capsys, mechanism):
+        # printed as a log-chart release this would be a matrix of -inf
+        path = tmp_path / "I2.txt"
+        path.write_text("1 0\n0 1\n")
+        argv = ["privatize", "--matrix", str(path), "--n", "1", "--r", "0.25", "--eps", "1e-310",
+                "--delta", "1e-6", "--mechanism", mechanism, "--output", "log"]
+        self.check(argv, capsys, "noise scale overflows float64")
+
     def test_privatize_extrinsic_sensitivity_overflows(self, tmp_path, capsys):
         # e^709 is finite, but 2 * 709 * e^709 / 1 is not
         path = tmp_path / "m.txt"

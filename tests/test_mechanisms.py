@@ -227,6 +227,11 @@ class TestClassicalCalibration:
         ]
         assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
 
+    def test_infinite_scale_rejected(self):
+        # Delta * sqrt(2 ln(1.25/delta)) / 5e-324 overflows float64
+        with pytest.raises(DomainError, match="noise scale overflows float64"):
+            calibrate_classical(le_sens(1.0), PrivacyBudget(5e-324, 1e-6))
+
 
 class TestAnalyticCalibration:
     def test_below_classical(self):
@@ -272,6 +277,18 @@ class TestAnalyticCalibration:
             4.0 * base, rel=1e-9
         )
 
+    def test_epsilon_up_to_exp_limit(self):
+        # the condition takes e^epsilon, finite up to epsilon = ln(max float) ~ 709.78
+        sigma = calibrate_analytic(le_sens(1.0), PrivacyBudget(709.0, 1e-6))
+        assert sigma == pytest.approx(0.0300965874922, rel=1e-11)
+        with pytest.raises(DomainError, match="epsilon <= 709.783"):
+            calibrate_analytic(le_sens(1.0), PrivacyBudget(710.0, 1e-6))
+
+    def test_infinite_scale_rejected(self):
+        # the upper bisection bracket, 1e6 * Delta, overflows float64
+        with pytest.raises(DomainError, match="noise scale overflows float64"):
+            calibrate_analytic(le_sens(1e305), PrivacyBudget(0.5, 1e-6))
+
 
 class TestMechanismTable:
     def test_names_in_order(self):
@@ -290,6 +307,11 @@ class TestMechanismTable:
             "riemannian_laplace": le.value / eps,
         }
         assert {name: m.noise_scale(n, r, eps, delta) for name, m in MECHANISMS.items()} == want
+
+    def test_laplace_infinite_scale_rejected(self):
+        # the pure-DP scale Delta / epsilon overflows float64
+        with pytest.raises(DomainError, match="noise scale overflows float64"):
+            MECHANISMS["riemannian_laplace"].noise_scale(1, 0.25, 1e-310, 1e-6)
 
     def test_classical_requires_small_epsilon(self):
         with pytest.raises(DomainError, match="epsilon < 1"):

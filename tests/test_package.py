@@ -26,6 +26,9 @@ from spdprivacy import (
 from spdprivacy.geometry import invvecd_stack
 from spdprivacy.mechanisms import laplace_chains_stack, tangent_gaussian_stack
 
+# A use of numpy's random module, e.g. np.random.default_rng.
+NUMPY_RANDOM = re.compile(r"\b(np|numpy)\.random\b")
+
 # A Sphinx cross-reference in a docstring or comment, e.g. :func:`load_pnm`.
 ROLE_REF = re.compile(r":(func|class|data|meth):`([\w.]+)`")
 
@@ -66,6 +69,17 @@ def test_docstring_cross_references_resolve():
             if not resolves(module, role, name):
                 unresolved.append(f"{path.name}: :{role}:`{name}`")
     assert unresolved == []
+
+
+def test_randomness_only_through_rng_state():
+    # every draw comes from an RngState, so a seed and a substream path fix
+    # the output whatever the run or thread count; sampling.py alone builds one
+    named = [
+        path.name
+        for path in sorted(Path(spdprivacy.__file__).parent.glob("*.py"))
+        if path.name != "sampling.py" and NUMPY_RANDOM.search(path.read_text(encoding="utf-8"))
+    ]
+    assert named == []
 
 
 def spec(**overrides):

@@ -87,6 +87,18 @@ class TestRngState:
             assert not np.array_equal(other.generator.standard_normal(8), draws)
 
 
+    def test_sibling_substreams_independent(self):
+        # 64 sibling noise substreams (1, cell): every pairwise correlation
+        # is within 5 standard errors of 0, and the pooled draws are N(0, 1)
+        n = 4096
+        draws = np.stack(
+            [RngState(2024).substream(1, cell).generator.standard_normal(n) for cell in range(64)]
+        )
+        rho = np.corrcoef(draws)[np.triu_indices(64, 1)]
+        assert np.max(np.abs(rho)) < 5 / math.sqrt(n)
+        assert stats.kstest(draws.ravel(), stats.norm.cdf).pvalue > 0.01
+
+
 class TestGaussianRelease:
     def test_moments_match_standard_errors(self):
         noise = RngState(7).generator.standard_normal((10**5, 1))
@@ -378,18 +390,18 @@ class TestStreamedSummary:
 
 
 # one_shot_logs(RngState(0).substream(0), 3, 0.25, 2), recorded
-# when the stream became two block draws
+# when RngState moved from Philox to SFC64 (same seed, same stream layout)
 PINNED_LOGS = np.array(
     [
         [
-            [-0.0648266602596399, 0.09134617762716518, -0.026206421544717952],
-            [0.09134617762716518, -0.18211029746799046, 0.0033403858698436376],
-            [-0.026206421544717952, 0.0033403858698436376, 0.1300679627146052],
+            [0.05406896346830775, 0.038731168318190366, 0.034784369357336566],
+            [0.038731168318190366, 0.18818692599509318, 0.029395536387638768],
+            [0.034784369357336566, 0.029395536387638768, 0.000848734739274931],
         ],
         [
-            [0.0204457205133498, 0.13837013349328237, 0.06517393528836521],
-            [0.13837013349328237, -0.007586412530037335, 0.06428643445916107],
-            [0.06517393528836521, 0.06428643445916107, -0.08920729404444507],
+            [-0.15595300161407, -0.007363573104556147, 0.08450344912108575],
+            [-0.007363573104556147, -0.18421455538980563, -0.04615957363599687],
+            [0.08450344912108575, -0.04615957363599687, -0.04894390780320678],
         ],
     ]
 )
