@@ -26,6 +26,7 @@ from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import hostspeed  # noqa: E402
 import workloads  # noqa: E402
 
 import spdprivacy  # noqa: E402
@@ -51,8 +52,7 @@ def main():
     args = parse_args()
     if args.passes < 1:
         raise SystemExit("--passes must be >= 1")
-    core = max(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, {core})
+    core = hostspeed.pin_to_one_core()
     print(f"# {args.workload} ({args.scale}), seed {args.seed}, core {core}, "
           f"spdprivacy from {Path(spdprivacy.__file__).parent}")
     print("pass minor_faults user_ms sys_ms maxrss_mb")

@@ -6,14 +6,18 @@ from ``perfbench/workloads.py``, which is only imported) in this process,
 after one unreported warm-up pass, and times these stages by wrapping the
 functions the CLI reaches them through:
 
-  data         harness._synthetic_log_summary (a dataset draw and summary)
+  data         harness._mean_log (a synthetic dataset's draw, or an image
+               class's parse and descriptors, folded into its summary)
   cells        harness._run_cells (calibration, releases and utilities)
-  descriptors  harness._class_descriptors (an image class's descriptors)
+  descriptors  descriptors._BlockBuffers.sample_descriptors (a block of
+               images' descriptors), wrapped on the class
   csv          cli.emit_csv
   svg          cli.emit_plot
 
-Stages nest: with ``--resample-data`` (``fresh-data``) every trial draws
-its dataset inside ``_run_cells``, so ``data`` time is also ``cells`` time.
+Stages nest: the fold draws or reads its blocks as it goes, so
+``descriptors`` time is also ``data`` time; with ``--resample-data``
+(``fresh-data``) every trial draws its dataset inside ``_run_cells``, so
+``data`` time is also ``cells`` time.
 ``pass`` is the whole pass.  Each time is put on the host-speed scale of
 ``perfbench/hostspeed.py``: scaled by REFERENCE_S over the mean time of its
 reference kernel, run WINDOW times before and after each pass.  The process
@@ -43,12 +47,12 @@ import hostspeed  # noqa: E402
 import workloads  # noqa: E402
 
 import spdprivacy  # noqa: E402
-from spdprivacy import cli, harness  # noqa: E402
+from spdprivacy import cli, descriptors, harness  # noqa: E402
 
 STAGES = (
-    ("data", harness, "_synthetic_log_summary"),
+    ("data", harness, "_mean_log"),
     ("cells", harness, "_run_cells"),
-    ("descriptors", harness, "_class_descriptors"),
+    ("descriptors", descriptors._BlockBuffers, "sample_descriptors"),
     ("csv", cli, "emit_csv"),
     ("svg", cli, "emit_plot"),
 )

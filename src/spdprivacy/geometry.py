@@ -7,7 +7,8 @@ R^{k(k+1)/2}.  Addition, subtraction and scaling of SPD matrices
 (``le_add``, ``le_sub``, ``le_scale``) are ordinary vector operations
 conjugated by matrix log/exp, the distance is the Frobenius norm of the
 difference of logs, and the Fréchet mean has the closed form
-exp(mean(log X_i)).
+exp(mean(log X_i)), which :func:`_mean_log` folds block by block for
+every dataset.
 
 Typed wrappers (:class:`SpdMatrix`, :class:`SymMatrix`,
 :class:`TangentVector`) validate their invariants at construction.  The
@@ -19,7 +20,7 @@ diagnostics and the benchmark harness use for bulk work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -286,8 +287,29 @@ def frechet_mean_le(dataset: Sequence[SpdMatrix]) -> SpdMatrix:
             raise DimensionError(f"dimension mismatch in dataset: {x.dim} vs {k}")
     if len(dataset) == 1:
         return dataset[0]
-    logs = logm_stack(np.stack([x.entries for x in dataset]))
-    return SpdMatrix(expm_stack(logs.mean(axis=0)))
+    mean_log, _, _ = _mean_log([logm_stack(np.stack([x.entries for x in dataset]))])
+    return SpdMatrix(expm_stack(mean_log))
+
+
+def _mean_log(
+    blocks: Iterable[np.ndarray], radius: bool = False
+) -> tuple[np.ndarray, int, float | None]:
+    """The mean of the log-matrices in ``blocks``, consecutive (m, k, k)
+    stacks, their count n and, when ``radius`` asks, the largest Frobenius
+    norm of one.  Each block's first row (overwritten) takes the running
+    total, then the block is summed over its rows, and the total is divided
+    by n once: the row order of the whole stack's ``mean(axis=0)``, so the
+    mean is that stack's bit for bit for k > 1 or one block (at k = 1 numpy
+    sums pairwise), and the stack is never built."""
+    total, n, top = None, 0, 0.0 if radius else None
+    for block in blocks:
+        if radius:
+            top = max(top, float(np.max(np.linalg.norm(block, axis=(1, 2)))))
+        if total is not None:
+            block[0] += total
+        total = np.add.reduce(block, axis=0)
+        n += len(block)
+    return total / n, n, top
 
 
 def ball_radius(dataset: Sequence[SpdMatrix], center: SpdMatrix) -> float:

@@ -11,7 +11,9 @@ emission.
 Releases run in the coordinates the mechanism adds noise in (the log chart,
 or the matrix entries for the extrinsic baseline): each group's summary is
 a d-vector ``c`` computed once, each release is a d-vector ``z``, and the
-utility is ``||z - c||^2``, so no SPD matrix is built per trial.
+utility is ``||z - c||^2``, so no SPD matrix is built per trial.  A
+synthetic dataset and an image class alike reach their summary as blocks
+of log-matrices that ``geometry._mean_log`` folds, so neither is held whole.
 
 A Gaussian cell draws the noise of all its trials as one (trials, d)
 block from its substream, row t for trial t, so trial t's noise does not
@@ -51,8 +53,8 @@ from .descriptors import (
     _parse_pnm,
     descriptor_radius_bound,
 )
-from .errors import DimensionError, DomainError, _checked_int
-from .geometry import MAX_DIM, expm_stack, logm_stack, vecd_stack
+from .errors import DimensionError, DomainError, NumericalError, _checked_int
+from .geometry import MAX_DIM, _mean_log, expm_stack, logm_stack, vecd_stack
 from .mechanisms import (
     MECHANISMS,
     Mechanism,
@@ -60,7 +62,7 @@ from .mechanisms import (
     gaussian_release_block,
     laplace_release,
 )
-from .sampling import _MAX_SEED, RngState, _check_radius, _synthetic_log_summary
+from .sampling import _MAX_SEED, RngState, _check_radius, _synthetic_blocks
 
 log = logging.getLogger(__name__)
 
@@ -104,12 +106,14 @@ class ExperimentSpec:
             object.__setattr__(self, name, _checked_int(getattr(self, name), name))
         object.__setattr__(self, "seed", _checked_int(self.seed, "seed", 0, _MAX_SEED))
         object.__setattr__(self, "k", _checked_int(self.k, "k", error=DimensionError))
-        if self.kind == "synthetic" and not 2 <= self.k <= MAX_DIM:
-            raise DomainError(f"synthetic experiments require 2 <= k <= {MAX_DIM}, got {self.k}")
         if self.kind == "synthetic":
+            if not 2 <= self.k <= MAX_DIM:
+                raise DomainError(f"synthetic experiments need 2 <= k <= {MAX_DIM}, got {self.k}")
             _check_radius(self.r)
-        if self.kind == "image" and self.image_dir is None:
+        elif self.image_dir is None:
             raise DomainError("image experiments require image_dir")
+        elif self.resample_data or self.measured_radius:  # a class has no other draw or radius
+            raise DomainError("image experiments take neither resample_data nor measured_radius")
         for name in ("epsilon_grid", "delta_grid"):
             grid = tuple(float(v) for v in getattr(self, name))
             if len(set(grid)) != len(grid):
@@ -158,8 +162,13 @@ def _row_dots(rows: np.ndarray) -> np.ndarray:
     """``row @ row`` of each row of a (trials, d) block, bit for bit: the
     matmul of each (1, d) row by its (d, 1) column runs numpy's dot loop, as
     the product of two vectors does, so a trial's utility does not depend on
-    how trials are batched (``np.einsum`` sums in another order)."""
-    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+    how trials are batched (``np.einsum`` sums in another order).  A dot
+    that overflows float64 is a :class:`NumericalError`, not a warning."""
+    with np.errstate(over="ignore"):
+        dots = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+    if not np.isfinite(dots).all():
+        raise NumericalError("utility overflows float64: the noise scale is too large")
+    return dots
 
 
 def _run_cells(
@@ -196,7 +205,7 @@ def _run_cells(
         cell_index, trial = task
         if resample:
             data_rng = base.substream(_DATA_STREAM, cell_index, trial)
-            mean_log, _ = _synthetic_log_summary(data_rng, spec.k, spec.r, spec.n)
+            mean_log, _, _ = _mean_log(_synthetic_blocks(data_rng, spec.k, spec.r, spec.n))
             return _center(mechanism, mean_log)
         return cells[cell_index][0].center
 
@@ -209,11 +218,9 @@ def _run_cells(
             rng, center, cells[cell_index][3], burn_in=spec.burn_in
         )
         elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
-        warning = acceptance_warning(acceptance)
-        if warning:
+        if warning := acceptance_warning(acceptance):
             log.warning("%s", warning)
-        deviation = z - center
-        return float(deviation @ deviation), elapsed, acceptance
+        return float(_row_dots((z - center)[None])[0]), elapsed, acceptance
 
     blocks: dict[int, np.ndarray] = {}
 
@@ -265,9 +272,8 @@ def run_synthetic(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     base = RngState(spec.seed)
     radius, center = math.sqrt(spec.k) * spec.r, None
     if spec.measured_radius or not spec.resample_data:
-        mean_log, measured = _synthetic_log_summary(
-            base.substream(_DATA_STREAM), spec.k, spec.r, spec.n, radius=spec.measured_radius
-        )
+        blocks = _synthetic_blocks(base.substream(_DATA_STREAM), spec.k, spec.r, spec.n)
+        mean_log, _, measured = _mean_log(blocks, radius=spec.measured_radius)
         if spec.measured_radius:
             radius = measured
         if not spec.resample_data:
@@ -325,19 +331,18 @@ def _class_samples(name: str, files: list[str]):
         yield pixels, maxval
 
 
-def _class_descriptors(
-    name: str, files: list[str], params: DescriptorParams
-) -> np.ndarray:
-    """Descriptors (n, k, k) of a class's parseable images, in file order.
+def _class_descriptors(name: str, files: list[str], params: DescriptorParams):
+    """Log-matrices of the descriptors of a class's parseable images, in
+    file order, as consecutive (m, k, k) blocks.
 
     Each run of same-size images gets one :class:`_BlockBuffers`, which
     holds at most ``BLOCK_DOUBLES`` feature values (at least one image) and
     is reused by every block of the run: the files' samples are copied into
     its uint8 block, which is converted to [0, 1] once, image i divided by
-    its own maxval.  Memory does not grow with the class, and only the
-    covariances are kept.
+    its own maxval.  Memory does not grow with the class: the caller folds
+    each block into the class summary before the next is made.
     """
-    blocks = []
+    buffers = None
     runs = itertools.groupby(_class_samples(name, files), key=lambda s: s[0].shape)
     for (h, w, c), run in runs:
         per_block = max(1, BLOCK_DOUBLES // (h * w * (8 + c)))
@@ -345,10 +350,9 @@ def _class_descriptors(
         while chunk := list(itertools.islice(run, per_block)):
             for i, (pixels, maxval) in enumerate(chunk):
                 buffers.samples[i], buffers.maxvals[i] = pixels, maxval
-            blocks.append(buffers.sample_descriptors(len(chunk), params))
-    if not blocks:
+            yield logm_stack(buffers.sample_descriptors(len(chunk), params))
+    if buffers is None:
         raise DomainError(f"class {name!r} contains no parseable images")
-    return np.concatenate(blocks)
 
 
 def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
@@ -358,7 +362,7 @@ def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     Unparseable files are skipped with a warning; an empty class is an
     error.  Sensitivity uses the analytic radius bound of the descriptor
     pipeline and n = class size.  Positive definiteness of the descriptors
-    is checked once per class, by :func:`logm_stack`.
+    is checked once per block, by :func:`logm_stack`.
     """
     if spec.kind != "image":
         raise DomainError("run_image requires an image spec")
@@ -371,18 +375,10 @@ def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
 
     groups = []
     for name, files in _image_classes(root):
-        descriptors = _class_descriptors(name, files, params)
-        n, k = descriptors.shape[:2]
-        groups.append(
-            _Group(
-                center=_center(
-                    MECHANISMS[spec.mechanism], logm_stack(descriptors).mean(axis=0)
-                ),
-                n=n,
-                k=k,
-                radius=descriptor_radius_bound(k - 8, spec.eta),  # k = 8 + channels
-            )
-        )
+        mean_log, n, _ = _mean_log(_class_descriptors(name, files, params))
+        k = len(mean_log)
+        radius = descriptor_radius_bound(k - 8, spec.eta)  # k = 8 + channels
+        groups.append(_Group(_center(MECHANISMS[spec.mechanism], mean_log), n, k, radius))
     return _run_cells(spec, base, groups, threads)
 
 

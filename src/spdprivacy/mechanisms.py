@@ -325,6 +325,8 @@ def _chain_start(
         proposal_sigma = sigma
     if not (proposal_sigma > 0):
         raise DomainError("proposal_sigma must be positive")
+    if math.isinf(proposal_sigma * proposal_sigma):
+        raise DomainError(f"proposal scale {proposal_sigma:.6g} overflows float64 when squared")
     center = np.asarray(center, dtype=float)
     _ambient_dim(center)
     d = center.shape[0]

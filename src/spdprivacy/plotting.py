@@ -8,6 +8,7 @@ matrix size k when records span several sizes, and epsilon otherwise.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 from .errors import DomainError
@@ -38,12 +39,14 @@ def _series(records: list[TrialRecord]) -> tuple[str, dict[str, list[tuple[float
         points = []
         for x in sorted(cells):
             vals = cells[x]
-            mean = sum(vals) / len(vals)
-            if len(vals) > 1:
-                var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
-                std = math.sqrt(var)
-            else:
-                std = 0.0
+            n = len(vals)
+            mean = sum(vals) / n
+            if math.isinf(mean):  # the sum overflowed, not the mean
+                mean = sum(v / n for v in vals)
+            spread = max(abs(v - mean) for v in vals)  # keeps each square finite
+            std = 0.0
+            if spread > 0:  # so n > 1
+                std = spread * math.sqrt(sum(((v - mean) / spread) ** 2 for v in vals) / (n - 1))
             points.append((x, mean, std))
         out[mechanism] = points
     return label, out
@@ -61,7 +64,7 @@ def emit_plot(records: list[TrialRecord], path: str | Path) -> None:
         raise DomainError("all utilities are nonpositive; nothing to plot on a log axis")
     y_floor = min(positive) / 10.0
     y_top = max(p[1] + 2.0 * p[2] for pts in series.values() for p in pts)
-    y_top = max(y_top, y_floor * 10)
+    y_top = min(max(y_top, y_floor * 10), sys.float_info.max)
     log_lo = math.floor(math.log10(y_floor))
     log_hi = math.ceil(math.log10(y_top))
 
@@ -75,7 +78,7 @@ def emit_plot(records: list[TrialRecord], path: str | Path) -> None:
         return _MARGIN_L + plot_w * (x - x_lo) / (x_hi - x_lo)
 
     def sy(y: float) -> float:
-        y = max(y, y_floor)
+        y = min(max(y, y_floor), y_top)
         frac = (math.log10(y) - log_lo) / (log_hi - log_lo)
         return _MARGIN_T + plot_h * (1.0 - frac)
 
@@ -87,7 +90,7 @@ def emit_plot(records: list[TrialRecord], path: str | Path) -> None:
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
 
-    for decade in range(log_lo, log_hi + 1):
+    for decade in range(log_lo, min(log_hi, 308) + 1):  # 1e309 is past float64
         y = sy(10.0**decade)
         parts.append(
             f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_MARGIN_L + plot_w}" '

@@ -14,13 +14,12 @@ as n·k uniforms, then n·k² normals (n = 1 for one SPD matrix).  The normals
 are streamed: they fill one reused buffer of at most :data:`_BLOCK_DOUBLES`
 doubles (one matrix when k² is larger, all n draws at k = 1) block by
 block, in the order of a single (n, k, k) draw, so the stream is that of
-one draw, and each block is rebuilt in place.  A dataset is never held as
-a stack: :func:`_synthetic_log_summary` folds each block of log-matrices
-into the Fréchet-mean summary, so beyond the n·k eigenvalues the memory of
-a draw does not grow with n.  E is a QR factor without the sign fix that
-makes it exactly Haar (signing its columns by the diagonal of R, Mezzadri
-2007): the fix flips columns of E by ±1, which cancels exactly in
-E diag(l) E^T.
+one draw, and each block is rebuilt in place.  This module only draws:
+``geometry._mean_log`` folds the blocks into the Fréchet-mean summary, so
+beyond the n·k eigenvalues the memory of a draw does not grow with n.  E
+is a QR factor without the sign fix that makes it exactly Haar (signing
+its columns by the diagonal of R, Mezzadri 2007): the fix flips columns of
+E by ±1, which cancels exactly in E diag(l) E^T.
 """
 
 from __future__ import annotations
@@ -85,10 +84,9 @@ def _synthetic_blocks(
     All n·k uniforms are drawn first, then the normals of each block into
     one reused buffer, so the stream is that of one (n, k, k) draw.  Each
     block is a view of that buffer and is overwritten by the next one; a
-    caller may change it in place.  At k = 1 one block holds all n draws:
-    numpy sums an (n, 1, 1) stack over axis 0 pairwise, not row by row, so
-    only one block keeps a mean of the blocks bit-identical to the stack's,
-    and n doubles are no more than the eigenvalues already held.
+    caller may change it in place.  At k = 1 one block holds all n draws,
+    so ``geometry._mean_log`` of the blocks stays bit-identical to the
+    stack's mean, and n doubles are no more than the eigenvalues held.
     """
     k = _checked_int(k, "k", 1, MAX_DIM, DimensionError)
     _check_radius(r)
@@ -105,32 +103,10 @@ def _synthetic_blocks(
         yield _rebuild(basis, eigs[start : start + rows], scaled=gauss, out=product[:rows])
 
 
-def _synthetic_log_summary(
-    rng: RngState, k: int, r: float, n: int, radius: bool = False
-) -> tuple[np.ndarray, float | None]:
-    """The mean of n synthetic log-matrices E diag(ln l) E^T and, when
-    ``radius`` asks for it, the largest Frobenius norm of one, both
-    bit-identical to those of the (n, k, k) stack of one whole draw (n·k
-    uniforms, then n·k² normals, one batched QR), which is never built.
-
-    Each block is added into a running total in the row order of
-    ``logs.mean(axis=0)``: the total goes into the block's first row, then
-    the block is summed over its rows; the total is divided by n once.
-    """
-    total, top = None, 0.0 if radius else None
-    for block in _synthetic_blocks(rng, k, r, n):
-        if radius:
-            top = max(top, float(np.max(np.linalg.norm(block, axis=(1, 2)))))
-        if total is not None:
-            block[0] += total
-        total = np.add.reduce(block, axis=0)
-    return total / n, top
-
-
 def sample_synthetic_spd(rng: RngState, k: int, r: float) -> SpdMatrix:
     """Draw a random SPD matrix E diag(l) E^T with eigenvalues uniform in
     [e^-r, e^r] and E Haar orthogonal: the n = 1 case of the draw that
-    :func:`_synthetic_log_summary` streams, rebuilt from l instead of ln l.
+    :func:`_synthetic_blocks` streams, rebuilt from l instead of ln l.
 
     Every draw lies in the log-Euclidean ball of radius sqrt(k) * r around
     the identity, since ||log X||_F^2 = sum (ln l_i)^2 <= k r^2.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -38,6 +40,22 @@ def spd_pairs(draw, max_dim=4):
 @pytest.fixture
 def nprng():
     return np.random.default_rng(20240817)
+
+
+def peak_bytes(fn, *args, **kwargs):
+    """Peak traced memory of one call of ``fn``, in bytes above what was
+    allocated before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def one_shot_logs(rng, k, r, n):

@@ -1,4 +1,5 @@
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -45,7 +46,7 @@ from spdprivacy.mechanisms import (
 from spdprivacy.plotting import emit_plot
 from spdprivacy.sampling import RngState
 
-from conftest import one_shot_logs
+from conftest import one_shot_logs, peak_bytes
 
 
 def small_spec(**overrides):
@@ -145,6 +146,13 @@ class TestSpecValidation:
                 delta_grid=(1e-6,),
             )
 
+    @pytest.mark.parametrize("flag", ["resample_data", "measured_radius"])
+    def test_image_rejects_synthetic_only_flags(self, tmp_path, flag):
+        # run_image would ignore them: a class is not redrawn, and its
+        # radius is the descriptors' analytic bound
+        with pytest.raises(DomainError, match="take neither resample_data nor measured_radius"):
+            image_spec(tmp_path, **{flag: True})
+
 
 class TestRunSynthetic:
     def test_deterministic_across_runs_and_threads(self):
@@ -213,13 +221,13 @@ class TestRunSynthetic:
         # the base dataset on stream (0,) is read for its center (fixed data)
         # or its measured radius; resampled trials draw on (0, cell, trial)
         streams = []
-        summary = harness._synthetic_log_summary
+        blocks = harness._synthetic_blocks
 
         def spy(rng, k, r, n, **kwargs):
             streams.append(rng.stream)
-            return summary(rng, k, r, n, **kwargs)
+            return blocks(rng, k, r, n, **kwargs)
 
-        monkeypatch.setattr(harness, "_synthetic_log_summary", spy)
+        monkeypatch.setattr(harness, "_synthetic_blocks", spy)
         spec = small_spec(resample_data=resample, measured_radius=measured)
         run_synthetic(spec)
         cells = len(spec.epsilon_grid) * len(spec.delta_grid)
@@ -543,8 +551,8 @@ class TestImageBlocks:
         return buffers[1]
 
     def check_against_one_at_a_time(self, d, monkeypatch, mechanism="tangent_analytic"):
-        """Bit for bit the n, descriptors and center of descriptors computed
-        one image at a time by ``load_pnm``."""
+        """Bit for bit the n, descriptors' logs and center of descriptors
+        computed one image at a time by ``load_pnm``."""
         params = DescriptorParams(eta=1e-6)
         ref = []
         for path in sorted(d.iterdir()):
@@ -554,7 +562,7 @@ class TestImageBlocks:
                 continue
         ref = np.stack(ref)
         got = harness._class_descriptors("c", [str(p) for p in sorted(d.iterdir())], params)
-        assert np.array_equal(got, ref)
+        assert np.array_equal(np.concatenate(list(got)), logm_stack(ref))
         groups = []
         monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs, t: groups.extend(gs) or [])
         run_image(image_spec(d, mechanism=mechanism))
@@ -622,6 +630,28 @@ class TestImageBlocks:
         write_shapes(tmp_path / "mix", [self.G8, self.G8, (8, 8, 3)], seed=44)
         with pytest.raises(DomainError, match="class 'mix' mixes gray and RGB"):
             run_image(image_spec(tmp_path, trials=1))
+
+
+class TestImageSummaryMemory:
+    def test_memory_does_not_grow_with_class_size(self, tmp_path, monkeypatch):
+        # a class summary holds one block's buffers and block-sized arrays,
+        # whatever the class size; only the list of file names grows, by
+        # about 150 bytes a file, while each stack of (9, 9) descriptors or
+        # their logs takes 648 bytes an image
+        payload = np.random.default_rng(47).integers(0, 256, size=(3000, 64), dtype=np.uint8)
+        specs = {}
+        for n in (300, 3000):
+            d = tmp_path / str(n)
+            d.mkdir()
+            for i, pixels in enumerate(payload[:n]):
+                (d / f"{i:04d}.pgm").write_bytes(b"P5\n8 8\n255\n" + pixels.tobytes())
+            specs[n] = image_spec(d)
+        groups = []
+        monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs, t: groups.extend(gs) or [])
+        run_image(specs[300])  # warm numpy up
+        small, large = peak_bytes(run_image, specs[300]), peak_bytes(run_image, specs[3000])
+        assert [g.n for g in groups] == [300, 300, 3000]
+        assert large - small <= 8 * 81 * (3000 - 300) / 2
 
 
 class TestCsv:
@@ -708,6 +738,25 @@ class TestPlot:
         [(x, mean, std)] = series["tangent_analytic"]
         assert x == 0.1 and mean == 2.0
         assert std == pytest.approx(1.0)  # ddof=1 over {1,2,3}
+
+    @pytest.mark.parametrize("scale", [1e195, 1e308])
+    def test_huge_finite_utilities(self, tmp_path, scale):
+        # squaring a deviation of 1e195 overflows, and so does the sum of
+        # utilities near 1e308 and the band's top; the plot stays finite
+        from spdprivacy.plotting import _series
+
+        utilities = [0.5, 1.0, 1.7]
+        records = [
+            TrialRecord("tangent_classical", 2, 0.1, 1e-6, i, u * scale)
+            for i, u in enumerate(utilities)
+        ]
+        [(_, mean, std)] = _series(records)[1]["tangent_classical"]
+        assert mean == pytest.approx(scale * (sum(utilities) / 3), rel=1e-12)
+        assert std == pytest.approx(scale * statistics.stdev(utilities), rel=1e-12)
+        path = tmp_path / "huge.svg"
+        emit_plot(records, path)
+        svg = path.read_text()
+        assert "inf" not in svg and "nan" not in svg
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(DomainError):
@@ -1066,6 +1115,33 @@ class TestCliInputErrors:
         # no inf utility reaches the CSV, and no plot is attempted
         monkeypatch.chdir(tmp_path)
         self.check(argv + ["--eps", "5e-324"], capsys, "noise scale overflows float64")
+        assert not (tmp_path / "never.svg").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_utility_overflows(self, tmp_path, monkeypatch, capsys):
+        # sigma ~ 2e199 is finite, but sigma^2 chi^2 is not: no inf utility
+        # reaches the CSV, no overflow warning reaches stderr, and no plot
+        monkeypatch.chdir(tmp_path)
+        argv = SYNTHETIC + ["--mechanism", "tangent_classical", "--eps", "1e-200",
+                            "--out-plot", "never.svg"]
+        self.check(argv, capsys, "utility overflows float64")
+        assert not (tmp_path / "never.svg").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SYNTHETIC + ["--mechanism", "riemannian_laplace", "--out-plot", "never.svg"],
+            PRIVATIZE + ["--mechanism", "riemannian_laplace", "--n", "1", "--r", "0.25"],
+        ],
+    )
+    def test_chain_proposal_overflows(self, tmp_path, monkeypatch, capsys, argv):
+        # sigma ~ 1e299 is finite, but the chain's proposal variance is not
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "I2.txt"
+        path.write_text("1 0\n0 1\n")
+        if argv[0] == "privatize":
+            argv = argv + ["--matrix", str(path)]
+        self.check(argv + ["--eps", "1e-300"], capsys, "overflows float64 when squared")
         assert not (tmp_path / "never.svg").exists()
 
     @pytest.mark.parametrize("mechanism", ["tangent_classical", "riemannian_laplace"])

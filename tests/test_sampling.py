@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from scipy import stats
 from spdprivacy.errors import DimensionError, DomainError
 from spdprivacy.geometry import (
     SpdMatrix,
+    _mean_log,
     expm_stack,
     identity,
     le_add,
@@ -18,11 +18,11 @@ from spdprivacy.mechanisms import MECHANISMS, gaussian_release_block, tangent_ga
 from spdprivacy.sampling import (
     _BLOCK_DOUBLES,
     RngState,
-    _synthetic_log_summary,
+    _synthetic_blocks,
     sample_synthetic_spd,
 )
 
-from conftest import one_shot_logs, signed_haar_basis
+from conftest import one_shot_logs, peak_bytes, signed_haar_basis
 
 
 class TestRngState:
@@ -30,9 +30,9 @@ class TestRngState:
         a = RngState(42)
         b = RngState(42)
         va = tangent_gaussian_stack(a, identity(3), 1.0, 5)
-        qa = _synthetic_log_summary(a, 3, 0.25, 2)[0]
+        qa = _mean_log(_synthetic_blocks(a, 3, 0.25, 2))[0]
         vb = tangent_gaussian_stack(b, identity(3), 1.0, 5)
-        qb = _synthetic_log_summary(b, 3, 0.25, 2)[0]
+        qb = _mean_log(_synthetic_blocks(b, 3, 0.25, 2))[0]
         assert np.array_equal(va, vb)
         assert np.array_equal(qa, qb)
 
@@ -310,7 +310,7 @@ class TestSyntheticGenerator:
         # pin is what shows any change of the synthetic data stream
         logs = one_shot_logs(RngState(0).substream(0), 3, 0.25, 2)
         assert np.allclose(logs, PINNED_LOGS, rtol=0.0, atol=1e-14)
-        mean, _ = _synthetic_log_summary(RngState(0).substream(0), 3, 0.25, 2)
+        mean, _, _ = _mean_log(_synthetic_blocks(RngState(0).substream(0), 3, 0.25, 2))
         assert np.array_equal(mean, logs.mean(axis=0))
 
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, 800.0, 1e308])
@@ -319,23 +319,23 @@ class TestSyntheticGenerator:
         with pytest.raises(DomainError, match="r must be"):
             sample_synthetic_spd(RngState(1), 3, r)
         with pytest.raises(DomainError, match="r must be"):
-            _synthetic_log_summary(RngState(1), 3, r, 5)
+            _mean_log(_synthetic_blocks(RngState(1), 3, r, 5))
 
     def test_logs_parameter_validation(self):
         with pytest.raises(DomainError):
-            _synthetic_log_summary(RngState(1), 3, 0.25, 0)
+            _mean_log(_synthetic_blocks(RngState(1), 3, 0.25, 0))
         with pytest.raises(DimensionError):
-            _synthetic_log_summary(RngState(1), 0, 0.25, 5)
-        assert _synthetic_log_summary(RngState(1), 2, 709.78, 2)[0].shape == (2, 2)
+            _mean_log(_synthetic_blocks(RngState(1), 0, 0.25, 5))
+        assert _mean_log(_synthetic_blocks(RngState(1), 2, 709.78, 2))[0].shape == (2, 2)
 
     @pytest.mark.parametrize("bad", [2.7, 1.5, np.float64(3.0), "3"])
     def test_sizes_not_truncated(self, bad):
         # sizes and counts are rejected, never truncated: 2.7 data points is
         # not 2; a matrix size is a DimensionError, a count a DomainError
         with pytest.raises(DimensionError, match="integer"):
-            _synthetic_log_summary(RngState(1), bad, 0.25, 2)
+            _mean_log(_synthetic_blocks(RngState(1), bad, 0.25, 2))
         with pytest.raises(DomainError, match="integer"):
-            _synthetic_log_summary(RngState(1), 3, 0.25, bad)
+            _mean_log(_synthetic_blocks(RngState(1), 3, 0.25, bad))
         with pytest.raises(DimensionError, match="integer"):
             sample_synthetic_spd(RngState(1), bad, 0.25)
 
@@ -356,8 +356,9 @@ class TestStreamedSummary:
         for n in self.sizes(k):
             logs = one_shot_logs(RngState(61, (n,)), k, 0.25, n)
             rng = RngState(61, (n,))
-            mean, radius = _synthetic_log_summary(rng, k, 0.25, n, radius=True)
+            mean, count, radius = _mean_log(_synthetic_blocks(rng, k, 0.25, n), radius=True)
             assert np.array_equal(mean, logs.mean(axis=0)), n
+            assert count == n
             assert radius == float(np.max(np.linalg.norm(logs, axis=(1, 2)))), n
             # the summary leaves the stream where the one-shot draw does
             ref = RngState(61, (n,))
@@ -365,27 +366,18 @@ class TestStreamedSummary:
             assert rng.generator.random() == ref.generator.random()
 
     def test_radius_only_on_request(self):
-        mean, radius = _synthetic_log_summary(RngState(5), 3, 0.25, 40)
+        mean, _, radius = _mean_log(_synthetic_blocks(RngState(5), 3, 0.25, 40))
         assert radius is None
-        assert np.array_equal(mean, _synthetic_log_summary(RngState(5), 3, 0.25, 40, True)[0])
+        again = _mean_log(_synthetic_blocks(RngState(5), 3, 0.25, 40), radius=True)[0]
+        assert np.array_equal(mean, again)
 
     def test_memory_does_not_grow_with_n(self):
         # the stack of k = 30, n = 5000 log-matrices alone is 36 MB; the
         # summary holds the n·k eigenvalues and a few block-sized arrays
         k, n = 30, 5000
-        _synthetic_log_summary(RngState(1), k, 0.25, 50, radius=True)  # warm numpy up
+        _mean_log(_synthetic_blocks(RngState(1), k, 0.25, 50), radius=True)  # warm numpy up
         rng = RngState(2)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            _synthetic_log_summary(rng, k, 0.25, n, radius=True)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        peak = peak_bytes(lambda: _mean_log(_synthetic_blocks(rng, k, 0.25, n), radius=True))
         assert peak <= 8 * (n * k + 16 * _BLOCK_DOUBLES)
 
 

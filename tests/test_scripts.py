@@ -50,3 +50,8 @@ def test_pass_stages_reports_each_stage(tmp_path):
     total, data, cells, descriptors, csv, svg = map(float, lines[2].split()[1:])
     assert descriptors == 0 and min(data, cells, csv, svg) > 0
     assert data + cells + csv + svg <= total
+    # an image class is folded like a dataset, so its descriptors nest in data
+    out = run([ROOT / "scripts" / "pass_stages.py", "--workload", "image-corpus", "--passes", "1",
+               "--scale", "tiny"], tmp_path)
+    total, data, cells, descriptors, csv, svg = map(float, out.splitlines()[2].split()[1:])
+    assert 0 < descriptors <= data and data + cells + csv <= total
