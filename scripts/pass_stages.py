@@ -11,13 +11,15 @@ functions the CLI reaches them through:
   cells        harness._run_cells (calibration, releases and utilities)
   descriptors  descriptors._BlockBuffers.sample_descriptors (a block of
                images' descriptors), wrapped on the class
+  logm         harness.logm_stack (the matrix logs of an image class's
+               descriptors, one call per log block)
   csv          cli.emit_csv
   svg          cli.emit_plot
 
 Stages nest: the fold draws or reads its blocks as it goes, so
-``descriptors`` time is also ``data`` time; with ``--resample-data``
-(``fresh-data``) every trial draws its dataset inside ``_run_cells``, so
-``data`` time is also ``cells`` time.
+``descriptors`` and ``logm`` time is also ``data`` time; with
+``--resample-data`` (``fresh-data``) every trial draws its dataset inside
+``_run_cells``, so ``data`` time is also ``cells`` time.
 ``pass`` is the whole pass.  Each time is put on the host-speed scale of
 ``perfbench/hostspeed.py``: scaled by REFERENCE_S over the mean time of its
 reference kernel, run WINDOW times before and after each pass.  The process
@@ -53,6 +55,7 @@ STAGES = (
     ("data", harness, "_mean_log"),
     ("cells", harness, "_run_cells"),
     ("descriptors", descriptors._BlockBuffers, "sample_descriptors"),
+    ("logm", harness, "logm_stack"),
     ("csv", cli, "emit_csv"),
     ("svg", cli, "emit_plot"),
 )

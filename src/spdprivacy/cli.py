@@ -158,22 +158,24 @@ def _cmd_privatize(args: argparse.Namespace) -> int:
 
 
 def _spec_from_args(args: argparse.Namespace, kind: str) -> ExperimentSpec:
+    # each bench subcommand lacks the other's own options; the spec's
+    # defaults stand in for them
+    own = {
+        name: getattr(args, name)
+        for name in ("n", "r", "k", "eta", "resample_data", "measured_radius")
+        if hasattr(args, name)
+    }
     return ExperimentSpec(
         kind=kind,
         mechanism=args.mechanism,
         epsilon_grid=_parse_float_list(args.eps, "--eps"),
         delta_grid=_parse_float_list(args.delta, "--delta"),
-        n=args.n,
-        r=args.r,
-        k=args.k,
         trials=args.trials,
         seed=args.seed,
         burn_in=args.burn_in,
         image_dir=getattr(args, "images", None),
-        eta=getattr(args, "eta", 1e-6),
-        resample_data=getattr(args, "resample_data", False),
-        measured_radius=getattr(args, "measured_radius", False),
-        record_timing=getattr(args, "timing", False),
+        record_timing=args.timing,
+        **own,
     )
 
 
@@ -218,9 +220,6 @@ def _add_bench_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mechanism", choices=MECHANISMS, default="tangent_analytic")
     sub.add_argument("--trials", type=int, default=10)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--n", type=int, default=500)
-    sub.add_argument("--r", type=float, default=0.25)
-    sub.add_argument("--k", type=int, default=2)
     sub.add_argument("--burn-in", type=int, default=50000, dest="burn_in")
     sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--out-csv", default=None, dest="out_csv")
@@ -267,6 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     syn = add_parser("synthetic-bench", help="synthetic-data experiment grid")
     _add_budget_flags(syn, grid=True)
     _add_bench_flags(syn)
+    syn.add_argument("--n", type=int, default=500)
+    syn.add_argument("--r", type=float, default=0.25)
+    syn.add_argument("--k", type=int, default=2)
     syn.add_argument("--resample-data", action="store_true", dest="resample_data")
     syn.add_argument("--measured-radius", action="store_true", dest="measured_radius")
     syn.set_defaults(func=_cmd_synthetic)

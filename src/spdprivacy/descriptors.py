@@ -13,14 +13,18 @@ is what feeds the Fréchet-mean sensitivity for image experiments.
 The pipeline is batched and runs in place.  A :class:`_BlockBuffers` owns
 every block-sized array for up to ``capacity`` images of one size (h, w,
 c): the 8-bit samples, the [0, 1] intensities, the luminance, the
-edge-padded block, the derivative scratch, the feature layers (whose grid
-rows are written once), the centered layers (in the memory of the
-derivatives' scaled copies, which are dead by then) and the covariances.
-Each block writes every intermediate into them with ``out=``, so a run of
-same-size images allocates its buffers once however many blocks it spans,
-and the C allocator does not map and unmap a megabyte of temporaries per
-block.  :meth:`_BlockBuffers.descriptors` maps a stack (m, h, w, c) of
-same-size images to their (m, k, k) descriptors in one call, and
+edge-padded block, the derivative scratch and its seven scaled copies, the
+feature layers and the covariances.  Each block writes every intermediate
+into them with ``out=``, so a run of same-size images allocates its
+buffers once however many blocks it spans, and the C allocator does not
+map and unmap a megabyte of temporaries per block.  The covariance centers
+the computed feature rows in place, in the layers themselves, rather than
+into a second megabyte that would not fit in cache beside them.  The x/y
+grid rows are the same for every image, so they are written, checked and
+centered once, when the buffers are built; the centered copy stands in for
+the raw rows only while the covariance product runs.
+:meth:`_BlockBuffers.descriptors` maps a stack (m, h, w, c) of same-size
+images to their (m, k, k) descriptors in one call, and
 :func:`covariance_descriptor` runs it on buffers for a stack of one.
 
 The derivative kernels act on the flattened padded block.  It is scaled
@@ -111,13 +115,12 @@ _DERIVATIVE_TAPS = tuple(
 _TAP_SCALES = tuple(sorted({abs(wt) for taps in _DERIVATIVE_TAPS for wt, _, _ in taps}))
 
 
-def _check_features(layers: np.ndarray) -> None:
+def _check_features(layers: np.ndarray, caps: np.ndarray) -> None:
     """Every component of a stack (n, f, m) of feature layers is nonnegative
-    and under its analytic cap (NaN fails both)."""
+    and at most its row's entry of ``caps`` (NaN fails both)."""
     if not layers.min() >= -1e-12:
         raise DomainError("feature components must be nonnegative")
-    caps = np.concatenate([np.ones(layers.shape[1] - 2), [math.sqrt(2.0), math.pi / 2.0]])
-    if not np.all(layers.max(axis=(0, 2)) <= caps + 1e-9):
+    if not np.all(layers.max(axis=(0, 2)) <= caps):
         raise DomainError("feature components exceed their analytic bounds")
 
 
@@ -186,15 +189,18 @@ class _BlockBuffers:
         self._lum = np.empty((capacity, h, w))  # RGB only
         self._padded = np.empty((capacity, h + 2 * _PAD, w + 2 * _PAD))
         self._scratch = np.empty(self._padded.size)
+        self._scaled = np.empty((len(_TAP_SCALES), self._padded.size))
         self._layers = np.empty((capacity, k, h, w))
         self._layers[:, 0] = np.zeros(w) if w == 1 else np.arange(w) / (w - 1)
         self._layers[:, 1] = (np.zeros(h) if h == 1 else np.arange(h) / (h - 1))[:, None]
-        # the scaled copies are dead once the responses are taken, so the
-        # centered layers reuse their memory
-        n_scaled, n_centered = len(_TAP_SCALES) * self._padded.size, capacity * k * h * w
-        work = np.empty(max(n_scaled, n_centered))
-        self._scaled = work[:n_scaled].reshape(len(_TAP_SCALES), self._padded.size)
-        self._centered = work[:n_centered].reshape(capacity, k, h * w)
+        # each row's analytic cap, with a 1e-9 tolerance: 1, but sqrt(2) for
+        # the gradient magnitude and pi/2 for its orientation; the grid rows
+        # are checked here, the computed rows once per block
+        caps = np.concatenate([np.ones(6 + c), [math.sqrt(2.0), math.pi / 2.0]]) + 1e-9
+        self._grid = self._layers[0, :2].reshape(2, h * w).copy()
+        _check_features(self._grid[None], caps[:2])
+        self._caps = caps[2:]
+        self._centered_grid = self._grid - self._grid.mean(axis=1, keepdims=True)
         self._cov = np.empty((capacity, k, k))
         # per kernel: (index into _TAP_SCALES, sign, flat offset) of each tap
         padded_w = w + 2 * _PAD
@@ -219,10 +225,11 @@ class _BlockBuffers:
         construction."""
         layers = self.features(intensities)
         m, k, pixels = layers.shape
-        centered = np.subtract(
-            layers, layers.mean(axis=2, keepdims=True), out=self._centered[:m]
-        )
-        cov = np.matmul(centered, centered.transpose(0, 2, 1), out=self._cov[:m])
+        computed = layers[:, 2:]
+        computed -= computed.mean(axis=2, keepdims=True)
+        layers[:, :2] = self._centered_grid
+        cov = np.matmul(layers, layers.transpose(0, 2, 1), out=self._cov[:m])
+        layers[:, :2] = self._grid  # features() returns the raw grid
         cov /= pixels
         return 0.5 * (cov + cov.transpose(0, 2, 1)) + params.eta * np.eye(k)
 
@@ -251,7 +258,7 @@ class _BlockBuffers:
         np.sqrt(mag, out=mag)
         np.arctan2(d_x, d_y, out=feats[:, 7 + c])
         layers = feats.reshape(m, 8 + c, h * w)
-        _check_features(layers)
+        _check_features(layers[:, 2:], self._caps)
         return layers
 
     def _derivatives(self, lum: np.ndarray):

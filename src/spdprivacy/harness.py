@@ -62,7 +62,13 @@ from .mechanisms import (
     gaussian_release_block,
     laplace_release,
 )
-from .sampling import _MAX_SEED, RngState, _check_radius, _synthetic_blocks
+from .sampling import (
+    _BLOCK_DOUBLES as _LOG_BLOCK_DOUBLES,
+    _MAX_SEED,
+    RngState,
+    _check_radius,
+    _synthetic_blocks,
+)
 
 log = logging.getLogger(__name__)
 
@@ -339,18 +345,34 @@ def _class_descriptors(name: str, files: list[str], params: DescriptorParams):
     holds at most ``BLOCK_DOUBLES`` feature values (at least one image) and
     is reused by every block of the run: the files' samples are copied into
     its uint8 block, which is converted to [0, 1] once, image i divided by
-    its own maxval.  Memory does not grow with the class: the caller folds
-    each block into the class summary before the next is made.
+    its own maxval.  Each block's descriptors are copied into one reused
+    stack of max(feature block, _LOG_BLOCK_DOUBLES // k²) matrices, the
+    same number of doubles as a synthetic block, and ``logm_stack`` runs
+    once per full stack and on the rest at the end of the run, not once per
+    feature block.  Memory does not grow with the class: the caller folds
+    each log block into the class summary before the next is made.
     """
     buffers = None
     runs = itertools.groupby(_class_samples(name, files), key=lambda s: s[0].shape)
     for (h, w, c), run in runs:
-        per_block = max(1, BLOCK_DOUBLES // (h * w * (8 + c)))
+        k = 8 + c
+        per_block = max(1, BLOCK_DOUBLES // (h * w * k))
         buffers = _BlockBuffers(per_block, h, w, c)
+        stack, filled = np.empty((max(per_block, _LOG_BLOCK_DOUBLES // (k * k)), k, k)), 0
         while chunk := list(itertools.islice(run, per_block)):
             for i, (pixels, maxval) in enumerate(chunk):
                 buffers.samples[i], buffers.maxvals[i] = pixels, maxval
-            yield logm_stack(buffers.sample_descriptors(len(chunk), params))
+            block = buffers.sample_descriptors(len(chunk), params)
+            while len(block):
+                take = min(len(block), len(stack) - filled)
+                stack[filled : filled + take] = block[:take]
+                block = block[take:]
+                filled += take
+                if filled == len(stack):
+                    yield logm_stack(stack)
+                    filled = 0
+        if filled:
+            yield logm_stack(stack[:filled])
     if buffers is None:
         raise DomainError(f"class {name!r} contains no parseable images")
 

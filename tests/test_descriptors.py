@@ -222,6 +222,21 @@ class TestBatchedPipeline:
             assert np.array_equal(covariance_descriptor(image).entries, batch[i])
         assert _BlockBuffers(*stack.shape).features(stack).shape == (4, 11, 80)
 
+    def test_centering_does_not_leak_into_features(self):
+        # descriptors() centers the layers in place and swaps in centered
+        # grid rows; the same buffers' features() must still be raw
+        rng = np.random.default_rng(301)
+        stack = edgy_stack(rng, 3, 5, 7, 1)
+        buffers = _BlockBuffers(*stack.shape)
+        first = buffers.descriptors(stack, DescriptorParams())
+        layers = buffers.features(stack)
+        assert np.all(layers[:, :2, 0] == 0.0) and np.all(layers[:, :2, -1] == 1.0)
+        assert np.array_equal(layers, _BlockBuffers(*stack.shape).features(stack))
+        assert np.array_equal(buffers.descriptors(stack, DescriptorParams()), first)
+        stack[1, 2, 3, 0] = np.nan
+        with pytest.raises(DomainError, match="nonnegative"):
+            buffers.descriptors(stack, DescriptorParams())
+
     @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
     def test_out_of_range_intensities_rejected(self, bad):
         stack = np.full((2, 4, 4, 1), 0.5)

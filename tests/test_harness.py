@@ -550,6 +550,18 @@ class TestImageBlocks:
     def blocks(self, buffers):
         return buffers[1]
 
+    @pytest.fixture
+    def log_blocks(self, monkeypatch):
+        """The number of matrices in each stack ``harness.logm_stack`` maps."""
+        sizes = []
+
+        def spy(mats):
+            sizes.append(len(mats))
+            return logm_stack(mats)
+
+        monkeypatch.setattr(harness, "logm_stack", spy)
+        return sizes
+
     def check_against_one_at_a_time(self, d, monkeypatch, mechanism="tangent_analytic"):
         """Bit for bit the n, descriptors' logs and center of descriptors
         computed one image at a time by ``load_pnm``."""
@@ -625,6 +637,33 @@ class TestImageBlocks:
         write_shapes(tmp_path / "c", [self.G8] * 3, seed=43)
         self.check_against_one_at_a_time(tmp_path / "c", monkeypatch)
         assert blocks == [(1, 8, 8)] * 6
+
+    def test_one_logm_per_log_block(self, tmp_path, monkeypatch, blocks, log_blocks):
+        # ten feature blocks of three images fit one log block of up to 202
+        # (9, 9) matrices, so the class makes one eigh call, not ten
+        write_shapes(tmp_path / "c", [self.G8] * 30, seed=48)
+        self.check_against_one_at_a_time(tmp_path / "c", monkeypatch)
+        assert blocks == [(3, 8, 8)] * 10 * 2
+        assert log_blocks == [30] * 2
+
+    @pytest.mark.parametrize(
+        "log_doubles, sizes",
+        [
+            # log blocks of 4: boundaries at images 4 and 8, feature blocks
+            # end at 3, 6 and 9 (8x8) and at 2 and 4 (6x11)
+            (4 * 81, [4, 4, 2, 4, 1]),
+            # a log block of one (9, 9) matrix grows to one feature block
+            (81, [3, 3, 3, 1, 2, 2, 1]),
+        ],
+    )
+    def test_log_blocks_cut_across_feature_blocks(self, tmp_path, monkeypatch, blocks,
+                                                  log_blocks, log_doubles, sizes):
+        monkeypatch.setattr(harness, "_LOG_BLOCK_DOUBLES", log_doubles)
+        write_shapes(tmp_path / "c", [self.G8] * 10 + [self.G6] * 5, seed=49)
+        self.check_against_one_at_a_time(tmp_path / "c", monkeypatch)
+        assert blocks == ([(3, 8, 8)] * 3 + [(1, 8, 8), (2, 6, 11), (2, 6, 11), (1, 6, 11)]) * 2
+        # each run of one size ends its last log block
+        assert log_blocks == sizes * 2
 
     def test_gray_rgb_mix_mid_block_names_class(self, tmp_path, blocks):
         write_shapes(tmp_path / "mix", [self.G8, self.G8, (8, 8, 3)], seed=44)
@@ -1065,6 +1104,18 @@ class TestCliInputErrors:
 
     def test_non_numeric_grid(self, capsys):
         self.check(SYNTHETIC + ["--eps", "abc"], capsys, "--eps: 'abc' is not a valid float")
+
+    @pytest.mark.parametrize("flag, value", [("--n", "3"), ("--r", "99"), ("--k", "7")])
+    def test_image_bench_rejects_synthetic_flags(self, tmp_path, capsys, flag, value):
+        # a class's n is its size, r the descriptors' bound and k 8 + channels
+        with pytest.raises(SystemExit) as exit_info:
+            main(["image-bench", "--images", str(tmp_path), flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        self.check(["image-bench", "--images", str(tmp_path), "--config", str(cfg)], capsys,
+                   f"unknown config key {flag[2:]!r}")
 
     def test_non_numeric_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -45,13 +45,14 @@ def test_pass_stages_reports_each_stage(tmp_path):
     out = run([ROOT / "scripts" / "pass_stages.py", "--workload", "gaussian-grid", "--passes", "1",
                "--scale", "tiny"], tmp_path)
     lines = out.splitlines()
-    assert lines[1] == "pass pass_ms data_ms cells_ms descriptors_ms csv_ms svg_ms"
+    assert lines[1] == "pass pass_ms data_ms cells_ms descriptors_ms logm_ms csv_ms svg_ms"
     assert len(lines) == 4 and lines[2].split()[0] == "1" and lines[3].split()[0] == "median"
-    total, data, cells, descriptors, csv, svg = map(float, lines[2].split()[1:])
-    assert descriptors == 0 and min(data, cells, csv, svg) > 0
+    total, data, cells, descriptors, logm, csv, svg = map(float, lines[2].split()[1:])
+    assert descriptors == logm == 0 and min(data, cells, csv, svg) > 0
     assert data + cells + csv + svg <= total
-    # an image class is folded like a dataset, so its descriptors nest in data
+    # an image class is folded like a dataset, so its descriptors and their
+    # logs nest in data
     out = run([ROOT / "scripts" / "pass_stages.py", "--workload", "image-corpus", "--passes", "1",
                "--scale", "tiny"], tmp_path)
-    total, data, cells, descriptors, csv, svg = map(float, out.splitlines()[2].split()[1:])
-    assert 0 < descriptors <= data and data + cells + csv <= total
+    total, data, cells, descriptors, logm, csv, svg = map(float, out.splitlines()[2].split()[1:])
+    assert 0 < descriptors <= data and 0 < logm <= data and data + cells + csv <= total
