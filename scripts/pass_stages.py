@@ -9,10 +9,10 @@ functions the CLI reaches them through:
   data         harness._mean_log (a synthetic dataset's draw, or an image
                class's parse and descriptors, folded into its summary)
   cells        harness._run_cells (calibration, releases and utilities)
-  descriptors  descriptors._BlockBuffers.sample_descriptors (a block of
-               images' descriptors), wrapped on the class
-  logm         harness.logm_stack (the matrix logs of an image class's
-               descriptors, one call per log block)
+  descriptors  descriptors._BlockBuffers.descriptors (a block of images'
+               descriptors), wrapped on the class
+  logm         descriptors.logm_stack (the matrix logs of an image class's
+               descriptors, one call per log block of descriptors._class_logs)
   csv          cli.emit_csv
   svg          cli.emit_plot
 
@@ -54,8 +54,8 @@ from spdprivacy import cli, descriptors, harness  # noqa: E402
 STAGES = (
     ("data", harness, "_mean_log"),
     ("cells", harness, "_run_cells"),
-    ("descriptors", descriptors._BlockBuffers, "sample_descriptors"),
-    ("logm", harness, "logm_stack"),
+    ("descriptors", descriptors._BlockBuffers, "descriptors"),
+    ("logm", descriptors, "logm_stack"),
     ("csv", cli, "emit_csv"),
     ("svg", cli, "emit_plot"),
 )

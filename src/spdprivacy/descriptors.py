@@ -12,9 +12,9 @@ is what feeds the Fréchet-mean sensitivity for image experiments.
 
 The pipeline is batched and runs in place.  A :class:`_BlockBuffers` owns
 every block-sized array for up to ``capacity`` images of one size (h, w,
-c): the 8-bit samples, the [0, 1] intensities, the luminance, the
-edge-padded block, the derivative scratch and its seven scaled copies, the
-feature layers and the covariances.  Each block writes every intermediate
+c): the [0, 1] intensities, the luminance, the edge-padded block, the
+derivative scratch and its seven scaled copies, the feature layers and
+the covariances.  Each block writes every intermediate
 into them with ``out=``, so a run of same-size images allocates its
 buffers once however many blocks it spans, and the C allocator does not
 map and unmap a megabyte of temporaries per block.  The covariance centers
@@ -24,8 +24,9 @@ grid rows are the same for every image, so they are written, checked and
 centered once, when the buffers are built; the centered copy stands in for
 the raw rows only while the covariance product runs.
 :meth:`_BlockBuffers.descriptors` maps a stack (m, h, w, c) of same-size
-images to their (m, k, k) descriptors in one call, and
-:func:`covariance_descriptor` runs it on buffers for a stack of one.
+images to their (m, k, k) descriptors in one call, written into the
+caller's block when it passes one, and :func:`covariance_descriptor` runs
+it on buffers for a stack of one.
 
 The derivative kernels act on the flattened padded block.  It is scaled
 once by each of the seven distinct tap magnitudes (1/32, 1/16, 1/8, 3/16,
@@ -39,14 +40,19 @@ in row-major order of the flipped kernel, the order in which
 equal it bit for bit, subnormal inputs included.  (Factoring a power of two
 out of the weights would not be exact: scaling a subnormal rounds.)  This
 matters because the orientation feature is discontinuous where the
-gradient vanishes, and rounding noise there would flip it.  The harness
-feeds each class through one set of buffers per run of same-size images,
-in blocks of at most :data:`BLOCK_DOUBLES` feature values, so memory does
-not grow with the class size.  It parses each file's 8-bit samples straight
-into the buffers' uint8 block and converts the block to [0, 1] once,
-dividing each image by its own maxval; that is the same division
-:func:`load_pnm` makes, so the descriptors are bit for bit those of one
-image at a time.
+gradient vanishes, and rounding noise there would flip it.
+
+:func:`_class_logs` is the one image path from file to log block.  It
+feeds a class through one set of buffers per run of same-size images, in
+feature blocks of at most :data:`BLOCK_DOUBLES` feature values, and divides
+each parsed file by its own maxval straight into the buffers' intensities:
+the division :func:`load_pnm` makes, so the descriptors are bit for bit
+those of one image at a time.  Each feature block's descriptors land in
+their slice of one reused log block, a whole number of feature blocks that
+holds a fold block (``geometry._FOLD_DOUBLES`` doubles) of matrices, and
+one batched ``logm_stack`` maps each full log block.  The harness folds the
+log blocks into the class's mean with ``geometry._mean_log``, as it folds
+a synthetic dataset, so memory does not grow with the class size.
 
 Ingestion reads binary PGM (P5, grayscale) and PPM (P6, RGB) files with
 8-bit samples; intensities are divided by the header's maxval so
@@ -55,15 +61,20 @@ everything lives in [0, 1].
 
 from __future__ import annotations
 
+import itertools
+import logging
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .geometry import SpdMatrix
+from .geometry import _FOLD_DOUBLES, SpdMatrix, logm_stack
+
+log = logging.getLogger(__name__)
 
 # First derivatives: 3x3 kernels normalised by 1/4 so the response of a
 # [0, 1] image stays in [-1, 1] (positive and negative taps each sum to 1).
@@ -183,9 +194,7 @@ class _BlockBuffers:
     def __init__(self, capacity: int, h: int, w: int, c: int) -> None:
         self.shape = (h, w, c)
         k = 8 + c
-        self.samples = np.empty((capacity, h, w, c), dtype=np.uint8)
-        self.maxvals = np.empty(capacity)
-        self._intensities = np.empty((capacity, h, w, c))
+        self.intensities = np.empty((capacity, h, w, c))  # filled by _class_logs
         self._lum = np.empty((capacity, h, w))  # RGB only
         self._padded = np.empty((capacity, h + 2 * _PAD, w + 2 * _PAD))
         self._scratch = np.empty(self._padded.size)
@@ -210,19 +219,13 @@ class _BlockBuffers:
             for taps in _DERIVATIVE_TAPS
         )
 
-    def sample_descriptors(self, m: int, params: DescriptorParams) -> np.ndarray:
-        """Descriptors (m, k, k) of the first m images of ``samples``, image
-        i divided by ``maxvals[i]``: the division :func:`load_pnm` makes."""
-        intensities = np.divide(
-            self.samples[:m], self.maxvals[:m, None, None, None], out=self._intensities[:m]
-        )
-        return self.descriptors(intensities, params)
-
-    def descriptors(self, intensities: np.ndarray, params: DescriptorParams) -> np.ndarray:
+    def descriptors(
+        self, intensities: np.ndarray, params: DescriptorParams, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Covariance descriptors (m, k, k) of a stack (m, h, w, c) of images
         with intensities in [0, 1], m <= capacity: the empirical covariance
-        of each image's features plus eta * identity.  Symmetric by
-        construction."""
+        of each image's features plus eta * identity, written into ``out``
+        when it is given.  Symmetric by construction."""
         layers = self.features(intensities)
         m, k, pixels = layers.shape
         computed = layers[:, 2:]
@@ -231,7 +234,10 @@ class _BlockBuffers:
         cov = np.matmul(layers, layers.transpose(0, 2, 1), out=self._cov[:m])
         layers[:, :2] = self._grid  # features() returns the raw grid
         cov /= pixels
-        return 0.5 * (cov + cov.transpose(0, 2, 1)) + params.eta * np.eye(k)
+        out = np.add(cov, cov.transpose(0, 2, 1), out=out)
+        out *= 0.5
+        out += params.eta * np.eye(k)
+        return out
 
     def features(self, intensities: np.ndarray) -> np.ndarray:
         """Validated feature layers (m, 8 + c, h * w) of a stack (m, h, w, c)
@@ -303,6 +309,60 @@ class _BlockBuffers:
                 else:
                     acc -= term
             yield self._scratch[: flat.size].reshape(padded.shape)[:, :h, :w]
+
+
+def _class_logs(name: str, files: list[str], params: DescriptorParams) -> Iterator[np.ndarray]:
+    """Log-matrices of the descriptors of a class's parseable images, in
+    file order, as consecutive (m, k, k) blocks; unparseable files are
+    skipped with a warning.
+
+    Each run of same-size images gets one :class:`_BlockBuffers` of at most
+    :data:`BLOCK_DOUBLES` feature values (at least one image) and one log
+    block of the fewest whole feature blocks that hold
+    ``geometry._FOLD_DOUBLES // k²`` matrices.  Each file is divided by its
+    maxval straight into the buffers' intensities, the division
+    :func:`load_pnm` makes; each feature block's descriptors land in their
+    slice of the log block, which ``logm_stack`` maps in one batched call
+    when it is full or the run ends.  Memory does not grow with the class:
+    the caller folds each log block before the next is made.
+    """
+
+    def parsed():
+        channels = None
+        for path in files:
+            try:
+                with open(path, "rb", buffering=0) as f:
+                    pixels, maxval = _parse_pnm(f.read())
+            except DomainError as exc:
+                log.warning("skipping %s: %s", path, exc)
+                continue
+            if channels not in (None, pixels.shape[2]):
+                raise DomainError(
+                    f"class {name!r} mixes gray and RGB images; descriptors "
+                    "would have different dimensions"
+                )
+            channels = pixels.shape[2]
+            yield pixels, maxval
+
+    buffers = None
+    for (h, w, c), run in itertools.groupby(parsed(), key=lambda s: s[0].shape):
+        k = 8 + c
+        per_block = max(1, BLOCK_DOUBLES // (h * w * k))
+        buffers, filled = _BlockBuffers(per_block, h, w, c), 0
+        log_block = np.empty((-(-(_FOLD_DOUBLES // (k * k)) // per_block) * per_block, k, k))
+        while chunk := list(itertools.islice(run, per_block)):
+            for image, (pixels, maxval) in zip(buffers.intensities, chunk):
+                np.divide(pixels, float(maxval), out=image)
+            m = len(chunk)
+            buffers.descriptors(buffers.intensities[:m], params, log_block[filled : filled + m])
+            filled += m
+            if filled == len(log_block):
+                yield logm_stack(log_block)
+                filled = 0
+        if filled:
+            yield logm_stack(log_block[:filled])
+    if buffers is None:
+        raise DomainError(f"class {name!r} contains no parseable images")
 
 
 def covariance_descriptor(

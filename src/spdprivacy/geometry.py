@@ -291,6 +291,12 @@ def frechet_mean_le(dataset: Sequence[SpdMatrix]) -> SpdMatrix:
     return SpdMatrix(expm_stack(mean_log))
 
 
+# Doubles in one block of log-matrices that _mean_log folds: a synthetic
+# draw or an image class is read in blocks of about _FOLD_DOUBLES // k²
+# matrices, whatever its size.
+_FOLD_DOUBLES = 2**14
+
+
 def _mean_log(
     blocks: Iterable[np.ndarray], radius: bool = False
 ) -> tuple[np.ndarray, int, float | None]:

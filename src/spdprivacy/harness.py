@@ -13,7 +13,9 @@ or the matrix entries for the extrinsic baseline): each group's summary is
 a d-vector ``c`` computed once, each release is a d-vector ``z``, and the
 utility is ``||z - c||^2``, so no SPD matrix is built per trial.  A
 synthetic dataset and an image class alike reach their summary as blocks
-of log-matrices that ``geometry._mean_log`` folds, so neither is held whole.
+of log-matrices that ``geometry._mean_log`` folds, so neither is held whole:
+``sampling._synthetic_blocks`` draws a dataset's blocks, and
+``descriptors._class_logs`` reads a class's files into its blocks.
 
 A Gaussian cell draws the noise of all its trials as one (trials, d)
 block from its substream, row t for trial t, so trial t's noise does not
@@ -34,7 +36,6 @@ trials, rounded up.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import os
@@ -46,15 +47,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .descriptors import (
-    BLOCK_DOUBLES,
-    DescriptorParams,
-    _BlockBuffers,
-    _parse_pnm,
-    descriptor_radius_bound,
-)
+from .descriptors import DescriptorParams, _class_logs, descriptor_radius_bound
 from .errors import DimensionError, DomainError, NumericalError, _checked_int
-from .geometry import MAX_DIM, _mean_log, expm_stack, logm_stack, vecd_stack
+from .geometry import MAX_DIM, _mean_log, expm_stack, vecd_stack
 from .mechanisms import (
     MECHANISMS,
     Mechanism,
@@ -62,13 +57,7 @@ from .mechanisms import (
     gaussian_release_block,
     laplace_release,
 )
-from .sampling import (
-    _BLOCK_DOUBLES as _LOG_BLOCK_DOUBLES,
-    _MAX_SEED,
-    RngState,
-    _check_radius,
-    _synthetic_blocks,
-)
+from .sampling import _MAX_SEED, RngState, _check_radius, _synthetic_blocks
 
 log = logging.getLogger(__name__)
 
@@ -87,9 +76,9 @@ class ExperimentSpec:
     mechanism: str
     epsilon_grid: tuple[float, ...]
     delta_grid: tuple[float, ...]
-    n: int = 500
-    r: float = 0.25
-    k: int = 2
+    n: int | None = None  # synthetic only: 500
+    r: float | None = None  # synthetic only: 0.25
+    k: int | None = None  # synthetic only: 2
     trials: int = 10
     seed: int = 0
     burn_in: int = 50000
@@ -108,11 +97,15 @@ class ExperimentSpec:
             )
         if not self.epsilon_grid or not self.delta_grid:
             raise DomainError("epsilon and delta grids must be nonempty")
-        for name in ("n", "trials", "burn_in"):
+        for name in ("trials", "burn_in"):
             object.__setattr__(self, name, _checked_int(getattr(self, name), name))
         object.__setattr__(self, "seed", _checked_int(self.seed, "seed", 0, _MAX_SEED))
-        object.__setattr__(self, "k", _checked_int(self.k, "k", error=DimensionError))
         if self.kind == "synthetic":
+            for name, default in (("n", 500), ("r", 0.25), ("k", 2)):
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, default)
+            object.__setattr__(self, "n", _checked_int(self.n, "n"))
+            object.__setattr__(self, "k", _checked_int(self.k, "k", error=DimensionError))
             if not 2 <= self.k <= MAX_DIM:
                 raise DomainError(f"synthetic experiments need 2 <= k <= {MAX_DIM}, got {self.k}")
             _check_radius(self.r)
@@ -120,6 +113,9 @@ class ExperimentSpec:
             raise DomainError("image experiments require image_dir")
         elif self.resample_data or self.measured_radius:  # a class has no other draw or radius
             raise DomainError("image experiments take neither resample_data nor measured_radius")
+        elif any(v is not None for v in (self.n, self.r, self.k)):
+            # a class's n is its size, its radius the descriptors' bound, k 8 + channels
+            raise DomainError("image experiments take no n, r or k: each class sets its own")
         for name in ("epsilon_grid", "delta_grid"):
             grid = tuple(float(v) for v in getattr(self, name))
             if len(set(grid)) != len(grid):
@@ -199,7 +195,6 @@ def _run_cells(
         for delta in spec.delta_grid
     ]
     tasks = [(ci, t) for ci in range(len(cells)) for t in range(spec.trials)]
-    resample = spec.kind == "synthetic" and spec.resample_data
 
     def fan_out(fn) -> list:
         if threads > 1:
@@ -209,7 +204,7 @@ def _run_cells(
 
     def trial_center(task: tuple[int, int]) -> np.ndarray:
         cell_index, trial = task
-        if resample:
+        if spec.resample_data:
             data_rng = base.substream(_DATA_STREAM, cell_index, trial)
             mean_log, _, _ = _mean_log(_synthetic_blocks(data_rng, spec.k, spec.r, spec.n))
             return _center(mechanism, mean_log)
@@ -248,7 +243,7 @@ def _run_cells(
     if mechanism.chain:
         outcomes = fan_out(laplace_trial)
     else:
-        if resample:
+        if spec.resample_data:
             centers = np.array(fan_out(trial_center)).reshape(len(cells), spec.trials, -1)
         else:
             centers = [group.center for group, *_ in cells]
@@ -316,75 +311,16 @@ def _image_classes(root: Path) -> list[tuple[str, list[str]]]:
     return [("", [f.path for f in _sorted_entries(root, want_dirs=False)])]
 
 
-def _class_samples(name: str, files: list[str]):
-    """(8-bit samples (h, w, c), maxval) of a class's parseable files, in
-    file order; unparseable files are skipped with a warning."""
-    channels = None
-    for path in files:
-        try:
-            with open(path, "rb", buffering=0) as f:
-                pixels, maxval = _parse_pnm(f.read())
-        except DomainError as exc:
-            log.warning("skipping %s: %s", path, exc)
-            continue
-        if channels is None:
-            channels = pixels.shape[2]
-        elif pixels.shape[2] != channels:
-            raise DomainError(
-                f"class {name!r} mixes gray and RGB images; descriptors "
-                "would have different dimensions"
-            )
-        yield pixels, maxval
-
-
-def _class_descriptors(name: str, files: list[str], params: DescriptorParams):
-    """Log-matrices of the descriptors of a class's parseable images, in
-    file order, as consecutive (m, k, k) blocks.
-
-    Each run of same-size images gets one :class:`_BlockBuffers`, which
-    holds at most ``BLOCK_DOUBLES`` feature values (at least one image) and
-    is reused by every block of the run: the files' samples are copied into
-    its uint8 block, which is converted to [0, 1] once, image i divided by
-    its own maxval.  Each block's descriptors are copied into one reused
-    stack of max(feature block, _LOG_BLOCK_DOUBLES // k²) matrices, the
-    same number of doubles as a synthetic block, and ``logm_stack`` runs
-    once per full stack and on the rest at the end of the run, not once per
-    feature block.  Memory does not grow with the class: the caller folds
-    each log block into the class summary before the next is made.
-    """
-    buffers = None
-    runs = itertools.groupby(_class_samples(name, files), key=lambda s: s[0].shape)
-    for (h, w, c), run in runs:
-        k = 8 + c
-        per_block = max(1, BLOCK_DOUBLES // (h * w * k))
-        buffers = _BlockBuffers(per_block, h, w, c)
-        stack, filled = np.empty((max(per_block, _LOG_BLOCK_DOUBLES // (k * k)), k, k)), 0
-        while chunk := list(itertools.islice(run, per_block)):
-            for i, (pixels, maxval) in enumerate(chunk):
-                buffers.samples[i], buffers.maxvals[i] = pixels, maxval
-            block = buffers.sample_descriptors(len(chunk), params)
-            while len(block):
-                take = min(len(block), len(stack) - filled)
-                stack[filled : filled + take] = block[:take]
-                block = block[take:]
-                filled += take
-                if filled == len(stack):
-                    yield logm_stack(stack)
-                    filled = 0
-        if filled:
-            yield logm_stack(stack[:filled])
-    if buffers is None:
-        raise DomainError(f"class {name!r} contains no parseable images")
-
-
 def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     """Run the covariance-descriptor experiment over a directory of images.
 
     One subdirectory per class, or a flat directory treated as one class.
     Unparseable files are skipped with a warning; an empty class is an
-    error.  Sensitivity uses the analytic radius bound of the descriptor
-    pipeline and n = class size.  Positive definiteness of the descriptors
-    is checked once per block, by :func:`logm_stack`.
+    error.  Each class is folded from the log blocks of
+    ``descriptors._class_logs``, whose ``logm_stack`` checks the
+    descriptors' positive definiteness once per block.  Sensitivity uses
+    the analytic radius bound of the descriptor pipeline and n = class
+    size; an image spec sets no n, r or k.
     """
     if spec.kind != "image":
         raise DomainError("run_image requires an image spec")
@@ -397,7 +333,7 @@ def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
 
     groups = []
     for name, files in _image_classes(root):
-        mean_log, n, _ = _mean_log(_class_descriptors(name, files, params))
+        mean_log, n, _ = _mean_log(_class_logs(name, files, params))
         k = len(mean_log)
         radius = descriptor_radius_bound(k - 8, spec.eta)  # k = 8 + channels
         groups.append(_Group(_center(MECHANISMS[spec.mechanism], mean_log), n, k, radius))

@@ -11,10 +11,10 @@ replays bit-exactly regardless of scheduling.
 
 Synthetic data E diag(l) E^T (l uniform in [e^-r, e^r], E Haar) is drawn
 as n·k uniforms, then n·k² normals (n = 1 for one SPD matrix).  The normals
-are streamed: they fill one reused buffer of at most :data:`_BLOCK_DOUBLES`
-doubles (one matrix when k² is larger, all n draws at k = 1) block by
-block, in the order of a single (n, k, k) draw, so the stream is that of
-one draw, and each block is rebuilt in place.  This module only draws:
+are streamed: they fill one reused buffer of at most
+``geometry._FOLD_DOUBLES`` doubles (one matrix when k² is larger, all n
+draws at k = 1) block by block, in the order of a single (n, k, k) draw,
+so the stream is that of one draw, and each block is rebuilt in place.  This module only draws:
 ``geometry._mean_log`` folds the blocks into the Fréchet-mean summary, so
 beyond the n·k eigenvalues the memory of a draw does not grow with n.  E
 is a QR factor without the sign fix that makes it exactly Haar (signing
@@ -29,17 +29,13 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import DimensionError, DomainError, _checked_int
-from .geometry import MAX_DIM, SpdMatrix, _rebuild
+from .geometry import _FOLD_DOUBLES, MAX_DIM, SpdMatrix, _rebuild
 
 # Seeds are unsigned 64-bit integers.
 _MAX_SEED = 2**64 - 1
 
 # Largest r whose e^r is finite: the synthetic eigenvalue range [e^-r, e^r].
 _MAX_SYNTHETIC_R = float(np.log(np.finfo(float).max))
-
-# Normals per block of a streamed synthetic draw: a block is
-# max(1, _BLOCK_DOUBLES // k²) matrices, whatever n (see _synthetic_blocks).
-_BLOCK_DOUBLES = 2**14
 
 
 class RngState:
@@ -94,7 +90,7 @@ def _synthetic_blocks(
     eigs = rng.generator.uniform(np.exp(-r), np.exp(r), size=(n, k))
     if logs:
         np.log(eigs, out=eigs)
-    m = n if k == 1 else min(n, max(1, _BLOCK_DOUBLES // (k * k)))
+    m = n if k == 1 else min(n, max(1, _FOLD_DOUBLES // (k * k)))
     normals, product = np.empty((m, k, k)), np.empty((m, k, k))
     for start in range(0, n, m):
         rows = min(m, n - start)

@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spdprivacy import cli, harness
+from spdprivacy import cli, descriptors, harness
 from spdprivacy.cli import main, read_matrix
 from spdprivacy.descriptors import (
     DescriptorParams,
     RasterImage,
+    _BlockBuffers,
     covariance_descriptor,
     load_pnm,
     save_pnm,
@@ -152,6 +153,21 @@ class TestSpecValidation:
         # radius is the descriptors' analytic bound
         with pytest.raises(DomainError, match="take neither resample_data nor measured_radius"):
             image_spec(tmp_path, **{flag: True})
+
+    @pytest.mark.parametrize("field", [{"n": 3}, {"r": 99.0}, {"k": 7}, {"n": 500}])
+    def test_image_rejects_synthetic_sizes(self, tmp_path, field):
+        # run_image would ignore them: a class's n is its size, its radius
+        # the descriptors' bound and k 8 + channels
+        with pytest.raises(DomainError, match="take no n, r or k"):
+            image_spec(tmp_path, **field)
+        spec = image_spec(tmp_path)
+        assert (spec.n, spec.r, spec.k) == (None, None, None)
+
+    def test_synthetic_sizes_default(self):
+        spec = ExperimentSpec(kind="synthetic", mechanism="tangent_analytic",
+                              epsilon_grid=(0.5,), delta_grid=(1e-6,))
+        assert (spec.n, spec.r, spec.k) == (500, 0.25, 2)
+        assert small_spec(n=None, r=None, k=None) == small_spec(n=500, r=0.25, k=2)
 
 
 class TestRunSynthetic:
@@ -521,29 +537,30 @@ def write_shapes(d, shapes, seed, junk_at=None):
 
 
 class TestImageBlocks:
-    """``run_image`` streams a class through ``_BlockBuffers.descriptors`` in
-    blocks; the result must not depend on where the blocks fall."""
+    """``run_image`` folds a class from ``descriptors._class_logs``, which
+    streams it through ``_BlockBuffers.descriptors`` in blocks; the result
+    must not depend on where the blocks fall."""
 
     G8, G6 = (8, 8, 1), (6, 11, 1)  # 576 and 594 feature values per image
 
     @pytest.fixture
     def buffers(self, monkeypatch):
         """Cap blocks at three 8x8 gray images, and record the size of each
-        ``_BlockBuffers`` the harness builds and each block's shape (each
-        class is streamed twice per check: directly and by run_image)."""
-        monkeypatch.setattr(harness, "BLOCK_DOUBLES", 3 * 576)
+        ``_BlockBuffers`` the class reader builds and each block's shape
+        (each class is streamed twice per check: directly and by run_image)."""
+        monkeypatch.setattr(descriptors, "BLOCK_DOUBLES", 3 * 576)
         built, shapes = [], []
 
-        class Spy(harness._BlockBuffers):
+        class Spy(descriptors._BlockBuffers):
             def __init__(self, capacity, h, w, c):
                 built.append((h, w, c))
                 super().__init__(capacity, h, w, c)
 
-            def descriptors(self, stack, params):
+            def descriptors(self, stack, params, out=None):
                 shapes.append(stack.shape[:3])
-                return super().descriptors(stack, params)
+                return super().descriptors(stack, params, out)
 
-        monkeypatch.setattr(harness, "_BlockBuffers", Spy)
+        monkeypatch.setattr(descriptors, "_BlockBuffers", Spy)
         return built, shapes
 
     @pytest.fixture
@@ -552,14 +569,15 @@ class TestImageBlocks:
 
     @pytest.fixture
     def log_blocks(self, monkeypatch):
-        """The number of matrices in each stack ``harness.logm_stack`` maps."""
+        """The number of matrices in each stack the class reader's
+        ``logm_stack`` maps."""
         sizes = []
 
         def spy(mats):
             sizes.append(len(mats))
             return logm_stack(mats)
 
-        monkeypatch.setattr(harness, "logm_stack", spy)
+        monkeypatch.setattr(descriptors, "logm_stack", spy)
         return sizes
 
     def check_against_one_at_a_time(self, d, monkeypatch, mechanism="tangent_analytic"):
@@ -567,13 +585,15 @@ class TestImageBlocks:
         computed one image at a time by ``load_pnm``."""
         params = DescriptorParams(eta=1e-6)
         ref = []
-        for path in sorted(d.iterdir()):
-            try:
-                ref.append(covariance_descriptor(load_pnm(path), params).entries)
-            except DomainError:
-                continue
+        with monkeypatch.context() as patch:  # the reference passes by the spies
+            patch.setattr(descriptors, "_BlockBuffers", _BlockBuffers)
+            for path in sorted(d.iterdir()):
+                try:
+                    ref.append(covariance_descriptor(load_pnm(path), params).entries)
+                except DomainError:
+                    continue
         ref = np.stack(ref)
-        got = harness._class_descriptors("c", [str(p) for p in sorted(d.iterdir())], params)
+        got = descriptors._class_logs("c", [str(p) for p in sorted(d.iterdir())], params)
         assert np.array_equal(np.concatenate(list(got)), logm_stack(ref))
         groups = []
         monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs, t: groups.extend(gs) or [])
@@ -633,37 +653,47 @@ class TestImageBlocks:
         assert blocks == [(3, 8, 8), (3, 8, 8)] * 2
 
     def test_single_image_larger_than_block(self, tmp_path, monkeypatch, blocks):
-        monkeypatch.setattr(harness, "BLOCK_DOUBLES", 100)
+        monkeypatch.setattr(descriptors, "BLOCK_DOUBLES", 100)
         write_shapes(tmp_path / "c", [self.G8] * 3, seed=43)
         self.check_against_one_at_a_time(tmp_path / "c", monkeypatch)
         assert blocks == [(1, 8, 8)] * 6
 
     def test_one_logm_per_log_block(self, tmp_path, monkeypatch, blocks, log_blocks):
-        # ten feature blocks of three images fit one log block of up to 202
-        # (9, 9) matrices, so the class makes one eigh call, not ten
+        # ten feature blocks of three images fit one log block of 204 (9, 9)
+        # matrices, so the class makes one eigh call, not ten
         write_shapes(tmp_path / "c", [self.G8] * 30, seed=48)
         self.check_against_one_at_a_time(tmp_path / "c", monkeypatch)
         assert blocks == [(3, 8, 8)] * 10 * 2
         assert log_blocks == [30] * 2
 
     @pytest.mark.parametrize(
-        "log_doubles, sizes",
+        "fold_doubles, sizes",
         [
-            # log blocks of 4: boundaries at images 4 and 8, feature blocks
-            # end at 3, 6 and 9 (8x8) and at 2 and 4 (6x11)
-            (4 * 81, [4, 4, 2, 4, 1]),
+            # four (9, 9) matrices round up to log blocks of two feature
+            # blocks of 8x8 images (6) and of two of 6x11 images (4)
+            (4 * 81, [6, 4, 4, 1]),
             # a log block of one (9, 9) matrix grows to one feature block
             (81, [3, 3, 3, 1, 2, 2, 1]),
         ],
     )
-    def test_log_blocks_cut_across_feature_blocks(self, tmp_path, monkeypatch, blocks,
-                                                  log_blocks, log_doubles, sizes):
-        monkeypatch.setattr(harness, "_LOG_BLOCK_DOUBLES", log_doubles)
+    def test_log_blocks_hold_whole_feature_blocks(self, tmp_path, monkeypatch, blocks,
+                                                  log_blocks, fold_doubles, sizes):
+        monkeypatch.setattr(descriptors, "_FOLD_DOUBLES", fold_doubles)
         write_shapes(tmp_path / "c", [self.G8] * 10 + [self.G6] * 5, seed=49)
         self.check_against_one_at_a_time(tmp_path / "c", monkeypatch)
         assert blocks == ([(3, 8, 8)] * 3 + [(1, 8, 8), (2, 6, 11), (2, 6, 11), (1, 6, 11)]) * 2
         # each run of one size ends its last log block
         assert log_blocks == sizes * 2
+
+    @pytest.mark.parametrize("shape, sizes", [((28, 28, 1), [216, 1]), ((40, 40, 3), [140, 1])])
+    def test_log_block_sizes_of_benchmark_images(self, tmp_path, log_blocks, shape, sizes):
+        # 2^14 doubles are 202 (9, 9) or 135 (11, 11) matrices, rounded up to
+        # whole feature blocks of 18 28x28 gray or 7 40x40 RGB images
+        write_shapes(tmp_path / "c", [shape] * sum(sizes), seed=50)
+        files = [str(p) for p in sorted((tmp_path / "c").iterdir())]
+        params = DescriptorParams(eta=1e-6)
+        assert [len(b) for b in descriptors._class_logs("c", files, params)] == sizes
+        assert log_blocks == sizes
 
     def test_gray_rgb_mix_mid_block_names_class(self, tmp_path, blocks):
         write_shapes(tmp_path / "mix", [self.G8, self.G8, (8, 8, 3)], seed=44)

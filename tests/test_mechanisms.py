@@ -27,7 +27,6 @@ from spdprivacy.mechanisms import (
     Sensitivity,
     SensitivityKind,
     _analytic_condition,
-    _laplace_chain,
     _laplace_chains,
     acceptance_warning,
     calibrate_analytic,
@@ -573,9 +572,11 @@ class TestLaplaceKernel:
     def test_tracked_distance_exact_in_high_dimension(self):
         center = self.center(30, 76)
         sigma = 2.0 * math.sqrt(30) * 0.25 / 500 / 0.1
-        z, dist, accepted = _laplace_chain(RngState(77), center, sigma, 1000, None)
-        assert 0 < accepted < 1000
-        assert dist == pytest.approx(np.linalg.norm(z - center), rel=1e-12, abs=0.0)
+        z, ratio = laplace_release(RngState(77), center, sigma, burn_in=1000)
+        want, accepted = reference_chains(RngState(77), center, sigma, 1000)
+        assert 0 < accepted < 1000 and ratio == accepted / 1000
+        dist = np.linalg.norm(want[0] - center)
+        assert np.linalg.norm(z - center) == pytest.approx(dist, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_law_of_cartesian_chain(self, k):

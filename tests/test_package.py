@@ -121,7 +121,7 @@ INTEGER_ARGUMENTS = {
         lambda v: run_synthetic(spec(), threads=v), DomainError, "threads"
     ),
     "run_image.threads": (
-        lambda v: run_image(spec(kind="image", image_dir="unread"), threads=v),
+        lambda v: run_image(spec(kind="image", image_dir="unread", n=None), threads=v),
         DomainError,
         "threads",
     ),

@@ -7,6 +7,7 @@ from scipy import stats
 from spdprivacy.errors import DimensionError, DomainError
 from spdprivacy.geometry import (
     SpdMatrix,
+    _FOLD_DOUBLES,
     _mean_log,
     expm_stack,
     identity,
@@ -15,12 +16,7 @@ from spdprivacy.geometry import (
     vecd_stack,
 )
 from spdprivacy.mechanisms import MECHANISMS, gaussian_release_block, tangent_gaussian_stack
-from spdprivacy.sampling import (
-    _BLOCK_DOUBLES,
-    RngState,
-    _synthetic_blocks,
-    sample_synthetic_spd,
-)
+from spdprivacy.sampling import RngState, _synthetic_blocks, sample_synthetic_spd
 
 from conftest import one_shot_logs, peak_bytes, signed_haar_basis
 
@@ -341,14 +337,14 @@ class TestSyntheticGenerator:
 
 
 class TestStreamedSummary:
-    """The synthetic draw is streamed in blocks of at most _BLOCK_DOUBLES
+    """The synthetic draw is streamed in blocks of at most _FOLD_DOUBLES
     normals; the Fréchet-mean summary built from the blocks must equal that
     of one whole (n, k, k) draw bit for bit, at and around block
     boundaries."""
 
     @staticmethod
     def sizes(k):
-        m = max(1, _BLOCK_DOUBLES // (k * k))  # matrices per block at k >= 2
+        m = max(1, _FOLD_DOUBLES // (k * k))  # matrices per block at k >= 2
         return sorted({1, m - 1, m, m + 1, 3 * m + 1} - {0})
 
     @pytest.mark.parametrize("k", [1, 2, 10, 30])
@@ -378,7 +374,7 @@ class TestStreamedSummary:
         _mean_log(_synthetic_blocks(RngState(1), k, 0.25, 50), radius=True)  # warm numpy up
         rng = RngState(2)
         peak = peak_bytes(lambda: _mean_log(_synthetic_blocks(rng, k, 0.25, n), radius=True))
-        assert peak <= 8 * (n * k + 16 * _BLOCK_DOUBLES)
+        assert peak <= 8 * (n * k + 16 * _FOLD_DOUBLES)
 
 
 # one_shot_logs(RngState(0).substream(0), 3, 0.25, 2), recorded
