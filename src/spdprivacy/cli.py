@@ -162,7 +162,7 @@ def _spec_from_args(args: argparse.Namespace, kind: str) -> ExperimentSpec:
     # defaults stand in for them
     own = {
         name: getattr(args, name)
-        for name in ("n", "r", "k", "eta", "resample_data", "measured_radius")
+        for name in ("n", "r", "k", "eta", "resample_data")
         if hasattr(args, name)
     }
     return ExperimentSpec(
@@ -270,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--r", type=float, default=0.25)
     syn.add_argument("--k", type=int, default=2)
     syn.add_argument("--resample-data", action="store_true", dest="resample_data")
-    syn.add_argument("--measured-radius", action="store_true", dest="measured_radius")
     syn.set_defaults(func=_cmd_synthetic)
 
     img = add_parser("image-bench", help="covariance-descriptor experiment grid")

@@ -65,7 +65,7 @@ def _symmetrized(arr: np.ndarray, what: str) -> np.ndarray:
         raise DomainError(
             f"{what} is not symmetric: max |A - A^T| = {gap:.3e} exceeds {SYMMETRY_ATOL:.0e}"
         )
-    out = 0.5 * (arr + arr.T)
+    out = 0.5 * arr + 0.5 * arr.T  # halve first: arr + arr.T overflows near float64's max
     out.flags.writeable = False
     return out
 
@@ -100,7 +100,7 @@ class SpdMatrix(SymMatrix):
     def __post_init__(self) -> None:
         super().__post_init__()
         w = _eigvalsh(self.entries)
-        if w[0] <= PD_RTOL * max(1.0, float(w[-1])):
+        if not w[0] > PD_RTOL * max(1.0, float(w[-1])):  # NaN fails
             raise DomainError(
                 f"matrix is not positive definite: min eigenvalue {w[0]:.6e} "
                 f"(max {w[-1]:.6e})"
@@ -171,7 +171,7 @@ def logm_stack(mats: np.ndarray) -> np.ndarray:
     mats = np.asarray(mats, dtype=float)
     w, u = _eigh(mats)
     wmax = np.maximum(1.0, w[..., -1])
-    if np.any(w[..., 0] <= PD_RTOL * wmax):
+    if not np.all(w[..., 0] > PD_RTOL * wmax):  # NaN fails
         bad = float(np.min(w[..., 0]))
         raise DomainError(f"matrix is not positive definite: min eigenvalue {bad:.6e}")
     return _rebuild(u, np.log(w))
@@ -287,7 +287,7 @@ def frechet_mean_le(dataset: Sequence[SpdMatrix]) -> SpdMatrix:
             raise DimensionError(f"dimension mismatch in dataset: {x.dim} vs {k}")
     if len(dataset) == 1:
         return dataset[0]
-    mean_log, _, _ = _mean_log([logm_stack(np.stack([x.entries for x in dataset]))])
+    mean_log, _ = _mean_log([logm_stack(np.stack([x.entries for x in dataset]))])
     return SpdMatrix(expm_stack(mean_log))
 
 
@@ -297,25 +297,23 @@ def frechet_mean_le(dataset: Sequence[SpdMatrix]) -> SpdMatrix:
 _FOLD_DOUBLES = 2**14
 
 
-def _mean_log(
-    blocks: Iterable[np.ndarray], radius: bool = False
-) -> tuple[np.ndarray, int, float | None]:
+def _mean_log(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, int]:
     """The mean of the log-matrices in ``blocks``, consecutive (m, k, k)
-    stacks, their count n and, when ``radius`` asks, the largest Frobenius
-    norm of one.  Each block's first row (overwritten) takes the running
-    total, then the block is summed over its rows, and the total is divided
-    by n once: the row order of the whole stack's ``mean(axis=0)``, so the
-    mean is that stack's bit for bit for k > 1 or one block (at k = 1 numpy
-    sums pairwise), and the stack is never built."""
-    total, n, top = None, 0, 0.0 if radius else None
+    stacks, and their count n.  Each block's first row (overwritten) takes
+    the running total, then the block is summed over its rows, and the
+    total is divided by n once: the row order of the whole stack's
+    ``mean(axis=0)``, so the mean is that stack's bit for bit for k > 1 or
+    one block (at k = 1 numpy sums pairwise), and the stack is never built.
+    Nothing else is read from the data: every noise scale comes from a
+    public radius bound (sqrt(k) r for a synthetic draw,
+    ``descriptor_radius_bound`` for an image class)."""
+    total, n = None, 0
     for block in blocks:
-        if radius:
-            top = max(top, float(np.max(np.linalg.norm(block, axis=(1, 2)))))
         if total is not None:
             block[0] += total
         total = np.add.reduce(block, axis=0)
         n += len(block)
-    return total / n, n, top
+    return total / n, n
 
 
 def ball_radius(dataset: Sequence[SpdMatrix], center: SpdMatrix) -> float:

@@ -85,7 +85,6 @@ class ExperimentSpec:
     image_dir: str | None = None
     eta: float = 1e-6
     resample_data: bool = False
-    measured_radius: bool = False
     record_timing: bool = False
 
     def __post_init__(self) -> None:
@@ -111,8 +110,8 @@ class ExperimentSpec:
             _check_radius(self.r)
         elif self.image_dir is None:
             raise DomainError("image experiments require image_dir")
-        elif self.resample_data or self.measured_radius:  # a class has no other draw or radius
-            raise DomainError("image experiments take neither resample_data nor measured_radius")
+        elif self.resample_data:  # a class has no other draw
+            raise DomainError("image experiments take no resample_data")
         elif any(v is not None for v in (self.n, self.r, self.k)):
             # a class's n is its size, its radius the descriptors' bound, k 8 + channels
             raise DomainError("image experiments take no n, r or k: each class sets its own")
@@ -206,7 +205,7 @@ def _run_cells(
         cell_index, trial = task
         if spec.resample_data:
             data_rng = base.substream(_DATA_STREAM, cell_index, trial)
-            mean_log, _, _ = _mean_log(_synthetic_blocks(data_rng, spec.k, spec.r, spec.n))
+            mean_log, _ = _mean_log(_synthetic_blocks(data_rng, spec.k, spec.r, spec.n))
             return _center(mechanism, mean_log)
         return cells[cell_index][0].center
 
@@ -259,27 +258,24 @@ def _run_cells(
 def run_synthetic(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     """Run the synthetic-data experiment described by ``spec``.
 
-    The dataset is drawn once per (k, r, seed) and shared by all cells
-    unless ``resample_data`` asks for a fresh dataset per trial.  The ball
-    radius defaults to the generator's guarantee sqrt(k) * r; with
-    ``measured_radius`` the observed radius of the shared dataset, which is
-    drawn (on its own substream) only when its center or radius is read.
-    Each dataset is streamed block by block into its mean log-matrix (and
-    the radius only when it is read); its (n, k, k) stack is never built.
+    The dataset is drawn once per (k, r, seed), on its own substream, and
+    shared by all cells unless ``resample_data`` asks for a fresh dataset
+    per trial; it is drawn exactly when ``resample_data`` is off.  Each
+    dataset is streamed block by block into its mean log-matrix; its
+    (n, k, k) stack is never built.  The ball radius, and so every noise
+    scale, is the generator's public guarantee sqrt(k) * r, never read from
+    the data.  ``resample_data`` stays until the benchmark's fresh-data
+    workload no longer passes it.
     """
     if spec.kind != "synthetic":
         raise DomainError("run_synthetic requires a synthetic spec")
     threads = _checked_int(threads, "threads")
     base = RngState(spec.seed)
-    radius, center = math.sqrt(spec.k) * spec.r, None
-    if spec.measured_radius or not spec.resample_data:
+    center = None
+    if not spec.resample_data:
         blocks = _synthetic_blocks(base.substream(_DATA_STREAM), spec.k, spec.r, spec.n)
-        mean_log, _, measured = _mean_log(blocks, radius=spec.measured_radius)
-        if spec.measured_radius:
-            radius = measured
-        if not spec.resample_data:
-            center = _center(MECHANISMS[spec.mechanism], mean_log)
-    group = _Group(center=center, n=spec.n, k=spec.k, radius=radius)
+        center = _center(MECHANISMS[spec.mechanism], _mean_log(blocks)[0])
+    group = _Group(center=center, n=spec.n, k=spec.k, radius=math.sqrt(spec.k) * spec.r)
     return _run_cells(spec, base, [group], threads)
 
 
@@ -333,7 +329,7 @@ def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
 
     groups = []
     for name, files in _image_classes(root):
-        mean_log, n, _ = _mean_log(_class_logs(name, files, params))
+        mean_log, n = _mean_log(_class_logs(name, files, params))
         k = len(mean_log)
         radius = descriptor_radius_bound(k - 8, spec.eta)  # k = 8 + channels
         groups.append(_Group(_center(MECHANISMS[spec.mechanism], mean_log), n, k, radius))

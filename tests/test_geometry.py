@@ -40,6 +40,8 @@ class TestTypes:
         a = np.array([[1.0, 2.0], [2.0 + 1e-10, 3.0]])
         s = SymMatrix(a)
         assert s.entries[0, 1] == s.entries[1, 0]
+        # halving before adding gives the bits of (A + A^T)/2 for normal floats
+        assert np.array_equal(s.entries, 0.5 * (a + a.T))
 
     def test_sym_rejects_large_asymmetry(self):
         with pytest.raises(DomainError, match="not symmetric"):
@@ -60,6 +62,19 @@ class TestTypes:
     def test_spd_rejects_semidefinite(self):
         with pytest.raises(DomainError, match="not positive definite"):
             SpdMatrix([[1.0, 1.0], [1.0, 1.0]])
+
+    def test_spd_symmetrizes_without_overflow(self):
+        # (A + A^T)/2 would be inf here; halving first keeps it finite
+        big = 1.7e308
+        x = SpdMatrix(np.diag([big, big]))
+        assert np.array_equal(x.entries, np.diag([big, big]))
+        assert np.allclose(logm(x).entries, math.log(big) * np.eye(2), rtol=1e-15, atol=0.0)
+        assert logm(x).entries[0, 0] == pytest.approx(709.7, abs=0.05)
+
+    def test_spd_rejects_singular_at_float64_edge(self):
+        # its top eigenvalue 2e308 overflows, and it is singular besides
+        with pytest.raises(DomainError, match="not positive definite"):
+            SpdMatrix([[1e308, 1e308], [1e308, 1e308]])
 
     def test_spd_accepts_identity(self):
         x = identity(3)
@@ -138,6 +153,9 @@ class TestLogExp:
 
         with pytest.raises(DomainError, match="not positive definite"):
             logm_stack(np.diag([1.0, -2.0]))
+        # eigh of a non-finite matrix is NaN, which fails the test too
+        with pytest.raises(DomainError, match="not positive definite"):
+            logm_stack(np.diag([np.inf, 1.0]))
 
     @given(sym_matrices())
     @settings(max_examples=60)

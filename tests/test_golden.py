@@ -10,12 +10,21 @@ rewritten.
 The image CSVs depend on the descriptors only through each class's size
 and radius bound (the utility ``||z - c||^2`` does not move with the center
 ``c``), so ``descriptor_mixed_classes.txt`` also pins the ``spd-bench
-descriptor`` output for three images of the mixed corpus, each matrix at
-Frobenius-relative tolerance 1e-12, and ``privatize.txt`` pins the
-``spd-bench privatize`` output of every mechanism for one 2x2 matrix at a
-fixed seed, as text, exactly.  ``privatize_log.txt`` pins the ``--output
-log`` release of each log-chart mechanism for the 2x2 identity at a budget
-whose matrix export is not representable in float64.
+descriptor`` output for three images of the mixed corpus, and
+``privatize.txt`` pins the ``spd-bench privatize`` output of every
+mechanism for one 2x2 matrix at a fixed seed.  ``privatize_log.txt`` pins
+the ``--output log`` release of each log-chart mechanism for the 2x2
+identity at a budget whose matrix export is not representable in float64.
+In these three, the lines and the tokens on each line must match exactly,
+and each printed matrix at Frobenius-relative tolerance 1e-12.
+
+That tolerance is the contract: output bytes are reproducible per machine,
+numpy build and BLAS kernel, and values agree across kernels to the stated
+tolerance.  The last digits of ``eigh`` and of the rebuilds after it depend
+on the kernel (an OpenBLAS ``OPENBLAS_CORETYPE``, numpy's
+``NPY_DISABLE_CPU_FEATURES`` dispatch); the measured spread is 3.8e-16
+relative.  ``tests/test_portability.py`` reruns this module under other
+kernels.
 
 Rewrite fixtures with ``python tests/test_golden.py [case ...]`` from the
 repository root (with ``src`` on ``PYTHONPATH``); it rewrites only the named
@@ -44,9 +53,6 @@ CASES = {
     + ["--mechanism", "tangent_classical", "--eps", "0.1,0.5", "--delta", "1e-6,1e-8", "--trials", "3"],
     "tangent_analytic": _SYNTHETIC
     + ["--mechanism", "tangent_analytic", "--eps", "0.1,2.0", "--delta", "1e-6", "--trials", "3"],
-    "tangent_analytic_measured_radius": _SYNTHETIC
-    + ["--mechanism", "tangent_analytic", "--eps", "0.3", "--delta", "1e-6", "--trials", "3",
-       "--measured-radius"],
     "tangent_analytic_resample": _SYNTHETIC
     + ["--mechanism", "tangent_analytic", "--eps", "0.1,2.0", "--delta", "1e-6", "--trials", "3",
        "--resample-data", "--threads", "8"],
@@ -109,6 +115,7 @@ DESCRIPTOR_CASE = "descriptor_mixed_classes"
 DESCRIPTOR_RTOL = 1e-12
 
 PRIVATIZE_CASE = "privatize"
+PRIVATIZE_RTOL = 1e-12
 PRIVATIZE_MATRIX = "2.0 0.3\n0.3 1.5\n"
 PRIVATIZE_ARGS = ["--eps", "0.5", "--delta", "1e-6", "--n", "100", "--r", "1", "--seed", "3",
                   "--burn-in", "2000"]
@@ -172,11 +179,24 @@ def run_privatize_log_case(workdir: Path) -> str:
     )
 
 
-def _parse_matrices(text: str) -> list[np.ndarray]:
-    return [
-        np.array([[float(v) for v in row.split()] for row in block.splitlines()])
-        for block in text.strip().split("\n\n")
-    ]
+def assert_matrices_match(got: str, want: str, rtol: float) -> None:
+    """``got`` has the lines of ``want`` and the tokens on each line; its
+    ``#`` lines are equal and each matrix (a run of number lines) agrees in
+    Frobenius norm at relative tolerance ``rtol``."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines)
+    rows: list[tuple[list[str], list[str]]] = []
+    for got_line, want_line in zip(got_lines + [""], want_lines + [""]):
+        got_tokens, want_tokens = got_line.split(), want_line.split()
+        assert len(got_tokens) == len(want_tokens), want_line
+        if want_tokens and not want_line.startswith("#"):
+            rows.append((got_tokens, want_tokens))
+            continue
+        assert got_line == want_line
+        if rows:
+            g, w = (np.array([[float(v) for v in r[i]] for r in rows]) for i in (0, 1))
+            assert np.linalg.norm(g - w) <= rtol * np.linalg.norm(w), want_line
+            rows = []
 
 
 @pytest.fixture(scope="module")
@@ -199,21 +219,18 @@ def test_matches_golden(name, workdir):
 
 
 def test_descriptors_match_golden(workdir):
-    want = _parse_matrices((GOLDEN_DIR / f"{DESCRIPTOR_CASE}.txt").read_text())
-    got = _parse_matrices(run_descriptor_case(workdir))
-    assert [m.shape for m in got] == [m.shape for m in want]
-    for rel, g, w in zip(DESCRIPTOR_IMAGES, got, want):
-        assert np.linalg.norm(g - w) <= DESCRIPTOR_RTOL * np.linalg.norm(w), rel
+    want = (GOLDEN_DIR / f"{DESCRIPTOR_CASE}.txt").read_text()
+    assert_matrices_match(run_descriptor_case(workdir), want, DESCRIPTOR_RTOL)
 
 
 def test_privatize_matches_golden(workdir):
     want = (GOLDEN_DIR / f"{PRIVATIZE_CASE}.txt").read_text()
-    assert run_privatize_case(workdir) == want
+    assert_matrices_match(run_privatize_case(workdir), want, PRIVATIZE_RTOL)
 
 
 def test_privatize_log_matches_golden(workdir):
     want = (GOLDEN_DIR / f"{PRIVATIZE_LOG_CASE}.txt").read_text()
-    assert run_privatize_log_case(workdir) == want
+    assert_matrices_match(run_privatize_log_case(workdir), want, PRIVATIZE_RTOL)
 
 
 if __name__ == "__main__":

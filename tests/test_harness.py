@@ -1,9 +1,13 @@
+import contextlib
+import io
 import math
 import statistics
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdprivacy import cli, descriptors, harness
 from spdprivacy.cli import main, read_matrix
@@ -147,12 +151,16 @@ class TestSpecValidation:
                 delta_grid=(1e-6,),
             )
 
-    @pytest.mark.parametrize("flag", ["resample_data", "measured_radius"])
+    @pytest.mark.parametrize("flag", ["resample_data"])
     def test_image_rejects_synthetic_only_flags(self, tmp_path, flag):
-        # run_image would ignore them: a class is not redrawn, and its
-        # radius is the descriptors' analytic bound
-        with pytest.raises(DomainError, match="take neither resample_data nor measured_radius"):
+        # run_image would ignore it: a class is not redrawn
+        with pytest.raises(DomainError, match="take no resample_data"):
             image_spec(tmp_path, **{flag: True})
+
+    def test_measured_radius_removed(self):
+        # a radius read from the data made sigma a function of the data
+        with pytest.raises(TypeError, match="measured_radius"):
+            small_spec(measured_radius=True)
 
     @pytest.mark.parametrize("field", [{"n": 3}, {"r": 99.0}, {"k": 7}, {"n": 500}])
     def test_image_rejects_synthetic_sizes(self, tmp_path, field):
@@ -231,11 +239,12 @@ class TestRunSynthetic:
             )
 
     @pytest.mark.parametrize(
-        "resample, measured, base_calls", [(True, False, 0), (True, True, 1), (False, False, 1)]
+        "resample, laplace, base_calls",
+        [(True, False, 0), (False, False, 1), (True, True, 0), (False, True, 1)],
     )
-    def test_base_dataset_drawn_only_when_read(self, monkeypatch, resample, measured, base_calls):
-        # the base dataset on stream (0,) is read for its center (fixed data)
-        # or its measured radius; resampled trials draw on (0, cell, trial)
+    def test_base_dataset_drawn_only_when_read(self, monkeypatch, resample, laplace, base_calls):
+        # the base dataset on stream (0,) is read only for its center (fixed
+        # data); resampled trials, Gaussian or Laplace, draw on (0, cell, trial)
         streams = []
         blocks = harness._synthetic_blocks
 
@@ -244,20 +253,13 @@ class TestRunSynthetic:
             return blocks(rng, k, r, n, **kwargs)
 
         monkeypatch.setattr(harness, "_synthetic_blocks", spy)
-        spec = small_spec(resample_data=resample, measured_radius=measured)
+        spec = small_spec(resample_data=resample, burn_in=200,
+                          mechanism="riemannian_laplace" if laplace else "tangent_analytic")
         run_synthetic(spec)
         cells = len(spec.epsilon_grid) * len(spec.delta_grid)
         per_trial = [(0, cell, t) for cell in range(cells) for t in range(spec.trials)]
         assert streams.count((0,)) == base_calls
         assert sorted(s for s in streams if s != (0,)) == (per_trial if resample else [])
-
-    def test_measured_radius_shrinks_noise(self):
-        # observed radius <= sqrt(k) r, so sensitivity and mean utility drop
-        fixed = run_synthetic(small_spec(trials=40))
-        measured = run_synthetic(small_spec(trials=40, measured_radius=True))
-        mean_fixed = np.mean([r.utility for r in fixed])
-        mean_measured = np.mean([r.utility for r in measured])
-        assert mean_measured <= mean_fixed
 
     def test_acceptance_ratio_only_for_mcmc(self):
         tangent = run_synthetic(small_spec(trials=1, epsilon_grid=(0.1,)))
@@ -1242,6 +1244,17 @@ class TestCliInputErrors:
                 "--matrix", str(path)]
         self.check(argv, capsys, "sensitivity must be finite and nonnegative, got inf")
 
+    def test_measured_radius_removed(self, tmp_path, capsys):
+        # the radius, and so sigma, comes from a public bound, never the data
+        with pytest.raises(SystemExit) as exit_info:
+            main(SYNTHETIC + ["--measured-radius"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --measured-radius" in capsys.readouterr().err
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("measured_radius = true\n")
+        self.check(SYNTHETIC + ["--config", str(cfg)], capsys,
+                   "unknown config key 'measured_radius'")
+
     def test_duplicate_grid_value(self, capsys):
         self.check(SYNTHETIC + ["--eps", "0.1,0.1"], capsys, "epsilon_grid has duplicate values")
 
@@ -1312,6 +1325,51 @@ class TestCliInputErrors:
     def test_missing_input_file(self, tmp_path, capsys, argv, flag):
         missing = tmp_path / "nope"
         self.check(argv + [flag, str(missing)], capsys, f"No such file or directory: '{missing}'")
+
+
+# extreme finite floats: the largest, two more whose x + x overflows, the
+# smallest normal and subnormal, 0 and 1, and their negatives
+EDGE_FLOATS = (1.7976931348623157e308, 1.7e308, 1e308, 2.2250738585072014e-308, 5e-324, 0.0, 1.0)
+edge_floats = st.sampled_from(EDGE_FLOATS + tuple(-v for v in EDGE_FLOATS)) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+class TestFloat64Edge:
+    """A symmetric input anywhere in float64 releases finite numbers or ends in
+    one ``error:`` line with exit code 2; it never prints NaN."""
+
+    @staticmethod
+    def privatize(path, entries, output):
+        path.write_text(cli.format_matrix(np.array(entries)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(PRIVATIZE + ["--matrix", str(path), "--output", output])
+        return code, out.getvalue(), err.getvalue()
+
+    def test_log_release_of_huge_diagonal(self, tmp_path):
+        # 1e308 + 1e308 overflows, but the matrix and its log (709.2) are fine
+        code, out, err = self.privatize(tmp_path / "m.txt", np.diag([1e308, 1e308]), "log")
+        assert (code, err) == (0, "")
+        released = read_matrix_text(out)
+        assert np.isfinite(released).all()
+        assert np.allclose(np.diag(released), math.log(1e308), atol=1.0)
+
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    @given(a=edge_floats, b=edge_floats, c=edge_floats)
+    @settings(max_examples=200, deadline=None, database=None)
+    def test_privatize_extreme_inputs(self, tmp_path_factory, a, b, c):
+        path = tmp_path_factory.getbasetemp() / "edge_matrix.txt"
+        for output in ("matrix", "log"):
+            code, out, err = self.privatize(path, [[a, b], [b, c]], output)
+            if code == 0:
+                assert err == ""
+                values = [float(tok) for tok in out.split()]
+                assert len(values) == 4 and all(map(math.isfinite, values)), out
+            else:
+                lines = err.splitlines()
+                assert (code, out, len(lines)) == (2, "", 1), err
+                assert lines[0].startswith("error: ")
 
 
 def read_matrix_text(text):

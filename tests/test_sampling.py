@@ -306,7 +306,7 @@ class TestSyntheticGenerator:
         # pin is what shows any change of the synthetic data stream
         logs = one_shot_logs(RngState(0).substream(0), 3, 0.25, 2)
         assert np.allclose(logs, PINNED_LOGS, rtol=0.0, atol=1e-14)
-        mean, _, _ = _mean_log(_synthetic_blocks(RngState(0).substream(0), 3, 0.25, 2))
+        mean, _ = _mean_log(_synthetic_blocks(RngState(0).substream(0), 3, 0.25, 2))
         assert np.array_equal(mean, logs.mean(axis=0))
 
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, 800.0, 1e308])
@@ -352,28 +352,21 @@ class TestStreamedSummary:
         for n in self.sizes(k):
             logs = one_shot_logs(RngState(61, (n,)), k, 0.25, n)
             rng = RngState(61, (n,))
-            mean, count, radius = _mean_log(_synthetic_blocks(rng, k, 0.25, n), radius=True)
+            mean, count = _mean_log(_synthetic_blocks(rng, k, 0.25, n))
             assert np.array_equal(mean, logs.mean(axis=0)), n
             assert count == n
-            assert radius == float(np.max(np.linalg.norm(logs, axis=(1, 2)))), n
             # the summary leaves the stream where the one-shot draw does
             ref = RngState(61, (n,))
             one_shot_logs(ref, k, 0.25, n)
             assert rng.generator.random() == ref.generator.random()
 
-    def test_radius_only_on_request(self):
-        mean, _, radius = _mean_log(_synthetic_blocks(RngState(5), 3, 0.25, 40))
-        assert radius is None
-        again = _mean_log(_synthetic_blocks(RngState(5), 3, 0.25, 40), radius=True)[0]
-        assert np.array_equal(mean, again)
-
     def test_memory_does_not_grow_with_n(self):
         # the stack of k = 30, n = 5000 log-matrices alone is 36 MB; the
         # summary holds the n·k eigenvalues and a few block-sized arrays
         k, n = 30, 5000
-        _mean_log(_synthetic_blocks(RngState(1), k, 0.25, 50), radius=True)  # warm numpy up
+        _mean_log(_synthetic_blocks(RngState(1), k, 0.25, 50))  # warm numpy up
         rng = RngState(2)
-        peak = peak_bytes(lambda: _mean_log(_synthetic_blocks(rng, k, 0.25, n), radius=True))
+        peak = peak_bytes(lambda: _mean_log(_synthetic_blocks(rng, k, 0.25, n)))
         assert peak <= 8 * (n * k + 16 * _FOLD_DOUBLES)
 
 
