@@ -38,9 +38,10 @@ SYMMETRY_ATOL = 1e-9
 # Positive-definiteness admission: lambda_min > PD_RTOL * max(1, lambda_max).
 PD_RTOL = 1e-12
 
-# exp of a larger log-eigenvalue overflows float64; fail with a clear
-# message instead of emitting infinities downstream.
-EXP_ARG_MAX = 700.0
+# ln of float64's largest value, about 709.78: the largest x whose e^x is
+# finite.  It bounds every exponential the package takes: a release's
+# log-eigenvalues, the synthetic radius r and the analytic epsilon.
+LOG_FLOAT64_MAX = float(np.log(np.finfo(float).max))
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -99,12 +100,7 @@ class SpdMatrix(SymMatrix):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        w = _eigvalsh(self.entries)
-        if not w[0] > PD_RTOL * max(1.0, float(w[-1])):  # NaN fails
-            raise DomainError(
-                f"matrix is not positive definite: min eigenvalue {w[0]:.6e} "
-                f"(max {w[-1]:.6e})"
-            )
+        _positive_eig(self.entries, vectors=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,22 +127,37 @@ class TangentVector:
         object.__setattr__(self, "coords", arr)
 
 
-def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eig(mats: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues of a stack of symmetric matrices and, when
+    ``vectors``, eigenvectors (else None); LAPACK failure is NumericalError."""
     try:
-        return np.linalg.eigh(mats)
+        return np.linalg.eigh(mats) if vectors else (np.linalg.eigvalsh(mats), None)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"symmetric eigendecomposition failed on shape {np.shape(mats)}: {exc}"
         ) from exc
 
 
-def _eigvalsh(mats: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.eigvalsh(mats)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"symmetric eigenvalue computation failed on shape {np.shape(mats)}: {exc}"
-        ) from exc
+def _positive_eig(
+    mats: np.ndarray, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """:func:`_eig` of a stack of matrices A = 2^s U diag(w) U^T, with s;
+    :class:`DomainError` unless each A passes the positive-definite test
+    lambda_min > PD_RTOL * max(1, lambda_max), which NaN fails.  s is 0
+    unless an eigenvalue of a finite A overflows float64; A 2^-s, an exact
+    scaling with 2^s > 2k, has every eigenvalue below float64's largest / 2."""
+    w, u = _eig(mats, vectors)
+    s = 0
+    if not np.isfinite(w).all() and np.isfinite(mats).all():
+        s = mats.shape[-1].bit_length() + 1
+        w, u = _eig(np.ldexp(mats, -s), vectors)
+    positive = w[..., 0] > PD_RTOL * np.maximum(2.0**-s, w[..., -1])  # the test on A 2^-s
+    if not positive.all():
+        low, high = (float(v) * 2.0**s for v in w[~positive][0, [0, -1]])
+        raise DomainError(
+            f"matrix is not positive definite: min eigenvalue {low:.6e} (max {high:.6e})"
+        )
+    return w, u, s
 
 
 def _rebuild(
@@ -162,30 +173,27 @@ def _rebuild(
     overwrites U diag(w)."""
     scaled = np.multiply(basis, eigs[..., None, :], out=scaled)
     product = np.matmul(scaled, np.swapaxes(basis, -1, -2), out=out)
-    symmetric = np.add(product, np.swapaxes(product, -1, -2), out=scaled)
-    return np.multiply(0.5, symmetric, out=symmetric)
+    half = np.multiply(0.5, product, out=product)  # P + P^T can overflow; halves cannot
+    return np.add(half, np.swapaxes(half, -1, -2), out=scaled)
 
 
 def logm_stack(mats: np.ndarray) -> np.ndarray:
     """Matrix logarithm of a stack (..., k, k) of SPD matrices."""
-    mats = np.asarray(mats, dtype=float)
-    w, u = _eigh(mats)
-    wmax = np.maximum(1.0, w[..., -1])
-    if not np.all(w[..., 0] > PD_RTOL * wmax):  # NaN fails
-        bad = float(np.min(w[..., 0]))
-        raise DomainError(f"matrix is not positive definite: min eigenvalue {bad:.6e}")
-    return _rebuild(u, np.log(w))
+    w, u, s = _positive_eig(np.asarray(mats, dtype=float))
+    logs = np.log(w)
+    if s:
+        logs += s * np.log(2.0)
+    return _rebuild(u, logs)
 
 
 def expm_stack(mats: np.ndarray) -> np.ndarray:
     """Matrix exponential of a stack (..., k, k) of symmetric matrices."""
-    mats = np.asarray(mats, dtype=float)
-    w, u = _eigh(mats)
+    w, u = _eig(np.asarray(mats, dtype=float))
     top = float(np.max(w))
-    if top > EXP_ARG_MAX:
+    if not top <= LOG_FLOAT64_MAX:  # NaN fails
         raise NumericalError(
-            f"matrix exponential overflows float64: log-eigenvalue {top:.4g} "
-            f"exceeds {EXP_ARG_MAX:g} (noise scale too large for this range)"
+            f"matrix exponential overflows float64: log-eigenvalue {top} "
+            f"exceeds ln(float64 max) = {LOG_FLOAT64_MAX}"
         )
     return _rebuild(u, np.exp(w))
 

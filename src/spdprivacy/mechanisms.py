@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, NumericalError, _checked_int
 from .geometry import (
+    LOG_FLOAT64_MAX,
     SpdMatrix,
     SymMatrix,
     expm_stack,
@@ -59,9 +60,6 @@ _BLOCK_DOUBLES = 2**16
 # sensitivity, and its relative convergence width.
 _ANALYTIC_BRACKET = (1e-6, 1e6)
 _ANALYTIC_RTOL = 1e-12
-
-# Largest epsilon whose e^epsilon, a factor of the analytic condition, is finite.
-_MAX_ANALYTIC_EPSILON = float(np.log(np.finfo(float).max))
 
 
 class SensitivityKind(str, enum.Enum):
@@ -162,9 +160,9 @@ def calibrate_analytic(sensitivity: Sensitivity, budget: PrivacyBudget) -> float
         raise DomainError("analytic calibration requires a positive sensitivity")
     delta_s = sensitivity.value
     eps, delta = budget.epsilon, budget.delta
-    if eps > _MAX_ANALYTIC_EPSILON:
+    if eps > LOG_FLOAT64_MAX:
         raise DomainError(
-            f"analytic calibration requires epsilon <= {_MAX_ANALYTIC_EPSILON:.6g} "
+            f"analytic calibration requires epsilon <= {LOG_FLOAT64_MAX:.6g} "
             f"so e^epsilon is finite, got {eps}"
         )
     lo = delta_s * _ANALYTIC_BRACKET[0]
@@ -301,7 +299,6 @@ def _chain_start(
     center: np.ndarray,
     sigma: float,
     burn_in: int,
-    proposal_sigma: float | None,
     n_chains: int,
 ) -> tuple[np.ndarray, np.ndarray, float, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Check the chain arguments, draw one unit direction per chain
@@ -321,38 +318,34 @@ def _chain_start(
         raise DomainError("sigma must be positive")
     burn_in = _checked_int(burn_in, "burn_in")
     n_chains = _checked_int(n_chains, "n_chains")
-    if proposal_sigma is None:
-        proposal_sigma = sigma
-    if not (proposal_sigma > 0):
-        raise DomainError("proposal_sigma must be positive")
-    if math.isinf(proposal_sigma * proposal_sigma):
-        raise DomainError(f"proposal scale {proposal_sigma:.6g} overflows float64 when squared")
+    if math.isinf(sigma * sigma):
+        raise DomainError(f"proposal scale {sigma:.6g} overflows float64 when squared")
     center = np.asarray(center, dtype=float)
     _ambient_dim(center)
     d = center.shape[0]
     directions = rng.generator.standard_normal((n_chains, d))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    blocks = _proposal_blocks(rng, proposal_sigma, burn_in, n_chains, d)
+    blocks = _proposal_blocks(rng, sigma, burn_in, n_chains, d)
     return center, directions / norms, d * sigma, blocks
 
 
 def _proposal_blocks(
-    rng: RngState, proposal_sigma: float, burn_in: int, n_chains: int, d: int
+    rng: RngState, sigma: float, burn_in: int, n_chains: int, d: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield the chains' Metropolis draws block by block, each (b, n_chains):
-    the proposal step's component alpha ~ N(0, proposal_sigma^2) along the
-    state's direction, the squared norm q ~ proposal_sigma^2 chi^2_{d-1} of
-    its orthogonal part (0 when d = 1) and the log acceptance uniforms, with
+    the proposal step's component alpha ~ N(0, sigma^2) along the state's
+    direction, the squared norm q ~ sigma^2 chi^2_{d-1} of its orthogonal
+    part (0 when d = 1) and the log acceptance uniforms, with
     b = :data:`_BLOCK_DOUBLES` // (3 * n_chains) steps (at least 1, at most
     burn_in) and a shorter last block."""
     gen = rng.generator
     block = max(1, min(burn_in, _BLOCK_DOUBLES // (3 * n_chains)))
     for done in range(0, burn_in, block):
         size = (min(block, burn_in - done), n_chains)
-        alpha = proposal_sigma * gen.standard_normal(size)
+        alpha = sigma * gen.standard_normal(size)
         if d > 1:
-            q = (2.0 * proposal_sigma**2) * gen.standard_gamma((d - 1) / 2, size)
+            q = (2.0 * sigma**2) * gen.standard_gamma((d - 1) / 2, size)
         else:
             q = np.zeros(size)
         yield alpha, q, np.log(gen.random(size))
@@ -363,7 +356,6 @@ def _laplace_chains(
     center: np.ndarray,
     sigma: float,
     burn_in: int,
-    proposal_sigma: float | None,
     n_chains: int,
 ) -> tuple[np.ndarray, float]:
     """Run ``n_chains`` Metropolis chains in the log chart; return final
@@ -371,17 +363,15 @@ def _laplace_chains(
 
     The target exp(-||z - center||/sigma) is the Laplace density in the flat
     chart, whose Riemannian volume is Lebesgue measure; the proposal is an
-    isotropic Gaussian step s there, so plain Metropolis with the target
-    ratio is exact.  That ratio reads only radii: with w = z - center and
+    isotropic Gaussian step s of scale sigma there, so plain Metropolis with
+    the target ratio is exact.  That ratio reads only radii: with w = z - center and
     s = alpha * w/||w|| + s_perp, the candidate's radius is
     sqrt((||w|| + alpha)^2 + ||s_perp||^2), where alpha and ||s_perp||^2
     are independent of each other and of w.  So each chain runs on its
     radius r alone, vectorised over the chains, and its direction is drawn
     once (see :func:`_chain_start`).
     """
-    center, directions, start, blocks = _chain_start(
-        rng, center, sigma, burn_in, proposal_sigma, n_chains
-    )
+    center, directions, start, blocks = _chain_start(rng, center, sigma, burn_in, n_chains)
     r = np.full(n_chains, start)
     accepted = 0
     for alpha, q, log_u in blocks:
@@ -402,7 +392,7 @@ def acceptance_warning(ratio: float) -> str | None:
     return (
         f"acceptance ratio {ratio:.3f} outside "
         f"[{ACCEPTANCE_BAND[0]}, {ACCEPTANCE_BAND[1]}]; "
-        "check proposal_sigma and burn_in"
+        "check burn_in"
     )
 
 
@@ -411,7 +401,6 @@ def laplace_release(
     center: np.ndarray,
     sigma: float,
     burn_in: int = 50000,
-    proposal_sigma: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Core of the Riemannian Laplace release: one Metropolis chain targeting
     exp(-||z - center||/sigma) in log-chart coordinates.
@@ -423,14 +412,14 @@ def laplace_release(
     for the direction, then per block of b = max(1, min(burn_in,
     2^16 // 3)) steps (the last block may be shorter)
     ``standard_normal((b, 1))`` radial proposal components, scaled by
-    ``proposal_sigma``, ``standard_gamma((d - 1)/2, (b, 1))`` orthogonal
-    squared norms, scaled by 2 proposal_sigma^2 (not drawn when d = 1),
+    sigma, ``standard_gamma((d - 1)/2, (b, 1))`` orthogonal squared norms,
+    scaled by 2 sigma^2 (not drawn when d = 1),
     and ``random((b, 1))`` acceptance uniforms.  The final state is
     bit-identical to :func:`laplace_chains_stack` with ``n_chains=1``, but
     the steps run on Python floats: one chain in numpy's vector loop costs
     about ten times as much (see :func:`_laplace_chains`).
     """
-    center, directions, r, blocks = _chain_start(rng, center, sigma, burn_in, proposal_sigma, 1)
+    center, directions, r, blocks = _chain_start(rng, center, sigma, burn_in, 1)
     accepted = 0
     for alpha, q, log_u in blocks:
         for a, q2, lu in zip(alpha[:, 0].tolist(), q[:, 0].tolist(), log_u[:, 0].tolist()):
@@ -448,7 +437,6 @@ def laplace_chains_stack(
     sigma: float,
     burn_in: int,
     n_chains: int,
-    proposal_sigma: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Final states of ``n_chains`` independent Laplace chains as a
     (n_chains, k, k) SPD stack, plus the pooled acceptance ratio.
@@ -457,13 +445,13 @@ def laplace_chains_stack(
     directions, then per block of b = max(1, min(burn_in,
     2^16 // (3 * n_chains))) steps (the last block may be shorter)
     ``standard_normal((b, n_chains))`` radial proposal components, scaled
-    by ``proposal_sigma``, ``standard_gamma((d - 1)/2, (b, n_chains))``
-    orthogonal squared norms, scaled by 2 proposal_sigma^2 (not drawn when
-    d = 1), and ``random((b, n_chains))`` acceptance uniforms.  Each chain
-    runs on its distance r to the center, from r = d*sigma, and ends at
-    center + r*u with u its normalised direction draw.
+    by sigma, ``standard_gamma((d - 1)/2, (b, n_chains))`` orthogonal
+    squared norms, scaled by 2 sigma^2 (not drawn when d = 1), and
+    ``random((b, n_chains))`` acceptance uniforms.  Each chain runs on its
+    distance r to the center, from r = d*sigma, and ends at center + r*u
+    with u its normalised direction draw.
     """
     center = vecd_stack(logm_stack(summary.entries))
-    states, ratio = _laplace_chains(rng, center, sigma, burn_in, proposal_sigma, n_chains)
+    states, ratio = _laplace_chains(rng, center, sigma, burn_in, n_chains)
     return expm_stack(invvecd_stack(states, summary.dim)), ratio
 

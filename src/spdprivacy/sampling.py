@@ -29,13 +29,10 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import DimensionError, DomainError, _checked_int
-from .geometry import _FOLD_DOUBLES, MAX_DIM, SpdMatrix, _rebuild
+from .geometry import _FOLD_DOUBLES, LOG_FLOAT64_MAX, MAX_DIM, SpdMatrix, _rebuild
 
 # Seeds are unsigned 64-bit integers.
 _MAX_SEED = 2**64 - 1
-
-# Largest r whose e^r is finite: the synthetic eigenvalue range [e^-r, e^r].
-_MAX_SYNTHETIC_R = float(np.log(np.finfo(float).max))
 
 
 class RngState:
@@ -67,8 +64,8 @@ class RngState:
 
 def _check_radius(r: float) -> None:
     """:class:`DomainError` unless r gives a finite range [e^-r, e^r]."""
-    if not 0 < r <= _MAX_SYNTHETIC_R:
-        raise DomainError(f"r must be in (0, {_MAX_SYNTHETIC_R:.6g}] so e^r is finite, got {r}")
+    if not 0 < r <= LOG_FLOAT64_MAX:
+        raise DomainError(f"r must be in (0, {LOG_FLOAT64_MAX:.6g}] so e^r is finite, got {r}")
 
 
 def _synthetic_blocks(

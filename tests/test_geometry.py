@@ -72,9 +72,26 @@ class TestTypes:
         assert logm(x).entries[0, 0] == pytest.approx(709.7, abs=0.05)
 
     def test_spd_rejects_singular_at_float64_edge(self):
-        # its top eigenvalue 2e308 overflows, and it is singular besides
-        with pytest.raises(DomainError, match="not positive definite"):
+        # admitted as finite and rescaled past its overflowing top eigenvalue
+        # 2e308, it is rejected because it is singular
+        with pytest.raises(DomainError, match="min eigenvalue 0.000000e"):
             SpdMatrix([[1e308, 1e308], [1e308, 1e308]])
+
+    def test_spd_admits_eigenvalue_beyond_float64(self):
+        # eigenvalues 2.9e307 and 2.4e308: the top one overflows float64,
+        # its log does not
+        big = np.array([[1e308, 1e308], [1e308, 1.7e308]])
+        log_eigs = np.linalg.eigvalsh(logm(SpdMatrix(big)).entries)
+        assert np.allclose(log_eigs, [707.96012232, 710.07562002], rtol=0.0, atol=1e-8)
+
+    def test_logm_rescales_exactly(self):
+        from spdprivacy.geometry import logm_stack
+
+        # log(A) = log(A 2^-s) + s ln 2 I for the exact scaling by 2^-s
+        big = np.array([[1e308, 1e308], [1e308, 1.7e308]])
+        for s in (3, 20):
+            shift = logm_stack(big) - logm_stack(np.ldexp(big, -s))
+            assert np.allclose(shift, s * math.log(2.0) * np.eye(2), rtol=0.0, atol=1e-12)
 
     def test_spd_accepts_identity(self):
         x = identity(3)
@@ -133,6 +150,24 @@ class TestLogExp:
 
     def test_expm_zero_is_identity(self):
         assert np.allclose(expm(SymMatrix(np.zeros((3, 3)))).entries, np.eye(3))
+
+    def test_expm_up_to_log_float64_max(self):
+        from spdprivacy.errors import NumericalError
+        from spdprivacy.geometry import LOG_FLOAT64_MAX, expm_stack
+
+        assert LOG_FLOAT64_MAX == math.log(np.finfo(float).max)
+        assert np.array_equal(expm_stack(709.7 * np.eye(2)), math.exp(709.7) * np.eye(2))
+        # the rebuild's diagonal is about 1.6e308, twice which overflows
+        c = math.sqrt(0.5)
+        rotation = np.array([[c, -c], [c, c]])
+        log_x = rotation @ np.diag([709.7, 709.6]) @ rotation.T
+        x = expm_stack(log_x)
+        assert np.isfinite(x).all() and x[0, 0] > 1.5e308
+        assert np.allclose(logm(SpdMatrix(x)).entries, log_x, rtol=0.0, atol=1e-9)
+        with pytest.raises(NumericalError, match=r"709.8 exceeds ln\(float64 max\) = 709.782712893384$"):
+            expm_stack(709.8 * np.eye(2))
+        with pytest.raises(NumericalError):
+            expm_stack(np.full((2, 2), np.nan))
 
     def test_expm_diagonal(self):
         s = SymMatrix(np.diag([1.0, -1.0]))

@@ -1355,6 +1355,22 @@ class TestFloat64Edge:
         assert np.isfinite(released).all()
         assert np.allclose(np.diag(released), math.log(1e308), atol=1.0)
 
+    def test_matrix_release_of_huge_diagonal(self, tmp_path):
+        # log-eigenvalues near 709.1, above 700 but below ln(float64 max)
+        code, out, err = self.privatize(tmp_path / "m.txt", np.diag([1e308, 1e308]), "matrix")
+        assert (code, err) == (0, "")
+        released = read_matrix_text(out)
+        assert np.isfinite(released).all() and np.all(np.diag(released) > 1e307)
+
+    def test_log_release_of_eigenvalue_beyond_float64(self, tmp_path):
+        # eigenvalues 2.9e307 and 2.4e308 (log 707.96 and 710.08): the top one
+        # overflows float64, the log chart does not
+        big = [[1e308, 1e308], [1e308, 1.7e308]]
+        code, out, err = self.privatize(tmp_path / "m.txt", big, "log")
+        assert (code, err) == (0, "")
+        log_eigs = np.linalg.eigvalsh(read_matrix_text(out))
+        assert np.allclose(log_eigs, [707.96, 710.08], atol=1.0)
+
     @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
     @given(a=edge_floats, b=edge_floats, c=edge_floats)
     @settings(max_examples=200, deadline=None, database=None)

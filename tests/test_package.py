@@ -29,6 +29,9 @@ from spdprivacy.mechanisms import laplace_chains_stack, tangent_gaussian_stack
 # A use of numpy's random module, e.g. np.random.default_rng.
 NUMPY_RANDOM = re.compile(r"\b(np|numpy)\.random\b")
 
+# A call of numpy's symmetric eigensolvers, or float64's largest value.
+FLOAT64_EDGE = re.compile(r"\b(np|numpy)\.linalg\.eig|finfo\(float\)\.max")
+
 # A Sphinx cross-reference in a docstring or comment, e.g. :func:`load_pnm`.
 ROLE_REF = re.compile(r":(func|class|data|meth):`([\w.]+)`")
 
@@ -78,6 +81,17 @@ def test_randomness_only_through_rng_state():
         path.name
         for path in sorted(Path(spdprivacy.__file__).parent.glob("*.py"))
         if path.name != "sampling.py" and NUMPY_RANDOM.search(path.read_text(encoding="utf-8"))
+    ]
+    assert named == []
+
+
+def test_float64_edge_only_in_geometry():
+    # what float64 can hold is decided once: geometry alone decomposes
+    # matrices (admitting them as SPD) and bounds their exponentials
+    named = [
+        path.name
+        for path in sorted(Path(spdprivacy.__file__).parent.glob("*.py"))
+        if path.name != "geometry.py" and FLOAT64_EDGE.search(path.read_text(encoding="utf-8"))
     ]
     assert named == []
 
