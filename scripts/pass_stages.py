@@ -9,6 +9,8 @@ functions the CLI reaches them through:
   data         harness._mean_log (a synthetic dataset's draw, or an image
                class's parse and descriptors, folded into its summary)
   cells        harness._run_cells (calibration, releases and utilities)
+  release      mechanisms.Mechanism.release (one Gaussian cell's block of
+               releases, or one Laplace chain), wrapped on the class
   descriptors  descriptors._BlockBuffers.descriptors (a block of images'
                descriptors), wrapped on the class
   logm         descriptors.logm_stack (the matrix logs of an image class's
@@ -19,8 +21,13 @@ functions the CLI reaches them through:
 Stages nest: the fold draws or reads its blocks as it goes, so
 ``descriptors`` and ``logm`` time is also ``data`` time; with
 ``--resample-data`` (``fresh-data``) every trial draws its dataset inside
-``_run_cells``, so ``data`` time is also ``cells`` time.
-``pass`` is the whole pass.  Each time is put on the host-speed scale of
+``_run_cells``, so ``data`` time is also ``cells`` time; ``release`` time is
+also ``cells`` time.  Chains that run on pool threads (``laplace-chain``)
+add their times, which may then sum to more than the wall time of
+``cells``.
+``pass`` is the whole pass.  Times are printed to the microsecond, so a
+stage of a few microseconds a pass (``image-corpus`` releases) reads above
+zero.  Each time is put on the host-speed scale of
 ``perfbench/hostspeed.py``: scaled by REFERENCE_S over the mean time of its
 reference kernel, run WINDOW times before and after each pass.  The process
 is pinned to one core and BLAS to one thread, as in ``perfbench/run.py``.
@@ -39,6 +46,7 @@ import functools  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import threading  # noqa: E402
 import time  # noqa: E402
 from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -49,11 +57,12 @@ import hostspeed  # noqa: E402
 import workloads  # noqa: E402
 
 import spdprivacy  # noqa: E402
-from spdprivacy import cli, descriptors, harness  # noqa: E402
+from spdprivacy import cli, descriptors, harness, mechanisms  # noqa: E402
 
 STAGES = (
     ("data", harness, "_mean_log"),
     ("cells", harness, "_run_cells"),
+    ("release", mechanisms.Mechanism, "release"),
     ("descriptors", descriptors._BlockBuffers, "descriptors"),
     ("logm", descriptors, "logm_stack"),
     ("csv", cli, "emit_csv"),
@@ -73,7 +82,9 @@ def parse_args():
 
 
 def timed(totals: Counter, name: str, fn):
-    """``fn``, adding its wall time in seconds to ``totals[name]``."""
+    """``fn``, adding its wall time in seconds to ``totals[name]``; the add
+    holds a lock because the harness pool runs releases on its threads."""
+    lock = threading.Lock()
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -81,7 +92,9 @@ def timed(totals: Counter, name: str, fn):
         try:
             return fn(*args, **kwargs)
         finally:
-            totals[name] += time.perf_counter() - start
+            elapsed = time.perf_counter() - start
+            with lock:
+                totals[name] += elapsed
 
     return wrapper
 
@@ -124,9 +137,9 @@ def main():
             after = reference_window()
             scale = 1e3 * hostspeed.REFERENCE_S / statistics.fmean(before + after)
             rows.append([scale * totals[name] for name in names])
-            print(f"{index} " + " ".join(f"{ms:.1f}" for ms in rows[-1]))
+            print(f"{index} " + " ".join(f"{ms:.3f}" for ms in rows[-1]))
             before = after
-    print("median " + " ".join(f"{statistics.median(col):.1f}" for col in zip(*rows)))
+    print("median " + " ".join(f"{statistics.median(col):.3f}" for col in zip(*rows)))
 
 
 if __name__ == "__main__":

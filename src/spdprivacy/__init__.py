@@ -23,13 +23,12 @@ from .geometry import (
     vecd,
 )
 from .mechanisms import (
+    MECHANISMS,
     PrivacyBudget,
     Sensitivity,
     SensitivityKind,
     calibrate_analytic,
     calibrate_classical,
-    gaussian_release_block,
-    laplace_release,
     sensitivity_extrinsic,
     sensitivity_frechet_le,
 )
@@ -78,8 +77,7 @@ __all__ = [
     "sensitivity_extrinsic",
     "calibrate_classical",
     "calibrate_analytic",
-    "gaussian_release_block",
-    "laplace_release",
+    "MECHANISMS",
     "RasterImage",
     "DescriptorParams",
     "covariance_descriptor",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .descriptors import DescriptorParams, covariance_descriptor, load_pnm
 from .errors import NumericalError, SpdPrivacyError
-from .geometry import SpdMatrix, invvecd_stack
+from .geometry import SpdMatrix, invvecd_stack, logm_stack
 from .harness import ExperimentSpec, emit_csv, render_csv, run_image, run_synthetic
 from .mechanisms import (
     MECHANISMS,
@@ -31,8 +31,6 @@ from .mechanisms import (
     acceptance_warning,
     calibrate_analytic,
     calibrate_classical,
-    gaussian_release_block,
-    laplace_release,
 )
 from .plotting import emit_plot
 from .sampling import RngState
@@ -138,14 +136,10 @@ def _cmd_privatize(args: argparse.Namespace) -> int:
         )
     summary = SpdMatrix(read_matrix(args.matrix))
     sigma = mechanism.noise_scale(args.n, args.r, args.eps, args.delta)
-    center = mechanism.center(summary)
-    rng = RngState(args.seed)
-    if mechanism.chain:
-        z, ratio = laplace_release(rng, center, sigma, burn_in=args.burn_in)
-        if warning := acceptance_warning(ratio):
-            print(f"warning: {warning}", file=sys.stderr)
-    else:
-        z = gaussian_release_block(center, sigma, rng.generator.standard_normal(center.size))
+    center = mechanism.center(logm_stack(summary.entries))
+    (z,), ratio = mechanism.release(RngState(args.seed), center, sigma, burn_in=args.burn_in)
+    if ratio is not None and (warning := acceptance_warning(ratio)):
+        print(f"warning: {warning}", file=sys.stderr)
     if args.output == "log":
         print(format_matrix(invvecd_stack(z, summary.dim)))
         return 0

@@ -49,14 +49,8 @@ import numpy as np
 
 from .descriptors import DescriptorParams, _class_logs, descriptor_radius_bound
 from .errors import DimensionError, DomainError, NumericalError, _checked_int
-from .geometry import MAX_DIM, _mean_log, expm_stack, vecd_stack
-from .mechanisms import (
-    MECHANISMS,
-    Mechanism,
-    acceptance_warning,
-    gaussian_release_block,
-    laplace_release,
-)
+from .geometry import MAX_DIM, _mean_log
+from .mechanisms import MECHANISMS, acceptance_warning
 from .sampling import _MAX_SEED, RngState, _check_radius, _synthetic_blocks
 
 log = logging.getLogger(__name__)
@@ -144,19 +138,14 @@ class _Group:
     """One summary to privatize: the whole dataset (synthetic) or a class.
 
     ``center`` is the summary in the coordinates the mechanism releases in
-    (see :func:`_center`), or None when every trial draws its own dataset.
+    (see ``Mechanism.center``), or None when every trial draws its own
+    dataset.
     """
 
     center: np.ndarray | None
     n: int
     k: int
     radius: float
-
-
-def _center(mechanism: Mechanism, mean_log: np.ndarray) -> np.ndarray:
-    """Release center of the Fréchet mean exp(mean_log): its log-chart
-    vector, or outside the log chart, vecd of the mean itself."""
-    return vecd_stack(mean_log if mechanism.log_chart else expm_stack(mean_log))
 
 
 def _row_dots(rows: np.ndarray) -> np.ndarray:
@@ -206,7 +195,7 @@ def _run_cells(
         if spec.resample_data:
             data_rng = base.substream(_DATA_STREAM, cell_index, trial)
             mean_log, _ = _mean_log(_synthetic_blocks(data_rng, spec.k, spec.r, spec.n))
-            return _center(mechanism, mean_log)
+            return mechanism.center(mean_log)
         return cells[cell_index][0].center
 
     def laplace_trial(task: tuple[int, int]) -> tuple[float, int, float]:
@@ -214,13 +203,11 @@ def _run_cells(
         rng = base.substream(_NOISE_STREAM, cell_index, trial)
         center = trial_center(task)
         start = time.perf_counter_ns() if spec.record_timing else 0
-        z, acceptance = laplace_release(
-            rng, center, cells[cell_index][3], burn_in=spec.burn_in
-        )
+        z, acceptance = mechanism.release(rng, center, cells[cell_index][3], burn_in=spec.burn_in)
         elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
         if warning := acceptance_warning(acceptance):
             log.warning("%s", warning)
-        return float(_row_dots((z - center)[None])[0]), elapsed, acceptance
+        return float(_row_dots(z - center)[0]), elapsed, acceptance
 
     blocks: dict[int, np.ndarray] = {}
 
@@ -232,8 +219,8 @@ def _run_cells(
         if block is None:
             block = blocks[d] = np.empty((spec.trials, d))
         start = time.perf_counter_ns() if spec.record_timing else 0
-        base.substream(_NOISE_STREAM, cell_index).generator.standard_normal(out=block)
-        gaussian_release_block(center, cells[cell_index][3], block, out=block)
+        rng = base.substream(_NOISE_STREAM, cell_index)
+        mechanism.release(rng, center, cells[cell_index][3], spec.trials, out=block)
         elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
         per_trial = -(-elapsed // spec.trials)
         block -= center
@@ -274,7 +261,7 @@ def run_synthetic(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     center = None
     if not spec.resample_data:
         blocks = _synthetic_blocks(base.substream(_DATA_STREAM), spec.k, spec.r, spec.n)
-        center = _center(MECHANISMS[spec.mechanism], _mean_log(blocks)[0])
+        center = MECHANISMS[spec.mechanism].center(_mean_log(blocks)[0])
     group = _Group(center=center, n=spec.n, k=spec.k, radius=math.sqrt(spec.k) * spec.r)
     return _run_cells(spec, base, [group], threads)
 
@@ -332,7 +319,7 @@ def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
         mean_log, n = _mean_log(_class_logs(name, files, params))
         k = len(mean_log)
         radius = descriptor_radius_bound(k - 8, spec.eta)  # k = 8 + channels
-        groups.append(_Group(_center(MECHANISMS[spec.mechanism], mean_log), n, k, radius))
+        groups.append(_Group(MECHANISMS[spec.mechanism].center(mean_log), n, k, radius))
     return _run_cells(spec, base, groups, threads)
 
 

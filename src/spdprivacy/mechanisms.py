@@ -3,16 +3,18 @@
 :data:`MECHANISMS` names the four releases the harness and the CLI offer,
 each as one :class:`Mechanism` row: its sensitivity, its noise
 calibration, its chart and whether it is sampled by a chain.  A release
-is ``row.export(core(rng, row.center(summary), sigma), k)``: the row
-centers the summary as a d-vector, d = k(k+1)/2, one of the two vector
-cores perturbs it, and the row exports the result as a k x k matrix.
+is ``row.export(row.release(rng, row.center(log_summary), sigma)[0][0], k)``:
+the row centers the summary's matrix log as a d-vector, d = k(k+1)/2,
+:meth:`Mechanism.release` perturbs it, and the row exports the result as a
+k x k matrix.  :meth:`Mechanism.release` is the only code that draws
+release noise and the only code that picks a core by the row's ``chain``.
 
-The tangent Gaussian mechanism (:func:`gaussian_release_block` around
-vecd(log summary), exported through expm) always outputs an SPD matrix,
-and the squared log-Euclidean deviation from the summary is exactly
+The tangent Gaussian mechanism (center + sigma * N around vecd(log
+summary), exported through expm) always outputs an SPD matrix, and the
+squared log-Euclidean deviation from the summary is exactly
 sigma^2 chi^2_d distributed.  The extrinsic Gaussian baseline perturbs the
 summary's own entries in SYM(k) and may leave the SPD cone.  The
-Riemannian Laplace baseline (:func:`laplace_release`) samples a density
+Riemannian Laplace baseline (the chain row) samples a density
 proportional to exp(-distance/sigma) with a Metropolis chain run in the
 flat log chart.  Target and proposal are both invariant under rotations
 about the center, so the chain runs on its distance to the center alone:
@@ -189,12 +191,8 @@ def _calibrate_pure(sensitivity: Sensitivity, budget: PrivacyBudget) -> float:
 
 @dataclass(frozen=True)
 class Mechanism:
-    """One release of the Fréchet mean, as a row of :data:`MECHANISMS`.
-
-    A chain release is one :func:`laplace_release`, any other one
-    :func:`gaussian_release_block` on a draw of d standard normals, between
-    :meth:`center` and :meth:`export`.
-    """
+    """One release of the Fréchet mean, as a row of :data:`MECHANISMS`:
+    :meth:`release` between :meth:`center` and :meth:`export`."""
 
     sensitivity: Callable[[int, float], Sensitivity]
     calibrate: Callable[[Sensitivity, PrivacyBudget], float]
@@ -205,10 +203,64 @@ class Mechanism:
         """Noise scale for a summary of ``n`` points in a ball of ``radius``."""
         return self.calibrate(self.sensitivity(n, radius), PrivacyBudget(epsilon, delta))
 
-    def center(self, summary: SpdMatrix) -> np.ndarray:
-        """The release center of ``summary``: vecd(log summary) in the log
-        chart, else vecd(summary)."""
-        return vecd_stack(logm_stack(summary.entries) if self.log_chart else summary.entries)
+    def center(self, log: np.ndarray) -> np.ndarray:
+        """The release center of the summary whose matrix log is ``log``:
+        vecd(log) in the log chart, else vecd(expm(log)), the summary's own
+        entries."""
+        return vecd_stack(log if self.log_chart else expm_stack(log))
+
+    def release(
+        self,
+        rng: RngState,
+        center: np.ndarray,
+        sigma: float,
+        trials: int = 1,
+        *,
+        burn_in: int | None = None,
+        out: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, float | None]:
+        """``trials`` releases around ``center``, one d-vector for every
+        trial or one row per trial (trials, d), d = k(k+1)/2: the (trials,
+        d) block z of releases and the chains' pooled acceptance ratio, None
+        for a Gaussian row.  The utility of trial t is ||z[t] - center||^2.
+
+        A Gaussian row draws one ``standard_normal((trials, d))`` block N,
+        into ``out`` when given, and overwrites it with
+        ``center + sigma * N``, ``sigma * N`` rounded first; row t of N is
+        trial t's noise whatever ``trials``.  The harness passes one block,
+        reused by every Gaussian cell of a run, as ``out``.
+
+        A chain row runs ``trials`` Metropolis chains of ``burn_in`` steps
+        targeting exp(-||z - center||/sigma) (see :func:`_laplace_chains`);
+        it needs ``burn_in``, which a Gaussian row ignores, and takes no
+        ``out``.  Stream layout: ``standard_normal((trials,
+        d))`` for the chains' directions, then per block of b = max(1,
+        min(burn_in, 2^16 // (3 * trials))) steps (the last block may be
+        shorter) ``standard_normal((b, trials))`` radial proposal
+        components, scaled by sigma, ``standard_gamma((d - 1)/2, (b,
+        trials))`` orthogonal squared norms, scaled by 2 sigma^2 (not drawn
+        when d = 1), and ``random((b, trials))`` acceptance uniforms.  Each
+        chain runs on its distance r to the center, from r = d*sigma, and
+        ends at center + r*u with u its normalised direction draw.  One
+        chain steps on Python floats (:func:`_laplace_chain`), more are
+        vectorised over the chains (:func:`_laplace_chains`); both give
+        the same bits for one chain.
+        """
+        trials = _checked_int(trials, "trials")
+        if not (sigma > 0):
+            raise DomainError("sigma must be positive")
+        center = np.asarray(center, dtype=float)
+        _ambient_dim(center, trials)
+        if not self.chain:
+            noise = rng.generator.standard_normal((trials, center.shape[-1]), out=out)
+            np.multiply(float(sigma), noise, out=noise)
+            noise += center
+            return noise, None
+        if out is not None:
+            raise DomainError("a chain release takes no out block")
+        if trials == 1:
+            return _laplace_chain(rng, center, sigma, burn_in)
+        return _laplace_chains(rng, center, sigma, burn_in, trials)
 
     def export(self, z: np.ndarray, k: int) -> SymMatrix:
         """The release ``z`` as a k x k matrix, the inverse of :meth:`center`:
@@ -238,37 +290,6 @@ MECHANISMS = {
 }
 
 
-def gaussian_release_block(
-    center: np.ndarray, sigma: float, noise: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The Gaussian law on a block of standard normal rows ``noise``
-    (trials, d): release ``center + sigma * noise``, with ``center`` one
-    d-vector for every row or one row per trial.
-
-    ``center`` is vecd(log summary) for the tangent mechanism, whose
-    utility ||z - center||^2 is then the squared log-Euclidean deviation,
-    and vecd(summary) for the extrinsic baseline.
-
-    The release is written to ``out`` (of ``noise``'s shape) when given,
-    and ``out=noise`` overwrites the noise in place; with ``out=None``
-    ``noise`` is left untouched.  Either way ``sigma * noise`` is rounded
-    first and the center added second, so every element is the one
-    ``center + sigma * noise`` gives.  The harness passes ``out=noise``:
-    one block, reused by every Gaussian cell of a run, is filled with the
-    cell's normals (the stream of a fresh (trials, d) draw) and then
-    overwritten in place by the release."""
-    if not (sigma > 0):
-        raise DomainError("sigma must be positive")
-    center, noise = np.asarray(center, dtype=float), np.asarray(noise, dtype=float)
-    if center.size < 1 or noise.shape[max(0, noise.ndim - center.ndim) :] != center.shape:
-        raise DimensionError(f"center {center.shape} is empty or does not fit noise {noise.shape}")
-    if out is not None and out.shape != noise.shape:
-        raise DimensionError(f"out {out.shape} does not match noise {noise.shape}")
-    out = np.multiply(float(sigma), noise, out=out)
-    out += center
-    return out
-
-
 def tangent_gaussian_stack(
     rng: RngState, summary: SpdMatrix, sigma: float, size: int
 ) -> np.ndarray:
@@ -278,18 +299,19 @@ def tangent_gaussian_stack(
     tangent Gaussian release of ``summary``; for Monte-Carlo diagnostics.
     """
     size = _checked_int(size, "size")
-    center = vecd_stack(logm_stack(summary.entries))
-    noise = rng.generator.standard_normal((size, center.size))
-    return expm_stack(invvecd_stack(gaussian_release_block(center, sigma, noise), summary.dim))
+    row = MECHANISMS["tangent_analytic"]
+    z, _ = row.release(rng, row.center(logm_stack(summary.entries)), sigma, size)
+    return expm_stack(invvecd_stack(z, summary.dim))
 
 
-def _ambient_dim(center: np.ndarray) -> int:
-    """The k with k(k+1)/2 == len(center), for a log-chart vector."""
-    d = center.shape[0] if center.ndim == 1 else 0
+def _ambient_dim(center: np.ndarray, trials: int = 1) -> int:
+    """The k with k(k+1)/2 == d, for a center of shape (d,) or (trials, d)."""
+    d = center.shape[-1] if center.ndim and center.shape[:-1] in ((), (trials,)) else 0
     k = (math.isqrt(8 * d + 1) - 1) // 2
     if k < 1 or k * (k + 1) // 2 != d:
         raise DimensionError(
-            f"center of shape {center.shape} is not a vector of length k(k+1)/2"
+            f"center of shape {center.shape} is not a (d,) or ({trials}, d) array "
+            "with d = k(k+1)/2"
         )
     return k
 
@@ -300,10 +322,10 @@ def _chain_start(
     sigma: float,
     burn_in: int,
     n_chains: int,
-) -> tuple[np.ndarray, np.ndarray, float, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Check the chain arguments, draw one unit direction per chain
-    (n_chains, d) and return the directions with the start radius and the
-    chains' radial blocks.
+) -> tuple[np.ndarray, float, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Check the step count, draw one unit direction per chain (n_chains,
+    d) and return the directions with the start radius and the chains'
+    radial blocks.
 
     Chains start at radius d*sigma from the center (the mean radius of the
     target), which keeps the burn-in in the stationary bulk for every
@@ -314,20 +336,15 @@ def _chain_start(
     radius and u a uniform direction independent of r: one draw serves for
     both the start and the output.
     """
-    if not (sigma > 0):
-        raise DomainError("sigma must be positive")
     burn_in = _checked_int(burn_in, "burn_in")
-    n_chains = _checked_int(n_chains, "n_chains")
     if math.isinf(sigma * sigma):
         raise DomainError(f"proposal scale {sigma:.6g} overflows float64 when squared")
-    center = np.asarray(center, dtype=float)
-    _ambient_dim(center)
-    d = center.shape[0]
+    d = center.shape[-1]
     directions = rng.generator.standard_normal((n_chains, d))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     blocks = _proposal_blocks(rng, sigma, burn_in, n_chains, d)
-    return center, directions / norms, d * sigma, blocks
+    return directions / norms, d * sigma, blocks
 
 
 def _proposal_blocks(
@@ -371,7 +388,7 @@ def _laplace_chains(
     radius r alone, vectorised over the chains, and its direction is drawn
     once (see :func:`_chain_start`).
     """
-    center, directions, start, blocks = _chain_start(rng, center, sigma, burn_in, n_chains)
+    directions, start, blocks = _chain_start(rng, center, sigma, burn_in, n_chains)
     r = np.full(n_chains, start)
     accepted = 0
     for alpha, q, log_u in blocks:
@@ -382,6 +399,24 @@ def _laplace_chains(
             np.copyto(r, cand, where=take)
             accepted += int(np.count_nonzero(take))
     return center + r[:, None] * directions, accepted / (int(burn_in) * n_chains)
+
+
+def _laplace_chain(
+    rng: RngState, center: np.ndarray, sigma: float, burn_in: int
+) -> tuple[np.ndarray, float]:
+    """:func:`_laplace_chains` with one chain, bit for bit, stepping on
+    Python floats: one chain in numpy's vector loop costs about ten times
+    as much per step."""
+    directions, r, blocks = _chain_start(rng, center, sigma, burn_in, 1)
+    accepted = 0
+    for alpha, q, log_u in blocks:
+        for a, q2, lu in zip(alpha[:, 0].tolist(), q[:, 0].tolist(), log_u[:, 0].tolist()):
+            t = r + a
+            cand = math.sqrt(t * t + q2)
+            if lu < (r - cand) / sigma:
+                r = cand
+                accepted += 1
+    return center + r * directions, accepted / int(burn_in)
 
 
 def acceptance_warning(ratio: float) -> str | None:
@@ -396,41 +431,6 @@ def acceptance_warning(ratio: float) -> str | None:
     )
 
 
-def laplace_release(
-    rng: RngState,
-    center: np.ndarray,
-    sigma: float,
-    burn_in: int = 50000,
-) -> tuple[np.ndarray, float]:
-    """Core of the Riemannian Laplace release: one Metropolis chain targeting
-    exp(-||z - center||/sigma) in log-chart coordinates.
-
-    Returns the final state z (so the utility is ||z - center||^2) and the
-    chain's acceptance ratio.  The chain runs on its radius
-    r = ||z - center||, from r = d*sigma, and z = center + r*u with u the
-    normalised direction draw.  Stream layout: ``standard_normal((1, d))``
-    for the direction, then per block of b = max(1, min(burn_in,
-    2^16 // 3)) steps (the last block may be shorter)
-    ``standard_normal((b, 1))`` radial proposal components, scaled by
-    sigma, ``standard_gamma((d - 1)/2, (b, 1))`` orthogonal squared norms,
-    scaled by 2 sigma^2 (not drawn when d = 1),
-    and ``random((b, 1))`` acceptance uniforms.  The final state is
-    bit-identical to :func:`laplace_chains_stack` with ``n_chains=1``, but
-    the steps run on Python floats: one chain in numpy's vector loop costs
-    about ten times as much (see :func:`_laplace_chains`).
-    """
-    center, directions, r, blocks = _chain_start(rng, center, sigma, burn_in, 1)
-    accepted = 0
-    for alpha, q, log_u in blocks:
-        for a, q2, lu in zip(alpha[:, 0].tolist(), q[:, 0].tolist(), log_u[:, 0].tolist()):
-            t = r + a
-            cand = math.sqrt(t * t + q2)
-            if lu < (r - cand) / sigma:
-                r = cand
-                accepted += 1
-    return center + r * directions[0], accepted / int(burn_in)
-
-
 def laplace_chains_stack(
     rng: RngState,
     summary: SpdMatrix,
@@ -441,17 +441,11 @@ def laplace_chains_stack(
     """Final states of ``n_chains`` independent Laplace chains as a
     (n_chains, k, k) SPD stack, plus the pooled acceptance ratio.
 
-    Stream layout: ``standard_normal((n_chains, d))`` for the chains'
-    directions, then per block of b = max(1, min(burn_in,
-    2^16 // (3 * n_chains))) steps (the last block may be shorter)
-    ``standard_normal((b, n_chains))`` radial proposal components, scaled
-    by sigma, ``standard_gamma((d - 1)/2, (b, n_chains))`` orthogonal
-    squared norms, scaled by 2 sigma^2 (not drawn when d = 1), and
-    ``random((b, n_chains))`` acceptance uniforms.  Each chain runs on its
-    distance r to the center, from r = d*sigma, and ends at center + r*u
-    with u its normalised direction draw.
+    Stream layout: that of :meth:`Mechanism.release` with ``trials =
+    n_chains``.
     """
-    center = vecd_stack(logm_stack(summary.entries))
-    states, ratio = _laplace_chains(rng, center, sigma, burn_in, n_chains)
+    n_chains = _checked_int(n_chains, "n_chains")
+    row = MECHANISMS["riemannian_laplace"]
+    center = row.center(logm_stack(summary.entries))
+    states, ratio = row.release(rng, center, sigma, n_chains, burn_in=burn_in)
     return expm_stack(invvecd_stack(states, summary.dim)), ratio
-

@@ -39,12 +39,12 @@ from spdprivacy.harness import (
     run_synthetic,
 )
 from spdprivacy.mechanisms import (
+    Mechanism,
     PrivacyBudget,
     Sensitivity,
     SensitivityKind,
     calibrate_analytic,
     calibrate_classical,
-    gaussian_release_block,
     sensitivity_extrinsic,
     sensitivity_frechet_le,
 )
@@ -213,13 +213,13 @@ class TestRunSynthetic:
         # ||z - c||^2 is translation invariant, so redrawing the summary c
         # per trial leaves every utility unchanged up to rounding
         centers = []
-        release = harness.gaussian_release_block
+        release = Mechanism.release
 
-        def spy(center, sigma, noise, out=None):
+        def spy(row, rng, center, sigma, trials=1, **kwargs):
             centers.append(center)
-            return release(center, sigma, noise, out=out)
+            return release(row, rng, center, sigma, trials, **kwargs)
 
-        monkeypatch.setattr(harness, "gaussian_release_block", spy)
+        monkeypatch.setattr(Mechanism, "release", spy)
         for mechanism in ("tangent_analytic", "extrinsic_analytic"):
             centers.clear()
             fixed = run_synthetic(small_spec(mechanism=mechanism))
@@ -228,7 +228,7 @@ class TestRunSynthetic:
             resampled = run_synthetic(small_spec(mechanism=mechanism, resample_data=True))
             trials = len(fixed)
             # one block per cell: the shared center, or one fresh center per trial
-            assert len(fixed_centers) == len(centers)
+            assert len(fixed_centers) == len(centers) == len(small_spec().epsilon_grid)
             assert all(c is fixed_centers[0] for c in fixed_centers)
             rows = np.concatenate(centers)
             assert len(rows) == trials
@@ -321,7 +321,7 @@ class TestRunSynthetic:
 
 def per_cell_utilities(spec):
     """Utilities by (epsilon, delta, trial) of a synthetic Gaussian run: per
-    cell, ``gaussian_release_block`` of the (trials, d) block drawn from
+    cell, center + sigma * N for the (trials, d) block N drawn from
     substream (1, cell), around the dataset center or, with
     ``resample_data``, around the center of each trial's own dataset from
     substream (0, cell, trial); one dot per row of z - c.  The noise scale
@@ -346,7 +346,7 @@ def per_cell_utilities(spec):
             centers.append(vecd_stack(expm_stack(mean_log) if extrinsic else mean_log))
         centers = np.array(centers)
         block = base.substream(1, cell).generator.standard_normal(centers.shape)
-        z = gaussian_release_block(centers, sigma, block)
+        z = centers + sigma * block
         for trial, deviation in enumerate(z - centers):
             out[eps, delta, trial] = float(deviation @ deviation)
     return out

@@ -27,13 +27,12 @@ from spdprivacy.mechanisms import (
     Sensitivity,
     SensitivityKind,
     _analytic_condition,
+    _laplace_chain,
     _laplace_chains,
     acceptance_warning,
     calibrate_analytic,
     calibrate_classical,
-    gaussian_release_block,
     laplace_chains_stack,
-    laplace_release,
     sensitivity_extrinsic,
     sensitivity_frechet_le,
     tangent_gaussian_stack,
@@ -51,19 +50,21 @@ def mp_classical(delta_le, eps, delta):
         return float(val)
 
 
+LAPLACE = MECHANISMS["riemannian_laplace"]
+
+
 def gaussian(name, rng, summary, sigma):
     """One release of ``summary`` by the Gaussian table row ``name``."""
     row = MECHANISMS[name]
-    center = row.center(summary)
-    noise = rng.generator.standard_normal(center.size)
-    return row.export(gaussian_release_block(center, sigma, noise), summary.dim)
+    (z,), _ = row.release(rng, row.center(logm_stack(summary.entries)), sigma)
+    return row.export(z, summary.dim)
 
 
-def laplace(rng, summary, sigma, **chain):
+def laplace(rng, summary, sigma, burn_in=50000):
     """One Riemannian Laplace release of ``summary`` and its acceptance ratio."""
-    row = MECHANISMS["riemannian_laplace"]
-    z, ratio = laplace_release(rng, row.center(summary), sigma, **chain)
-    return row.export(z, summary.dim), ratio
+    center = LAPLACE.center(logm_stack(summary.entries))
+    (z,), ratio = LAPLACE.release(rng, center, sigma, burn_in=burn_in)
+    return LAPLACE.export(z, summary.dim), ratio
 
 
 def spd_at_distance(rho, k=2):
@@ -86,7 +87,7 @@ COUNT_ARGUMENTS = {
         *laplace_chains_stack(RngState(1), identity(2), 1.0, burn_in=c, n_chains=2)
     ),
     "release_burn_in": lambda c: np.append(
-        *laplace_release(RngState(1), np.zeros(3), 1.0, burn_in=c)
+        *LAPLACE.release(RngState(1), np.zeros(3), 1.0, burn_in=c)
     ),
 }
 
@@ -395,7 +396,9 @@ class TestExtrinsicGaussian:
     def test_vanishing_noise_exact(self):
         summary = SpdMatrix([[2.0, 1.0], [1.0, 2.0]])
         out = gaussian("extrinsic_analytic", RngState(1), summary, 1e-300)
-        assert np.array_equal(out.entries, summary.entries)
+        # the center is the summary's entries as expm of its log gives them
+        assert np.array_equal(out.entries, expm_stack(logm_stack(summary.entries)))
+        assert np.allclose(out.entries, summary.entries, rtol=1e-14, atol=0.0)
 
     def test_frobenius_chi_square(self):
         rng = RngState(11)
@@ -534,19 +537,19 @@ class TestLaplaceKernel:
     @pytest.mark.parametrize("k, sigma, burn_in", [(1, 0.5, 3000), (2, 0.5, 3000), (10, 0.02, 2500)])
     def test_matches_reference_loop(self, k, sigma, burn_in):
         center = self.center(k, 70)
-        z, ratio = laplace_release(RngState(71), center, sigma, burn_in=burn_in)
+        z, ratio = LAPLACE.release(RngState(71), center, sigma, burn_in=burn_in)
         want, accepted = reference_chains(RngState(71), center, sigma, burn_in)
         assert ratio == accepted / burn_in
-        assert_close_in_norm(z, want[0])
+        assert_close_in_norm(z, want)
 
     @pytest.mark.parametrize("offset", [None, -1, 1])
     def test_burn_in_around_block_size(self, offset):
         burn_in = 1 if offset is None else 2**16 // 3 + offset
         center = self.center(10, 72)
-        z, ratio = laplace_release(RngState(73), center, 0.02, burn_in=burn_in)
+        z, ratio = LAPLACE.release(RngState(73), center, 0.02, burn_in=burn_in)
         want, accepted = reference_chains(RngState(73), center, 0.02, burn_in)
         assert ratio == accepted / burn_in
-        assert_close_in_norm(z, want[0])
+        assert_close_in_norm(z, want)
 
     def test_chain_stack_matches_reference_loop(self):
         # three chains over two full blocks and a short one
@@ -562,20 +565,20 @@ class TestLaplaceKernel:
     def test_single_chain_equals_chain_stack(self, k):
         summary = sample_synthetic_spd(RngState(74), k, 0.25)
         center = vecd_stack(logm_stack(summary.entries))
-        z, ratio = laplace_release(RngState(75), center, 0.3, burn_in=2000)
+        z, ratio = _laplace_chain(RngState(75), center, 0.3, 2000)
         states, stack_ratio = _laplace_chains(RngState(75), center, 0.3, 2000, 1)
-        assert np.array_equal(states[0], z)
+        assert z.shape == (1, center.size) and np.array_equal(states, z)
         assert stack_ratio == ratio
         stack, _ = laplace_chains_stack(RngState(75), summary, 0.3, burn_in=2000, n_chains=1)
-        assert np.array_equal(stack, expm_stack(invvecd_stack(z[None], k)))
+        assert np.array_equal(stack, expm_stack(invvecd_stack(z, k)))
 
     def test_tracked_distance_exact_in_high_dimension(self):
         center = self.center(30, 76)
         sigma = 2.0 * math.sqrt(30) * 0.25 / 500 / 0.1
-        z, ratio = laplace_release(RngState(77), center, sigma, burn_in=1000)
+        z, ratio = LAPLACE.release(RngState(77), center, sigma, burn_in=1000)
         want, accepted = reference_chains(RngState(77), center, sigma, 1000)
         assert 0 < accepted < 1000 and ratio == accepted / 1000
-        dist = np.linalg.norm(want[0] - center)
+        dist = np.linalg.norm(want - center)
         assert np.linalg.norm(z - center) == pytest.approx(dist, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("k", [2, 5])
@@ -651,8 +654,7 @@ class TestLogChartCores:
     def test_tangent_utility_is_log_euclidean_deviation(self, k):
         summary = sample_synthetic_spd(RngState(60), k, 0.25)
         center = vecd_stack(logm_stack(summary.entries))
-        noise = RngState(61).substream(k).generator.standard_normal(center.size)
-        z = gaussian_release_block(center, 0.3, noise)
+        (z,), _ = MECHANISMS["tangent_analytic"].release(RngState(61).substream(k), center, 0.3)
         out = MECHANISMS["tangent_analytic"].export(z, k)
         utility = float((z - center) @ (z - center))
         assert utility == pytest.approx(le_distance(summary, out) ** 2, rel=1e-9)
@@ -660,18 +662,38 @@ class TestLogChartCores:
     def test_center_export_round_trip(self):
         summary = SpdMatrix([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.7]])
         z = np.array([0.1, -0.2, 0.05, 0.3, 0.0, -0.4])
+        log = logm_stack(summary.entries)
         for name, row in MECHANISMS.items():
-            center = row.center(summary)
-            chart = logm_stack(summary.entries) if row.log_chart else summary.entries
+            center = row.center(log)
+            chart = log if row.log_chart else expm_stack(log)
             assert np.array_equal(center, vecd_stack(chart)), name
             assert np.allclose(row.export(center, 3).entries, summary.entries, rtol=0, atol=1e-12)
-            assert np.allclose(row.center(row.export(z, 3)), z, rtol=0, atol=1e-12)
+            # an extrinsic release need not be SPD, so it has no log to center
+            released = row.export(z, 3).entries
+            back = row.center(logm_stack(released)) if row.log_chart else vecd_stack(released)
+            assert np.allclose(back, z, rtol=0, atol=1e-12)
 
     def test_cores_validate(self):
         with pytest.raises(DimensionError):
-            laplace_release(RngState(1), np.zeros(4), 1.0, burn_in=10)
+            LAPLACE.release(RngState(1), np.zeros(4), 1.0, burn_in=10)
         with pytest.raises(DomainError):
-            laplace_release(RngState(1), np.zeros(3), 1.0, burn_in=0)
+            LAPLACE.release(RngState(1), np.zeros(3), 1.0, burn_in=0)
+        with pytest.raises(DomainError, match="out"):
+            LAPLACE.release(RngState(1), np.zeros(3), 1.0, burn_in=10, out=np.empty((1, 3)))
+
+    @pytest.mark.parametrize("name", MECHANISMS)
+    def test_release_validates_center_and_sigma(self, name):
+        # one check for every row: d = 4 is no k(k+1)/2, and sigma must be
+        # positive, before any draw
+        row, rng = MECHANISMS[name], RngState(1)
+        for center, trials in ((np.zeros(4), 1), (np.zeros((2, 4)), 2), (np.zeros((2, 3)), 3),
+                               (np.zeros(0), 1), (np.zeros(()), 1)):
+            with pytest.raises(DimensionError, match="k\\(k\\+1\\)/2"):
+                row.release(rng, center, 1.0, trials, burn_in=10)
+        for sigma in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="sigma must be positive"):
+                row.release(rng, np.zeros(3), sigma, burn_in=10)
+        assert rng.generator.random() == RngState(1).generator.random()
 
 
 class TestPrivacyLoss:

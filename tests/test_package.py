@@ -29,6 +29,12 @@ from spdprivacy.mechanisms import laplace_chains_stack, tangent_gaussian_stack
 # A use of numpy's random module, e.g. np.random.default_rng.
 NUMPY_RANDOM = re.compile(r"\b(np|numpy)\.random\b")
 
+# A use of an RngState's numpy generator, e.g. rng.generator.random().
+GENERATOR = re.compile(r"\.generator\b")
+
+# A name of a Laplace chain kernel, the float loop or the vectorised one.
+CHAIN_KERNEL = re.compile(r"\b_laplace_chains?\b")
+
 # A call of numpy's symmetric eigensolvers, or float64's largest value.
 FLOAT64_EDGE = re.compile(r"\b(np|numpy)\.linalg\.eig|finfo\(float\)\.max")
 
@@ -74,26 +80,33 @@ def test_docstring_cross_references_resolve():
     assert unresolved == []
 
 
+def modules_matching(pattern, allowed):
+    """Names of the package's modules, but ``allowed``, whose source
+    matches ``pattern``."""
+    return [
+        path.name
+        for path in sorted(Path(spdprivacy.__file__).parent.glob("*.py"))
+        if path.name not in allowed and pattern.search(path.read_text(encoding="utf-8"))
+    ]
+
+
 def test_randomness_only_through_rng_state():
     # every draw comes from an RngState, so a seed and a substream path fix
     # the output whatever the run or thread count; sampling.py alone builds one
-    named = [
-        path.name
-        for path in sorted(Path(spdprivacy.__file__).parent.glob("*.py"))
-        if path.name != "sampling.py" and NUMPY_RANDOM.search(path.read_text(encoding="utf-8"))
-    ]
-    assert named == []
+    assert modules_matching(NUMPY_RANDOM, {"sampling.py"}) == []
+
+
+def test_release_noise_only_in_mechanisms():
+    # Mechanism.release draws every release's noise and alone picks a chain
+    # kernel; sampling.py draws datasets, and no other module draws at all
+    assert modules_matching(GENERATOR, {"mechanisms.py", "sampling.py"}) == []
+    assert modules_matching(CHAIN_KERNEL, {"mechanisms.py"}) == []
 
 
 def test_float64_edge_only_in_geometry():
     # what float64 can hold is decided once: geometry alone decomposes
     # matrices (admitting them as SPD) and bounds their exponentials
-    named = [
-        path.name
-        for path in sorted(Path(spdprivacy.__file__).parent.glob("*.py"))
-        if path.name != "geometry.py" and FLOAT64_EDGE.search(path.read_text(encoding="utf-8"))
-    ]
-    assert named == []
+    assert modules_matching(FLOAT64_EDGE, {"geometry.py"}) == []
 
 
 def spec(**overrides):

@@ -15,7 +15,7 @@ from spdprivacy.geometry import (
     logm_stack,
     vecd_stack,
 )
-from spdprivacy.mechanisms import MECHANISMS, gaussian_release_block, tangent_gaussian_stack
+from spdprivacy.mechanisms import MECHANISMS, tangent_gaussian_stack
 from spdprivacy.sampling import RngState, _synthetic_blocks, sample_synthetic_spd
 
 from conftest import one_shot_logs, peak_bytes, signed_haar_basis
@@ -96,36 +96,37 @@ class TestRngState:
 
 
 class TestGaussianRelease:
+    ROW = MECHANISMS["tangent_analytic"]
+
     def test_moments_match_standard_errors(self):
-        noise = RngState(7).generator.standard_normal((10**5, 1))
-        draws = gaussian_release_block(np.zeros(1), 1.0, noise)[:, 0]
+        draws = self.ROW.release(RngState(7), np.zeros(1), 1.0, 10**5)[0][:, 0]
         assert abs(draws.mean()) <= 0.01
         assert abs(draws.var(ddof=1) - 1.0) <= 0.015
 
     def test_shape_validated(self):
+        rng = RngState(1)
         with pytest.raises(DimensionError):
-            gaussian_release_block(np.zeros((2, 3)), 1.0, np.zeros(3))
+            self.ROW.release(rng, np.zeros((2, 3)), 1.0)
         with pytest.raises(DimensionError):
-            gaussian_release_block(np.zeros(0), 1.0, np.zeros(0))
+            self.ROW.release(rng, np.zeros(0), 1.0)
         with pytest.raises(DimensionError):
-            gaussian_release_block(np.zeros(3), 1.0, np.zeros((4, 2)))
+            self.ROW.release(rng, np.zeros((4, 2)), 1.0, 4)
         with pytest.raises(DomainError):
-            gaussian_release_block(np.zeros(2), -1.0, np.zeros(2))
-        with pytest.raises(DimensionError):
-            gaussian_release_block(np.zeros(3), 1.0, np.zeros(3), out=np.zeros((2, 3)))
+            self.ROW.release(rng, np.zeros(3), -1.0)
+        with pytest.raises(ValueError, match="out"):
+            self.ROW.release(rng, np.zeros(3), 1.0, out=np.zeros((2, 3)))
 
     @pytest.mark.parametrize("center_shape", [(6,), (5, 6)])
     def test_out_buffer_gives_the_same_release(self, center_shape):
-        rng = np.random.default_rng(3)
-        noise, center = rng.standard_normal((5, 6)), rng.standard_normal(center_shape)
-        expected, kept = center + 0.7 * noise, noise.copy()
-        assert np.array_equal(gaussian_release_block(center, 0.7, noise), expected)
-        assert np.array_equal(noise, kept)  # out=None leaves the noise untouched
-        out = np.empty_like(noise)
-        assert gaussian_release_block(center, 0.7, noise, out=out) is out
-        assert np.array_equal(out, expected)
-        assert gaussian_release_block(center, 0.7, noise, out=noise) is noise
-        assert np.array_equal(noise, expected)
+        # released into ``out``, or into a fresh block: the same elements,
+        # each center + (sigma * noise) of the (trials, d) normal draw
+        center = np.random.default_rng(3).standard_normal(center_shape)
+        noise = RngState(4).generator.standard_normal((5, 6))
+        fresh, ratio = self.ROW.release(RngState(4), center, 0.7, 5)
+        assert ratio is None and np.array_equal(fresh, center + 0.7 * noise)
+        out = np.empty((5, 6))
+        z, _ = self.ROW.release(RngState(4), center, 0.7, 5, out=out)
+        assert z is out and np.array_equal(out, fresh)
 
 
 class TestHaarOrthogonal:
@@ -158,12 +159,10 @@ class TestLogGaussianLaw:
         # the bulk sampler and the scalar sampler share one distribution
         mean, sigma = SpdMatrix([[2.0, 0.4], [0.4, 1.0]]), 0.7
         row = MECHANISMS["tangent_analytic"]
-        noise = (RngState(61).substream(i).generator.standard_normal(3) for i in range(2000))
+        center = row.center(logm_stack(mean.entries))
+        releases = (row.release(RngState(61).substream(i), center, sigma)[0] for i in range(2000))
         scalar = np.array(
-            [
-                np.sum(logm_stack(row.export(z, 2).entries) ** 2)
-                for z in (gaussian_release_block(row.center(mean), sigma, e) for e in noise)
-            ]
+            [np.sum(logm_stack(row.export(z[0], 2).entries) ** 2) for z in releases]
         )
         bulk = tangent_gaussian_stack(RngState(67), mean, sigma, 2000)
         bulk_stat = np.sum(logm_stack(bulk) ** 2, axis=(1, 2))

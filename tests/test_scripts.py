@@ -45,14 +45,18 @@ def test_pass_stages_reports_each_stage(tmp_path):
     out = run([ROOT / "scripts" / "pass_stages.py", "--workload", "gaussian-grid", "--passes", "1",
                "--scale", "tiny"], tmp_path)
     lines = out.splitlines()
-    assert lines[1] == "pass pass_ms data_ms cells_ms descriptors_ms logm_ms csv_ms svg_ms"
+    assert lines[1] == (
+        "pass pass_ms data_ms cells_ms release_ms descriptors_ms logm_ms csv_ms svg_ms"
+    )
     assert len(lines) == 4 and lines[2].split()[0] == "1" and lines[3].split()[0] == "median"
-    total, data, cells, descriptors, logm, csv, svg = map(float, lines[2].split()[1:])
+    total, data, cells, release, descriptors, logm, csv, svg = map(float, lines[2].split()[1:])
     assert descriptors == logm == 0 and min(data, cells, csv, svg) > 0
-    assert data + cells + csv + svg <= total
+    assert 0 < release <= cells and data + cells + csv + svg <= total
     # an image class is folded like a dataset, so its descriptors and their
     # logs nest in data
     out = run([ROOT / "scripts" / "pass_stages.py", "--workload", "image-corpus", "--passes", "1",
                "--scale", "tiny"], tmp_path)
-    total, data, cells, descriptors, logm, csv, svg = map(float, out.splitlines()[2].split()[1:])
+    fields = out.splitlines()[2].split()[1:]
+    total, data, cells, release, descriptors, logm, csv, svg = map(float, fields)
     assert 0 < descriptors <= data and 0 < logm <= data and data + cells + csv <= total
+    assert 0 < release <= cells
