@@ -187,15 +187,20 @@ def logm_stack(mats: np.ndarray) -> np.ndarray:
 
 
 def expm_stack(mats: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a stack (..., k, k) of symmetric matrices."""
+    """Matrix exponential of a stack (..., k, k) of symmetric matrices.  Past
+    ln(float64 max) it is the exact 2^s multiple of the rebuild from
+    exp(w - s ln 2), s as in :func:`_positive_eig`, failing only if an entry
+    overflows."""
     w, u = _eig(np.asarray(mats, dtype=float))
-    top = float(np.max(w))
-    if not top <= LOG_FLOAT64_MAX:  # NaN fails
+    s = 0 if np.max(w) <= LOG_FLOAT64_MAX else w.shape[-1].bit_length() + 1
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
+        exps = np.ldexp(_rebuild(u, np.exp(w - s * np.log(2.0))), s)
+    if not np.isfinite(exps).all():  # so does NaN
         raise NumericalError(
-            f"matrix exponential overflows float64: log-eigenvalue {top} "
-            f"exceeds ln(float64 max) = {LOG_FLOAT64_MAX}"
+            f"matrix exponential overflows float64 in an entry: log-eigenvalue "
+            f"{np.max(w)} exceeds ln(float64 max) = {LOG_FLOAT64_MAX}"
         )
-    return _rebuild(u, np.exp(w))
+    return exps
 
 
 def vecd_stack(mats: np.ndarray) -> np.ndarray:

@@ -219,40 +219,39 @@ class Mechanism:
         burn_in: int | None = None,
         out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, float | None]:
-        """``trials`` releases around ``center``, one d-vector for every
-        trial or one row per trial (trials, d), d = k(k+1)/2: the (trials,
-        d) block z of releases and the chains' pooled acceptance ratio, None
-        for a Gaussian row.  The utility of trial t is ||z[t] - center||^2.
+        """``trials`` releases around ``center``, a d-vector or one row per
+        trial (trials, d), d = k(k+1)/2: the (trials, d) block z and the
+        chains' pooled acceptance ratio (None for a Gaussian row).  The
+        utility of trial t is ||z[t] - center||^2.
 
         A Gaussian row draws one ``standard_normal((trials, d))`` block N,
-        into ``out`` when given, and overwrites it with
-        ``center + sigma * N``, ``sigma * N`` rounded first; row t of N is
-        trial t's noise whatever ``trials``.  The harness passes one block,
-        reused by every Gaussian cell of a run, as ``out``.
+        into ``out`` when given (the harness reuses one per run), and
+        overwrites it with ``center + sigma * N``, ``sigma * N`` rounded
+        first; row t of N is trial t's noise whatever ``trials``.
 
-        A chain row runs ``trials`` Metropolis chains of ``burn_in`` steps
-        targeting exp(-||z - center||/sigma) (see :func:`_laplace_chains`);
-        it needs ``burn_in``, which a Gaussian row ignores, and takes no
-        ``out``.  Stream layout: ``standard_normal((trials,
-        d))`` for the chains' directions, then per block of b = max(1,
-        min(burn_in, 2^16 // (3 * trials))) steps (the last block may be
-        shorter) ``standard_normal((b, trials))`` radial proposal
-        components, scaled by sigma, ``standard_gamma((d - 1)/2, (b,
-        trials))`` orthogonal squared norms, scaled by 2 sigma^2 (not drawn
-        when d = 1), and ``random((b, trials))`` acceptance uniforms.  Each
-        chain runs on its distance r to the center, from r = d*sigma, and
-        ends at center + r*u with u its normalised direction draw.  One
-        chain steps on Python floats (:func:`_laplace_chain`), more are
-        vectorised over the chains (:func:`_laplace_chains`); both give
-        the same bits for one chain.
+        A chain row needs ``burn_in`` and takes no ``out``: it runs
+        ``trials`` Metropolis chains targeting exp(-||z - center||/sigma),
+        on Python floats for one chain (:func:`_laplace_chain`), else
+        vectorised (:func:`_laplace_chains`), the same bits for one chain.
+        Stream layout: ``standard_normal((trials, d))`` directions, then
+        per block of b = max(1, min(burn_in, 2^16 // (3 * trials))) steps
+        (the last may be shorter) ``standard_normal((b, trials))`` radial
+        steps, scaled by sigma, ``standard_gamma((d - 1)/2, (b, trials))``
+        orthogonal squared norms, scaled by 2 sigma^2 (not drawn when
+        d = 1), and ``random((b, trials))`` acceptance uniforms.  A chain
+        runs on its distance r to the center from r = d*sigma and ends at
+        center + r*u, u its normalised direction draw.
         """
         trials = _checked_int(trials, "trials")
         if not (sigma > 0):
             raise DomainError("sigma must be positive")
         center = np.asarray(center, dtype=float)
         _ambient_dim(center, trials)
+        shape = (trials, center.shape[-1])
+        if out is not None and np.shape(out) != shape:
+            raise DimensionError(f"out block of shape {np.shape(out)} is not {shape}")
         if not self.chain:
-            noise = rng.generator.standard_normal((trials, center.shape[-1]), out=out)
+            noise = rng.generator.standard_normal(shape, out=out)
             np.multiply(float(sigma), noise, out=noise)
             noise += center
             return noise, None
@@ -439,11 +438,8 @@ def laplace_chains_stack(
     n_chains: int,
 ) -> tuple[np.ndarray, float]:
     """Final states of ``n_chains`` independent Laplace chains as a
-    (n_chains, k, k) SPD stack, plus the pooled acceptance ratio.
-
-    Stream layout: that of :meth:`Mechanism.release` with ``trials =
-    n_chains``.
-    """
+    (n_chains, k, k) SPD stack, plus the pooled acceptance ratio; the stream
+    layout is that of :meth:`Mechanism.release` with ``trials = n_chains``."""
     n_chains = _checked_int(n_chains, "n_chains")
     row = MECHANISMS["riemannian_laplace"]
     center = row.center(logm_stack(summary.entries))

@@ -169,6 +169,20 @@ class TestLogExp:
         with pytest.raises(NumericalError):
             expm_stack(np.full((2, 2), np.nan))
 
+    def test_expm_rescales_past_log_float64_max(self):
+        from spdprivacy.errors import NumericalError
+        from spdprivacy.geometry import expm_stack, logm_stack
+
+        # log-eigenvalues 707.96 and 710.08: the top exponential overflows
+        # float64, every entry of the matrix does not
+        big = np.array([[1e308, 1e308], [1e308, 1.7e308]])
+        assert np.allclose(expm_stack(logm_stack(big)), big, rtol=1e-13, atol=0.0)
+        stack = expm_stack(np.stack([logm_stack(big), np.zeros((2, 2))]))
+        assert np.allclose(stack, [big, np.eye(2)], rtol=1e-13, atol=0.0)
+        # exp(710.4) = 2.2e308 on the diagonal overflows
+        with pytest.raises(NumericalError, match=r"710.4 exceeds ln\(float64 max\)"):
+            expm_stack(710.4 * np.eye(2))
+
     def test_expm_diagonal(self):
         s = SymMatrix(np.diag([1.0, -1.0]))
         assert np.allclose(expm(s).entries, np.diag([math.e, 1.0 / math.e]), atol=1e-12)

@@ -1340,11 +1340,12 @@ class TestFloat64Edge:
     one ``error:`` line with exit code 2; it never prints NaN."""
 
     @staticmethod
-    def privatize(path, entries, output):
+    def privatize(path, entries, output, mechanism="tangent_analytic"):
         path.write_text(cli.format_matrix(np.array(entries)))
+        argv = ["--matrix", str(path), "--output", output, "--mechanism", mechanism]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(PRIVATIZE + ["--matrix", str(path), "--output", output])
+            code = main(PRIVATIZE + argv)
         return code, out.getvalue(), err.getvalue()
 
     def test_log_release_of_huge_diagonal(self, tmp_path):
@@ -1371,13 +1372,22 @@ class TestFloat64Edge:
         log_eigs = np.linalg.eigvalsh(read_matrix_text(out))
         assert np.allclose(log_eigs, [707.96, 710.08], atol=1.0)
 
+    def test_extrinsic_release_of_eigenvalue_beyond_float64(self, tmp_path):
+        # the extrinsic row centers on expm(logm S), whose top log-eigenvalue
+        # 710.08 exceeds ln(float64 max) while every entry of S is finite
+        big = [[1e308, 1e308], [1e308, 1.7e308]]
+        code, out, err = self.privatize(tmp_path / "m.txt", big, "matrix", "extrinsic_analytic")
+        assert (code, err) == (0, "")
+        assert np.allclose(read_matrix_text(out), big, rtol=1e-12, atol=0.0)
+
     @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
     @given(a=edge_floats, b=edge_floats, c=edge_floats)
     @settings(max_examples=200, deadline=None, database=None)
     def test_privatize_extreme_inputs(self, tmp_path_factory, a, b, c):
         path = tmp_path_factory.getbasetemp() / "edge_matrix.txt"
-        for output in ("matrix", "log"):
-            code, out, err = self.privatize(path, [[a, b], [b, c]], output)
+        runs = [("matrix", "tangent_analytic"), ("log", "tangent_analytic")]
+        for output, mechanism in runs + [("matrix", "extrinsic_analytic")]:
+            code, out, err = self.privatize(path, [[a, b], [b, c]], output, mechanism)
             if code == 0:
                 assert err == ""
                 values = [float(tok) for tok in out.split()]

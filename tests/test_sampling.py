@@ -113,7 +113,7 @@ class TestGaussianRelease:
             self.ROW.release(rng, np.zeros((4, 2)), 1.0, 4)
         with pytest.raises(DomainError):
             self.ROW.release(rng, np.zeros(3), -1.0)
-        with pytest.raises(ValueError, match="out"):
+        with pytest.raises(DimensionError, match="out block"):
             self.ROW.release(rng, np.zeros(3), 1.0, out=np.zeros((2, 3)))
 
     @pytest.mark.parametrize("center_shape", [(6,), (5, 6)])
