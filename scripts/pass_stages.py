@@ -9,8 +9,8 @@ functions the CLI reaches them through:
   data         harness._mean_log (a synthetic dataset's draw, or an image
                class's parse and descriptors, folded into its summary)
   cells        harness._run_cells (calibration, releases and utilities)
-  release      mechanisms.Mechanism.release (one Gaussian cell's block of
-               releases, or one Laplace chain), wrapped on the class
+  release      mechanisms.Mechanism.release (one cell's block of releases,
+               Gaussian draws or Laplace chains), wrapped on the class
   descriptors  descriptors._BlockBuffers.descriptors (a block of images'
                descriptors), wrapped on the class
   logm         descriptors.logm_stack (the matrix logs of an image class's
@@ -22,12 +22,9 @@ Stages nest: the fold draws or reads its blocks as it goes, so
 ``descriptors`` and ``logm`` time is also ``data`` time; with
 ``--resample-data`` (``fresh-data``) every trial draws its dataset inside
 ``_run_cells``, so ``data`` time is also ``cells`` time; ``release`` time is
-also ``cells`` time.  Chains that run on pool threads (``laplace-chain``)
-add their times, which may then sum to more than the wall time of
-``cells``.
-``pass`` is the whole pass.  Times are printed to the microsecond, so a
-stage of a few microseconds a pass (``image-corpus`` releases) reads above
-zero.  Each time is put on the host-speed scale of
+also ``cells`` time.  ``pass`` is the whole pass.  Times are printed to the
+microsecond, so a stage of a few microseconds a pass (``image-corpus``
+releases) reads above zero.  Each time is put on the host-speed scale of
 ``perfbench/hostspeed.py``: scaled by REFERENCE_S over the mean time of its
 reference kernel, run WINDOW times before and after each pass.  The process
 is pinned to one core and BLAS to one thread, as in ``perfbench/run.py``.
@@ -46,7 +43,6 @@ import functools  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
-import threading  # noqa: E402
 import time  # noqa: E402
 from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -82,9 +78,9 @@ def parse_args():
 
 
 def timed(totals: Counter, name: str, fn):
-    """``fn``, adding its wall time in seconds to ``totals[name]``; the add
-    holds a lock because the harness pool runs releases on its threads."""
-    lock = threading.Lock()
+    """``fn``, adding its wall time in seconds to ``totals[name]``; no lock,
+    as every stage of a workload runs on the calling thread (only
+    ``laplace-chain`` has a pool, whose chains run inside one release)."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -92,9 +88,7 @@ def timed(totals: Counter, name: str, fn):
         try:
             return fn(*args, **kwargs)
         finally:
-            elapsed = time.perf_counter() - start
-            with lock:
-                totals[name] += elapsed
+            totals[name] += time.perf_counter() - start
 
     return wrapper
 

@@ -137,8 +137,8 @@ def _cmd_privatize(args: argparse.Namespace) -> int:
     summary = SpdMatrix(read_matrix(args.matrix))
     sigma = mechanism.noise_scale(args.n, args.r, args.eps, args.delta)
     center = mechanism.center(logm_stack(summary.entries))
-    (z,), ratio = mechanism.release(RngState(args.seed), center, sigma, burn_in=args.burn_in)
-    if ratio is not None and (warning := acceptance_warning(ratio)):
+    (z,), ratios = mechanism.release(RngState(args.seed), center, sigma, burn_in=args.burn_in)
+    if ratios is not None and (warning := acceptance_warning(ratios[0])):
         print(f"warning: {warning}", file=sys.stderr)
     if args.output == "log":
         print(format_matrix(invvecd_stack(z, summary.dim)))

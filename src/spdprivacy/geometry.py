@@ -205,14 +205,21 @@ def expm_stack(mats: np.ndarray) -> np.ndarray:
 
 def vecd_stack(mats: np.ndarray) -> np.ndarray:
     """Isometric vectorisation of symmetric matrices: diagonal, then sqrt(2)
-    times the strict upper triangle in row-major order."""
+    times the strict upper triangle in row-major order; :class:`NumericalError`
+    when that overflows a finite entry, as the coordinates are not float64."""
     mats = np.asarray(mats, dtype=float)
     k = mats.shape[-1]
     idx = np.arange(k)
     iu = np.triu_indices(k, 1)
     diag = mats[..., idx, idx]
-    upper = mats[..., iu[0], iu[1]]
-    return np.concatenate([diag, _SQRT2 * upper], axis=-1)
+    with np.errstate(over="ignore"):  # an overflow fails below
+        upper = _SQRT2 * mats[..., iu[0], iu[1]]
+    if np.isinf(upper).any() and np.isfinite(mats).all():
+        raise NumericalError(
+            "vecd coordinates overflow float64: sqrt(2) times an off-diagonal entry "
+            "exceeds float64's largest value"
+        )
+    return np.concatenate([diag, upper], axis=-1)
 
 
 def invvecd_stack(vecs: np.ndarray, dim: int) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 An :class:`ExperimentSpec` pins everything an experiment depends on,
 including the seed; the emitted records (and hence the CSV) are a pure
-function of the spec.  Each (epsilon, delta) cell draws its noise from its
-own RNG substream, and each task the thread pool runs (a Laplace chain or
-a resampled dataset) from one keyed by (seed, cell, trial), so thread count
-does not affect results, and records are sorted canonically before
-emission.
+function of the spec.  Each (epsilon, delta) cell is one
+``Mechanism.release`` of all its trials on its own RNG substream, keyed by
+(seed, cell); the row lays its trials out in that stream (a Gaussian row
+draws one block, a chain row runs trial t on the sub-substream t), and a
+resampled dataset has its own stream keyed by (seed, cell, trial).  So
+thread count does not affect results, and records are sorted canonically
+before emission.
 
 Releases run in the coordinates the mechanism adds noise in (the log chart,
 or the matrix entries for the extrinsic baseline): each group's summary is
@@ -17,25 +19,23 @@ of log-matrices that ``geometry._mean_log`` folds, so neither is held whole:
 ``sampling._synthetic_blocks`` draws a dataset's blocks, and
 ``descriptors._class_logs`` reads a class's files into its blocks.
 
-A Gaussian cell draws the noise of all its trials as one (trials, d)
-block from its substream, row t for trial t, so trial t's noise does not
-depend on the number of trials; the thread pool runs Laplace chains and
-resampled datasets.  One block per distinct d is allocated per call and
-reused by every Gaussian cell of that d: the cell's normals fill it (the
-same stream as a fresh ``standard_normal((trials, d))`` draw), and it is
-overwritten in place by the release and then by the deviation z - c,
-whose rows are scored by one batched dot, so a cell allocates no
-(trials, d) temporaries.
+One (trials, d) block per distinct d is allocated per call and reused by
+every cell of that d: the cell's release fills it, row t for trial t, and
+it is overwritten in place by the deviations z - c, whose rows are scored
+by one batched dot, so a cell allocates no (trials, d) temporaries.  With
+``threads`` > 1 a thread pool runs the resampled datasets and, as the
+release's ``map_trials``, the chains of a cell.
 
 Wall-clock timing of the privatization call is optional (``record_timing``)
 because real timings are not reproducible; with timing off the
 ``wall_time_ns`` column is zero and the CSV is byte-stable across runs.  A
-Gaussian trial records its cell's release time divided by the number of
-trials, rounded up.
+trial records its cell's release time divided by the number of trials,
+rounded up.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import os
@@ -164,16 +164,15 @@ def _row_dots(rows: np.ndarray) -> np.ndarray:
 def _run_cells(
     spec: ExperimentSpec, base: RngState, groups: list[_Group], threads: int
 ) -> list[TrialRecord]:
-    """Fan out over (group, epsilon, delta) cells and trials; the noise
+    """Release and score every (group, epsilon, delta) cell; the noise
     scale is calibrated once per cell.
 
-    A Gaussian cell releases all its trials at once: row t of the block
-    drawn from substream (_NOISE_STREAM, cell) is trial t's noise.  The
-    block, one per distinct d, is reused by every Gaussian cell of the call
-    and overwritten in place.  A Laplace trial runs its own chain on
-    substream (_NOISE_STREAM, cell, t).
-    The thread pool runs Laplace chains and resampled datasets, one
-    (cell, trial) per task.
+    A cell is one ``Mechanism.release`` of all its trials on substream
+    (_NOISE_STREAM, cell), into the (trials, d) block that every cell of
+    that d reuses; the block is then overwritten by the deviations z - c
+    and scored.  Resampled datasets are drawn first, one per (cell, trial)
+    on substream (_DATA_STREAM, cell, trial).  With ``threads`` > 1 a pool
+    runs the resampled datasets and, through ``release``, the chains.
     """
     mechanism = MECHANISMS[spec.mechanism]
     cells = [
@@ -182,62 +181,40 @@ def _run_cells(
         for eps in spec.epsilon_grid
         for delta in spec.delta_grid
     ]
-    tasks = [(ci, t) for ci in range(len(cells)) for t in range(spec.trials)]
 
-    def fan_out(fn) -> list:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(fn, tasks))
-        return [fn(task) for task in tasks]
+    def dataset_center(task: tuple[int, int]) -> np.ndarray:
+        data_rng = base.substream(_DATA_STREAM, *task)
+        return mechanism.center(_mean_log(_synthetic_blocks(data_rng, spec.k, spec.r, spec.n))[0])
 
-    def trial_center(task: tuple[int, int]) -> np.ndarray:
-        cell_index, trial = task
-        if spec.resample_data:
-            data_rng = base.substream(_DATA_STREAM, cell_index, trial)
-            mean_log, _ = _mean_log(_synthetic_blocks(data_rng, spec.k, spec.r, spec.n))
-            return mechanism.center(mean_log)
-        return cells[cell_index][0].center
-
-    def laplace_trial(task: tuple[int, int]) -> tuple[float, int, float]:
-        cell_index, trial = task
-        rng = base.substream(_NOISE_STREAM, cell_index, trial)
-        center = trial_center(task)
-        start = time.perf_counter_ns() if spec.record_timing else 0
-        z, acceptance = mechanism.release(rng, center, cells[cell_index][3], burn_in=spec.burn_in)
-        elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
-        if warning := acceptance_warning(acceptance):
-            log.warning("%s", warning)
-        return float(_row_dots(z - center)[0]), elapsed, acceptance
-
+    records = []
     blocks: dict[int, np.ndarray] = {}
-
-    def gaussian_cell(cell_index: int, center: np.ndarray) -> list[tuple]:
-        """(utility, wall_time_ns, None) of each trial; the cell's release
-        time is shared over its trials, rounded up."""
-        d = center.shape[-1]
-        block = blocks.get(d)
-        if block is None:
-            block = blocks[d] = np.empty((spec.trials, d))
-        start = time.perf_counter_ns() if spec.record_timing else 0
-        rng = base.substream(_NOISE_STREAM, cell_index)
-        mechanism.release(rng, center, cells[cell_index][3], spec.trials, out=block)
-        elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
-        per_trial = -(-elapsed // spec.trials)
-        block -= center
-        return [(u, per_trial, None) for u in _row_dots(block).tolist()]
-
-    if mechanism.chain:
-        outcomes = fan_out(laplace_trial)
-    else:
+    with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+        map_trials = pool.map if pool else map
+        centers = [group.center for group, *_ in cells]
         if spec.resample_data:
-            centers = np.array(fan_out(trial_center)).reshape(len(cells), spec.trials, -1)
-        else:
-            centers = [group.center for group, *_ in cells]
-        outcomes = [o for ci, c in enumerate(centers) for o in gaussian_cell(ci, c)]
-    records = [
-        TrialRecord(spec.mechanism, cells[ci][0].k, cells[ci][1], cells[ci][2], trial, *outcome)
-        for (ci, trial), outcome in zip(tasks, outcomes)
-    ]
+            tasks = [(ci, t) for ci in range(len(cells)) for t in range(spec.trials)]
+            centers = np.array(list(map_trials(dataset_center, tasks)))
+            centers = centers.reshape(len(cells), spec.trials, -1)
+        for ci, ((group, eps, delta, sigma), center) in enumerate(zip(cells, centers)):
+            d = center.shape[-1]
+            block = blocks.get(d)
+            if block is None:
+                block = blocks[d] = np.empty((spec.trials, d))
+            start = time.perf_counter_ns() if spec.record_timing else 0
+            _, ratios = mechanism.release(
+                base.substream(_NOISE_STREAM, ci), center, sigma, spec.trials,
+                burn_in=spec.burn_in, out=block, map_trials=map_trials,
+            )
+            elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
+            per_trial = -(-elapsed // spec.trials)
+            block -= center
+            ratios = [None] * spec.trials if ratios is None else ratios.tolist()
+            for trial, (utility, ratio) in enumerate(zip(_row_dots(block).tolist(), ratios)):
+                if ratio is not None and (warning := acceptance_warning(ratio)):
+                    log.warning("%s", warning)
+                records.append(TrialRecord(
+                    spec.mechanism, group.k, eps, delta, trial, utility, per_trial, ratio
+                ))
     records.sort(key=TrialRecord.sort_key)
     return records
 

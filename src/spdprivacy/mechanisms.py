@@ -7,7 +7,8 @@ is ``row.export(row.release(rng, row.center(log_summary), sigma)[0][0], k)``:
 the row centers the summary's matrix log as a d-vector, d = k(k+1)/2,
 :meth:`Mechanism.release` perturbs it, and the row exports the result as a
 k x k matrix.  :meth:`Mechanism.release` is the only code that draws
-release noise and the only code that picks a core by the row's ``chain``.
+release noise and the only code that reads the row's ``chain``: it lays
+out the trial streams of both row kinds, so a cell of trials is one call.
 
 The tangent Gaussian mechanism (center + sigma * N around vecd(log
 summary), exported through expm) always outputs an SPD matrix, and the
@@ -218,29 +219,31 @@ class Mechanism:
         *,
         burn_in: int | None = None,
         out: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, float | None]:
+        map_trials: Callable = map,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """``trials`` releases around ``center``, a d-vector or one row per
-        trial (trials, d), d = k(k+1)/2: the (trials, d) block z and the
-        chains' pooled acceptance ratio (None for a Gaussian row).  The
+        trial (trials, d), d = k(k+1)/2: the (trials, d) block z, written
+        into ``out`` when given (the harness reuses one per run), and each
+        trial's acceptance ratio (trials,), None for a Gaussian row.  The
         utility of trial t is ||z[t] - center||^2.
 
-        A Gaussian row draws one ``standard_normal((trials, d))`` block N,
-        into ``out`` when given (the harness reuses one per run), and
-        overwrites it with ``center + sigma * N``, ``sigma * N`` rounded
-        first; row t of N is trial t's noise whatever ``trials``.
+        A Gaussian row draws one ``standard_normal((trials, d))`` block N
+        and overwrites it with ``center + sigma * N``, ``sigma * N``
+        rounded first; row t of N is trial t's noise whatever ``trials``.
 
-        A chain row needs ``burn_in`` and takes no ``out``: it runs
-        ``trials`` Metropolis chains targeting exp(-||z - center||/sigma),
-        on Python floats for one chain (:func:`_laplace_chain`), else
-        vectorised (:func:`_laplace_chains`), the same bits for one chain.
-        Stream layout: ``standard_normal((trials, d))`` directions, then
-        per block of b = max(1, min(burn_in, 2^16 // (3 * trials))) steps
-        (the last may be shorter) ``standard_normal((b, trials))`` radial
-        steps, scaled by sigma, ``standard_gamma((d - 1)/2, (b, trials))``
-        orthogonal squared norms, scaled by 2 sigma^2 (not drawn when
-        d = 1), and ``random((b, trials))`` acceptance uniforms.  A chain
-        runs on its distance r to the center from r = d*sigma and ends at
-        center + r*u, u its normalised direction draw.
+        A chain row needs ``burn_in``, checked once before any draw.  Trial
+        t runs one Metropolis chain targeting exp(-||z - center||/sigma)
+        (:func:`_laplace_chain`) on ``rng.substream(t)``, so trial t's
+        release does not depend on ``trials``, and ``map_trials`` (the
+        builtin ``map``, or a thread pool's) runs the trials without
+        changing a bit.  A chain's stream is one ``standard_normal((1, d))``
+        direction, then per block of b = min(burn_in, 2^16 // 3) steps (the
+        last may be shorter) ``standard_normal((b, 1))`` radial steps,
+        scaled by sigma, ``standard_gamma((d - 1)/2, (b, 1))`` orthogonal
+        squared norms, scaled by 2 sigma^2 (not drawn when d = 1), and
+        ``random((b, 1))`` acceptance uniforms.  It runs on its distance r
+        to the center from r = d*sigma and ends at center + r*u, u its
+        normalised direction draw.
         """
         trials = _checked_int(trials, "trials")
         if not (sigma > 0):
@@ -255,11 +258,12 @@ class Mechanism:
             np.multiply(float(sigma), noise, out=noise)
             noise += center
             return noise, None
-        if out is not None:
-            raise DomainError("a chain release takes no out block")
-        if trials == 1:
-            return _laplace_chain(rng, center, sigma, burn_in)
-        return _laplace_chains(rng, center, sigma, burn_in, trials)
+        burn_in = _checked_int(burn_in, "burn_in")
+        centers = np.broadcast_to(center, shape)
+        states, ratios = zip(*map_trials(
+            lambda t: _laplace_chain(rng.substream(t), centers[t], sigma, burn_in), range(trials)
+        ))
+        return np.concatenate(states, out=out), np.array(ratios)
 
     def export(self, z: np.ndarray, k: int) -> SymMatrix:
         """The release ``z`` as a k x k matrix, the inverse of :meth:`center`:
@@ -438,10 +442,11 @@ def laplace_chains_stack(
     n_chains: int,
 ) -> tuple[np.ndarray, float]:
     """Final states of ``n_chains`` independent Laplace chains as a
-    (n_chains, k, k) SPD stack, plus the pooled acceptance ratio; the stream
-    layout is that of :meth:`Mechanism.release` with ``trials = n_chains``."""
+    (n_chains, k, k) SPD stack, plus the pooled acceptance ratio, run
+    vectorised on ``rng`` itself (:func:`_laplace_chains`)."""
     n_chains = _checked_int(n_chains, "n_chains")
-    row = MECHANISMS["riemannian_laplace"]
-    center = row.center(logm_stack(summary.entries))
-    states, ratio = row.release(rng, center, sigma, n_chains, burn_in=burn_in)
+    if not (sigma > 0):
+        raise DomainError("sigma must be positive")
+    center = MECHANISMS["riemannian_laplace"].center(logm_stack(summary.entries))
+    states, ratio = _laplace_chains(rng, center, sigma, burn_in, n_chains)
     return expm_stack(invvecd_stack(states, summary.dim)), ratio

@@ -3,10 +3,11 @@ import io
 import math
 import statistics
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdprivacy import cli, descriptors, harness
@@ -220,14 +221,17 @@ class TestRunSynthetic:
             return release(row, rng, center, sigma, trials, **kwargs)
 
         monkeypatch.setattr(Mechanism, "release", spy)
-        for mechanism in ("tangent_analytic", "extrinsic_analytic"):
+        for mechanism in ("tangent_analytic", "extrinsic_analytic", "riemannian_laplace"):
             centers.clear()
-            fixed = run_synthetic(small_spec(mechanism=mechanism))
+            fixed = run_synthetic(small_spec(mechanism=mechanism, burn_in=200))
             fixed_centers = list(centers)
             centers.clear()
-            resampled = run_synthetic(small_spec(mechanism=mechanism, resample_data=True))
+            resampled = run_synthetic(
+                small_spec(mechanism=mechanism, burn_in=200, resample_data=True)
+            )
             trials = len(fixed)
-            # one block per cell: the shared center, or one fresh center per trial
+            # one release per cell, chain or not: the shared center, or one
+            # fresh center per trial
             assert len(fixed_centers) == len(centers) == len(small_spec().epsilon_grid)
             assert all(c is fixed_centers[0] for c in fixed_centers)
             rows = np.concatenate(centers)
@@ -237,6 +241,8 @@ class TestRunSynthetic:
             assert [r.utility for r in resampled] == pytest.approx(
                 [r.utility for r in fixed], rel=1e-12, abs=0.0
             )
+            # a chain's acceptance reads only its distance to the center
+            assert [r.acceptance_ratio for r in resampled] == [r.acceptance_ratio for r in fixed]
 
     @pytest.mark.parametrize(
         "resample, laplace, base_calls",
@@ -420,6 +426,9 @@ class TestBatchedGaussianCells:
             rows = out.read_text().splitlines()[1:]
             assert len(rows) == 12
             assert all(int(row.split(",")[6]) > 0 for row in rows)
+            # a cell's trials share one time: its release time over the trials
+            cells = {(row.split(",")[2], row.split(",")[6]) for row in rows}
+            assert len(cells) == 2
 
 
 class TestRunImage:
@@ -1345,7 +1354,9 @@ class TestFloat64Edge:
         argv = ["--matrix", str(path), "--output", output, "--mechanism", mechanism]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(PRIVATIZE + argv)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning would be a second stderr line
+                code = main(PRIVATIZE + argv)
         return code, out.getvalue(), err.getvalue()
 
     def test_log_release_of_huge_diagonal(self, tmp_path):
@@ -1380,9 +1391,17 @@ class TestFloat64Edge:
         assert (code, err) == (0, "")
         assert np.allclose(read_matrix_text(out), big, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    def test_extrinsic_center_beyond_float64(self, tmp_path):
+        # the extrinsic center's off-diagonal coordinate sqrt(2) * 1.7e308 is
+        # not a float64: one error line, no overflow warning
+        big = [[1.7976931348623157e308, 1.7e308], [1.7e308, 1.7976931348623157e308]]
+        code, out, err = self.privatize(tmp_path / "m.txt", big, "matrix", "extrinsic_analytic")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: vecd coordinates overflow float64") and err.count("\n") == 1
+
     @given(a=edge_floats, b=edge_floats, c=edge_floats)
-    @settings(max_examples=200, deadline=None, database=None)
+    @example(a=1.7976931348623157e308, b=1.7e308, c=1.7976931348623157e308)
+    @settings(max_examples=200)
     def test_privatize_extreme_inputs(self, tmp_path_factory, a, b, c):
         path = tmp_path_factory.getbasetemp() / "edge_matrix.txt"
         runs = [("matrix", "tangent_analytic"), ("log", "tangent_analytic")]

@@ -1,5 +1,6 @@
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -63,7 +64,7 @@ def gaussian(name, rng, summary, sigma):
 def laplace(rng, summary, sigma, burn_in=50000):
     """One Riemannian Laplace release of ``summary`` and its acceptance ratio."""
     center = LAPLACE.center(logm_stack(summary.entries))
-    (z,), ratio = LAPLACE.release(rng, center, sigma, burn_in=burn_in)
+    (z,), (ratio,) = LAPLACE.release(rng, center, sigma, burn_in=burn_in)
     return LAPLACE.export(z, summary.dim), ratio
 
 
@@ -537,8 +538,8 @@ class TestLaplaceKernel:
     @pytest.mark.parametrize("k, sigma, burn_in", [(1, 0.5, 3000), (2, 0.5, 3000), (10, 0.02, 2500)])
     def test_matches_reference_loop(self, k, sigma, burn_in):
         center = self.center(k, 70)
-        z, ratio = LAPLACE.release(RngState(71), center, sigma, burn_in=burn_in)
-        want, accepted = reference_chains(RngState(71), center, sigma, burn_in)
+        z, (ratio,) = LAPLACE.release(RngState(71), center, sigma, burn_in=burn_in)
+        want, accepted = reference_chains(RngState(71).substream(0), center, sigma, burn_in)
         assert ratio == accepted / burn_in
         assert_close_in_norm(z, want)
 
@@ -546,8 +547,8 @@ class TestLaplaceKernel:
     def test_burn_in_around_block_size(self, offset):
         burn_in = 1 if offset is None else 2**16 // 3 + offset
         center = self.center(10, 72)
-        z, ratio = LAPLACE.release(RngState(73), center, 0.02, burn_in=burn_in)
-        want, accepted = reference_chains(RngState(73), center, 0.02, burn_in)
+        z, (ratio,) = LAPLACE.release(RngState(73), center, 0.02, burn_in=burn_in)
+        want, accepted = reference_chains(RngState(73).substream(0), center, 0.02, burn_in)
         assert ratio == accepted / burn_in
         assert_close_in_norm(z, want)
 
@@ -572,11 +573,35 @@ class TestLaplaceKernel:
         stack, _ = laplace_chains_stack(RngState(75), summary, 0.3, burn_in=2000, n_chains=1)
         assert np.array_equal(stack, expm_stack(invvecd_stack(z, k)))
 
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("per_trial_centers", [False, True])
+    def test_trials_are_one_trial_releases_on_substreams(self, pooled, per_trial_centers):
+        # trial t of a chain release is the one-chain run on rng.substream(t),
+        # bit for bit, whatever map runs the trials, so the first trial is a
+        # one-trial release on rng
+        trials, burn_in, sigma = 5, 300, 0.2
+        rng = RngState(84, (1, 2))
+        center = self.center(3, 83)
+        centers = center + np.arange(trials)[:, None] if per_trial_centers else center
+        out = np.empty((trials, center.size))
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            z, ratios = LAPLACE.release(
+                rng, centers, sigma, trials, burn_in=burn_in, out=out,
+                map_trials=pool.map if pooled else map,
+            )
+        assert z is out and ratios.shape == (trials,)
+        for t, c in enumerate(np.broadcast_to(centers, z.shape)):
+            want, ratio = _laplace_chain(rng.substream(t), c, sigma, burn_in)
+            assert np.array_equal(z[t], want[0]) and ratios[t] == ratio
+        first, (ratio,) = LAPLACE.release(rng, centers[:1] if per_trial_centers else center,
+                                          sigma, burn_in=burn_in)
+        assert np.array_equal(first, z[:1]) and ratio == ratios[0]
+
     def test_tracked_distance_exact_in_high_dimension(self):
         center = self.center(30, 76)
         sigma = 2.0 * math.sqrt(30) * 0.25 / 500 / 0.1
-        z, ratio = LAPLACE.release(RngState(77), center, sigma, burn_in=1000)
-        want, accepted = reference_chains(RngState(77), center, sigma, 1000)
+        z, (ratio,) = LAPLACE.release(RngState(77), center, sigma, burn_in=1000)
+        want, accepted = reference_chains(RngState(77).substream(0), center, sigma, 1000)
         assert 0 < accepted < 1000 and ratio == accepted / 1000
         dist = np.linalg.norm(want - center)
         assert np.linalg.norm(z - center) == pytest.approx(dist, rel=1e-12, abs=0.0)
@@ -678,8 +703,12 @@ class TestLogChartCores:
             LAPLACE.release(RngState(1), np.zeros(4), 1.0, burn_in=10)
         with pytest.raises(DomainError):
             LAPLACE.release(RngState(1), np.zeros(3), 1.0, burn_in=0)
-        with pytest.raises(DomainError, match="out"):
-            LAPLACE.release(RngState(1), np.zeros(3), 1.0, burn_in=10, out=np.empty((1, 3)))
+        # a chain release writes its final states into out
+        out = np.full((2, 3), np.nan)
+        z, ratios = LAPLACE.release(RngState(1), np.zeros(3), 1.0, 2, burn_in=10, out=out)
+        assert z is out and np.isfinite(out).all() and ratios.shape == (2,)
+        with pytest.raises(DimensionError, match="out"):
+            LAPLACE.release(RngState(1), np.zeros(3), 1.0, burn_in=10, out=np.empty((2, 3)))
 
     @pytest.mark.parametrize("name", MECHANISMS)
     def test_release_validates_center_and_sigma(self, name):

@@ -35,6 +35,9 @@ GENERATOR = re.compile(r"\.generator\b")
 # A name of a Laplace chain kernel, the float loop or the vectorised one.
 CHAIN_KERNEL = re.compile(r"\b_laplace_chains?\b")
 
+# A read of a mechanism row's chain field, e.g. row.chain.
+CHAIN_FIELD = re.compile(r"\.chain\b")
+
 # A call of numpy's symmetric eigensolvers, or float64's largest value.
 FLOAT64_EDGE = re.compile(r"\b(np|numpy)\.linalg\.eig|finfo\(float\)\.max")
 
@@ -101,6 +104,12 @@ def test_release_noise_only_in_mechanisms():
     # kernel; sampling.py draws datasets, and no other module draws at all
     assert modules_matching(GENERATOR, {"mechanisms.py", "sampling.py"}) == []
     assert modules_matching(CHAIN_KERNEL, {"mechanisms.py"}) == []
+
+
+def test_chain_read_only_in_mechanisms():
+    # Mechanism.release owns the trial stream layout of both row kinds, so
+    # no caller (the harness, the CLI) branches on the row being a chain
+    assert modules_matching(CHAIN_FIELD, {"mechanisms.py"}) == []
 
 
 def test_float64_edge_only_in_geometry():
