@@ -20,7 +20,10 @@ proportional to exp(-distance/sigma) with a Metropolis chain run in the
 flat log chart.  Target and proposal are both invariant under rotations
 about the center, so the chain runs on its distance to the center alone:
 three scalars per step, drawn in blocks of up to 2^16 doubles after one
-direction draw that fixes both the start and the output direction.
+direction draw that fixes both the start and the output direction.  One
+kernel, :func:`_laplace_chains`, runs every chain: a release's single
+chain per trial on Python floats, the many chains of
+:func:`laplace_chains_stack` in numpy's vector loop.
 
 Noise calibration comes in two flavors: the classical closed form
 ``sensitivity * sqrt(2 ln(1.25/delta)) / epsilon`` (valid for epsilon < 1)
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +141,7 @@ def calibrate_classical(sensitivity: Sensitivity, budget: PrivacyBudget) -> floa
     if budget.epsilon >= 1:
         raise DomainError(
             f"classical calibration requires epsilon < 1 (got {budget.epsilon}); "
-            "use calibrate_analytic instead"
+            "use the analytic calibration instead"
         )
     if sensitivity.value <= 0:
         raise DomainError("classical calibration requires a positive sensitivity")
@@ -231,19 +234,20 @@ class Mechanism:
         and overwrites it with ``center + sigma * N``, ``sigma * N``
         rounded first; row t of N is trial t's noise whatever ``trials``.
 
-        A chain row needs ``burn_in``, checked once before any draw.  Trial
-        t runs one Metropolis chain targeting exp(-||z - center||/sigma)
-        (:func:`_laplace_chain`) on ``rng.substream(t)``, so trial t's
-        release does not depend on ``trials``, and ``map_trials`` (the
-        builtin ``map``, or a thread pool's) runs the trials without
-        changing a bit.  A chain's stream is one ``standard_normal((1, d))``
-        direction, then per block of b = min(burn_in, 2^16 // 3) steps (the
-        last may be shorter) ``standard_normal((b, 1))`` radial steps,
-        scaled by sigma, ``standard_gamma((d - 1)/2, (b, 1))`` orthogonal
-        squared norms, scaled by 2 sigma^2 (not drawn when d = 1), and
-        ``random((b, 1))`` acceptance uniforms.  It runs on its distance r
-        to the center from r = d*sigma and ends at center + r*u, u its
-        normalised direction draw.
+        A chain row needs ``burn_in``.  Trial t runs one Metropolis chain
+        targeting exp(-||z - center||/sigma) on ``rng.substream(t)``
+        (:func:`_laplace_chains`, which checks ``burn_in`` and sigma before
+        its draws), so trial t's release does not depend on ``trials``, and
+        ``map_trials`` (the builtin ``map``, or a thread pool's) runs the
+        trials without changing a bit.  A chain's stream is one
+        ``standard_normal((1, d))`` direction, then per block of
+        b = min(burn_in, 2^16 // 3) steps (the last may be shorter)
+        ``standard_normal((b, 1))`` radial steps, scaled by sigma,
+        ``standard_gamma((d - 1)/2, (b, 1))`` orthogonal squared norms,
+        scaled by 2 sigma^2 (not drawn when d = 1), and ``random((b, 1))``
+        acceptance uniforms.  It runs on its distance r to the center from
+        r = d*sigma and ends at center + r*u, u its normalised direction
+        draw.
         """
         trials = _checked_int(trials, "trials")
         if not (sigma > 0):
@@ -258,10 +262,9 @@ class Mechanism:
             np.multiply(float(sigma), noise, out=noise)
             noise += center
             return noise, None
-        burn_in = _checked_int(burn_in, "burn_in")
         centers = np.broadcast_to(center, shape)
         states, ratios = zip(*map_trials(
-            lambda t: _laplace_chain(rng.substream(t), centers[t], sigma, burn_in), range(trials)
+            lambda t: _laplace_chains(rng.substream(t), centers[t], sigma, burn_in), range(trials)
         ))
         return np.concatenate(states, out=out), np.array(ratios)
 
@@ -319,16 +322,22 @@ def _ambient_dim(center: np.ndarray, trials: int = 1) -> int:
     return k
 
 
-def _chain_start(
-    rng: RngState,
-    center: np.ndarray,
-    sigma: float,
-    burn_in: int,
-    n_chains: int,
-) -> tuple[np.ndarray, float, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Check the step count, draw one unit direction per chain (n_chains,
-    d) and return the directions with the start radius and the chains'
-    radial blocks.
+def _laplace_chains(
+    rng: RngState, center: np.ndarray, sigma: float, burn_in: int, n_chains: int = 1
+) -> tuple[np.ndarray, float]:
+    """Run ``n_chains`` Metropolis chains around the d-vector ``center`` in
+    the log chart; return their final states (n_chains, d) and the pooled
+    acceptance ratio.  ``burn_in``, ``n_chains`` and sigma (positive, with
+    a finite square) are checked here, before any draw.
+
+    The target exp(-||z - center||/sigma) is the Laplace density in the flat
+    chart, whose Riemannian volume is Lebesgue measure; the proposal is an
+    isotropic Gaussian step s of scale sigma there, so plain Metropolis with
+    the target ratio is exact.  That ratio reads only radii: with w = z - center and
+    s = alpha * w/||w|| + s_perp, the candidate's radius is
+    sqrt((||w|| + alpha)^2 + ||s_perp||^2), where alpha ~ N(0, sigma^2) and
+    ||s_perp||^2 ~ sigma^2 chi^2_{d-1} (0 when d = 1) are independent of
+    each other and of w.  So each chain runs on its radius r alone.
 
     Chains start at radius d*sigma from the center (the mean radius of the
     target), which keeps the burn-in in the stationary bulk for every
@@ -336,30 +345,30 @@ def _chain_start(
     exponentially small escape rate in high dimension.  The start direction
     is uniform and the Metropolis kernel commutes with rotations about the
     center, so a chain's final state is center + r * u with r its final
-    radius and u a uniform direction independent of r: one draw serves for
-    both the start and the output.
+    radius and u a uniform direction independent of r: one
+    ``standard_normal((n_chains, d))`` draw serves for both the start and
+    the output.  The alpha, ||s_perp||^2 and log acceptance uniforms follow
+    in (b, n_chains) blocks of b = :data:`_BLOCK_DOUBLES` // (3 * n_chains)
+    steps (at least 1, at most burn_in), the last one shorter.
+
+    One chain steps on Python floats, many in numpy's vector loop: one
+    chain in the vector loop costs about twenty times as much per step.
+    Both loops do the same float64 operations in the same order, so a
+    chain's bits do not depend on the loop.
     """
     burn_in = _checked_int(burn_in, "burn_in")
+    n_chains = _checked_int(n_chains, "n_chains")
+    if not (sigma > 0):
+        raise DomainError("sigma must be positive")
     if math.isinf(sigma * sigma):
         raise DomainError(f"proposal scale {sigma:.6g} overflows float64 when squared")
+    gen = rng.generator
     d = center.shape[-1]
-    directions = rng.generator.standard_normal((n_chains, d))
+    directions = gen.standard_normal((n_chains, d))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    blocks = _proposal_blocks(rng, sigma, burn_in, n_chains, d)
-    return directions / norms, d * sigma, blocks
-
-
-def _proposal_blocks(
-    rng: RngState, sigma: float, burn_in: int, n_chains: int, d: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield the chains' Metropolis draws block by block, each (b, n_chains):
-    the proposal step's component alpha ~ N(0, sigma^2) along the state's
-    direction, the squared norm q ~ sigma^2 chi^2_{d-1} of its orthogonal
-    part (0 when d = 1) and the log acceptance uniforms, with
-    b = :data:`_BLOCK_DOUBLES` // (3 * n_chains) steps (at least 1, at most
-    burn_in) and a shorter last block."""
-    gen = rng.generator
+    r = d * sigma if n_chains == 1 else np.full(n_chains, d * sigma)
+    accepted = 0
     block = max(1, min(burn_in, _BLOCK_DOUBLES // (3 * n_chains)))
     for done in range(0, burn_in, block):
         size = (min(block, burn_in - done), n_chains)
@@ -368,58 +377,22 @@ def _proposal_blocks(
             q = (2.0 * sigma**2) * gen.standard_gamma((d - 1) / 2, size)
         else:
             q = np.zeros(size)
-        yield alpha, q, np.log(gen.random(size))
-
-
-def _laplace_chains(
-    rng: RngState,
-    center: np.ndarray,
-    sigma: float,
-    burn_in: int,
-    n_chains: int,
-) -> tuple[np.ndarray, float]:
-    """Run ``n_chains`` Metropolis chains in the log chart; return final
-    states (n_chains, d) and the pooled acceptance ratio.
-
-    The target exp(-||z - center||/sigma) is the Laplace density in the flat
-    chart, whose Riemannian volume is Lebesgue measure; the proposal is an
-    isotropic Gaussian step s of scale sigma there, so plain Metropolis with
-    the target ratio is exact.  That ratio reads only radii: with w = z - center and
-    s = alpha * w/||w|| + s_perp, the candidate's radius is
-    sqrt((||w|| + alpha)^2 + ||s_perp||^2), where alpha and ||s_perp||^2
-    are independent of each other and of w.  So each chain runs on its
-    radius r alone, vectorised over the chains, and its direction is drawn
-    once (see :func:`_chain_start`).
-    """
-    directions, start, blocks = _chain_start(rng, center, sigma, burn_in, n_chains)
-    r = np.full(n_chains, start)
-    accepted = 0
-    for alpha, q, log_u in blocks:
-        for a, q2, lu in zip(alpha, q, log_u):
-            t = r + a
-            cand = np.sqrt(t * t + q2)
-            take = lu < (r - cand) / sigma
-            np.copyto(r, cand, where=take)
-            accepted += int(np.count_nonzero(take))
-    return center + r[:, None] * directions, accepted / (int(burn_in) * n_chains)
-
-
-def _laplace_chain(
-    rng: RngState, center: np.ndarray, sigma: float, burn_in: int
-) -> tuple[np.ndarray, float]:
-    """:func:`_laplace_chains` with one chain, bit for bit, stepping on
-    Python floats: one chain in numpy's vector loop costs about ten times
-    as much per step."""
-    directions, r, blocks = _chain_start(rng, center, sigma, burn_in, 1)
-    accepted = 0
-    for alpha, q, log_u in blocks:
-        for a, q2, lu in zip(alpha[:, 0].tolist(), q[:, 0].tolist(), log_u[:, 0].tolist()):
-            t = r + a
-            cand = math.sqrt(t * t + q2)
-            if lu < (r - cand) / sigma:
-                r = cand
-                accepted += 1
-    return center + r * directions, accepted / int(burn_in)
+        log_u = np.log(gen.random(size))
+        if n_chains == 1:
+            for a, q2, lu in zip(alpha[:, 0].tolist(), q[:, 0].tolist(), log_u[:, 0].tolist()):
+                t = r + a
+                cand = math.sqrt(t * t + q2)
+                if lu < (r - cand) / sigma:
+                    r = cand
+                    accepted += 1
+        else:
+            for a, q2, lu in zip(alpha, q, log_u):
+                t = r + a
+                cand = np.sqrt(t * t + q2)
+                take = lu < (r - cand) / sigma
+                np.copyto(r, cand, where=take)
+                accepted += int(np.count_nonzero(take))
+    return center + np.reshape(r, (-1, 1)) * (directions / norms), accepted / (burn_in * n_chains)
 
 
 def acceptance_warning(ratio: float) -> str | None:
@@ -443,10 +416,7 @@ def laplace_chains_stack(
 ) -> tuple[np.ndarray, float]:
     """Final states of ``n_chains`` independent Laplace chains as a
     (n_chains, k, k) SPD stack, plus the pooled acceptance ratio, run
-    vectorised on ``rng`` itself (:func:`_laplace_chains`)."""
-    n_chains = _checked_int(n_chains, "n_chains")
-    if not (sigma > 0):
-        raise DomainError("sigma must be positive")
+    on ``rng`` itself (:func:`_laplace_chains`)."""
     center = MECHANISMS["riemannian_laplace"].center(logm_stack(summary.entries))
     states, ratio = _laplace_chains(rng, center, sigma, burn_in, n_chains)
     return expm_stack(invvecd_stack(states, summary.dim)), ratio

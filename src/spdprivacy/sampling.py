@@ -12,9 +12,9 @@ replays bit-exactly regardless of scheduling.
 Synthetic data E diag(l) E^T (l uniform in [e^-r, e^r], E Haar) is drawn
 as n·k uniforms, then n·k² normals (n = 1 for one SPD matrix).  The normals
 are streamed: they fill one reused buffer of at most
-``geometry._FOLD_DOUBLES`` doubles (one matrix when k² is larger, all n
-draws at k = 1) block by block, in the order of a single (n, k, k) draw,
-so the stream is that of one draw, and each block is rebuilt in place.  This module only draws:
+``geometry._FOLD_DOUBLES`` doubles (one matrix when k² is larger) block
+by block, in the order of a single (n, k, k) draw, so the stream is that
+of one draw, and each block is rebuilt in place.  This module only draws:
 ``geometry._mean_log`` folds the blocks into the Fréchet-mean summary, so
 beyond the n·k eigenvalues the memory of a draw does not grow with n.  E
 is a QR factor without the sign fix that makes it exactly Haar (signing
@@ -77,9 +77,7 @@ def _synthetic_blocks(
     All n·k uniforms are drawn first, then the normals of each block into
     one reused buffer, so the stream is that of one (n, k, k) draw.  Each
     block is a view of that buffer and is overwritten by the next one; a
-    caller may change it in place.  At k = 1 one block holds all n draws,
-    so ``geometry._mean_log`` of the blocks stays bit-identical to the
-    stack's mean, and n doubles are no more than the eigenvalues held.
+    caller may change it in place.
     """
     k = _checked_int(k, "k", 1, MAX_DIM, DimensionError)
     _check_radius(r)
@@ -87,7 +85,7 @@ def _synthetic_blocks(
     eigs = rng.generator.uniform(np.exp(-r), np.exp(r), size=(n, k))
     if logs:
         np.log(eigs, out=eigs)
-    m = n if k == 1 else min(n, max(1, _FOLD_DOUBLES // (k * k)))
+    m = min(n, max(1, _FOLD_DOUBLES // (k * k)))
     normals, product = np.empty((m, k, k)), np.empty((m, k, k))
     for start in range(0, n, m):
         rows = min(m, n - start)

@@ -28,8 +28,11 @@ kernels.
 
 Rewrite fixtures with ``python tests/test_golden.py [case ...]`` from the
 repository root (with ``src`` on ``PYTHONPATH``); it rewrites only the named
-cases, or all of them when none is named.  Note the reason next to the
-change.
+cases, or all of them when none is named.  Within a fixture it rewrites only
+the entries (CSV rows, or the blank-line-separated blocks of a ``.txt``
+case) that fail the comparison above; the others keep their committed
+bytes, so a rewrite does not carry the last digits of the local kernel into
+entries that did not move.  Note the reason next to the change.
 """
 
 import contextlib
@@ -179,24 +182,73 @@ def run_privatize_log_case(workdir: Path) -> str:
     )
 
 
-def assert_matrices_match(got: str, want: str, rtol: float) -> None:
-    """``got`` has the lines of ``want`` and the tokens on each line; its
-    ``#`` lines are equal and each matrix (a run of number lines) agrees in
-    Frobenius norm at relative tolerance ``rtol``."""
+TEXT_CASES = {
+    DESCRIPTOR_CASE: (run_descriptor_case, DESCRIPTOR_RTOL),
+    PRIVATIZE_CASE: (run_privatize_case, PRIVATIZE_RTOL),
+    PRIVATIZE_LOG_CASE: (run_privatize_log_case, PRIVATIZE_RTOL),
+}
+
+
+def row_matches(got: str, want: str, utility: int) -> bool:
+    """Whether the CSV row ``got`` has the fields of ``want``, each exactly
+    but the ``utility``-th, which agrees at relative tolerance UTILITY_RTOL."""
+    got_fields, want_fields = got.split(","), want.split(",")
+    if len(got_fields) != len(want_fields):
+        return False
+    got_u, want_u = float(got_fields.pop(utility)), float(want_fields.pop(utility))
+    return got_fields == want_fields and abs(got_u - want_u) <= UTILITY_RTOL * abs(want_u)
+
+
+def matrices_mismatch(got: str, want: str, rtol: float) -> str | None:
+    """None when ``got`` has the lines of ``want`` and the tokens on each
+    line, its ``#`` lines are equal and each matrix (a run of number lines)
+    agrees in Frobenius norm at relative tolerance ``rtol``; else the line
+    of ``want`` where that first fails."""
     got_lines, want_lines = got.splitlines(), want.splitlines()
-    assert len(got_lines) == len(want_lines)
+    if len(got_lines) != len(want_lines):
+        return f"{len(got_lines)} lines, not {len(want_lines)}"
     rows: list[tuple[list[str], list[str]]] = []
     for got_line, want_line in zip(got_lines + [""], want_lines + [""]):
         got_tokens, want_tokens = got_line.split(), want_line.split()
-        assert len(got_tokens) == len(want_tokens), want_line
+        if len(got_tokens) != len(want_tokens):
+            return want_line
         if want_tokens and not want_line.startswith("#"):
             rows.append((got_tokens, want_tokens))
             continue
-        assert got_line == want_line
+        if got_line != want_line:
+            return want_line
         if rows:
             g, w = (np.array([[float(v) for v in r[i]] for r in rows]) for i in (0, 1))
-            assert np.linalg.norm(g - w) <= rtol * np.linalg.norm(w), want_line
+            if not np.linalg.norm(g - w) <= rtol * np.linalg.norm(w):
+                return " ".join(rows[0][1])
             rows = []
+    return None
+
+
+def rewritten(name: str, old: str, new: str) -> str:
+    """The fixture text of case ``name`` committed as ``old`` when a run
+    prints ``new``: ``new``, but each entry of ``old`` (a CSV row, or a
+    blank-line-separated block of a ``.txt`` case) whose counterpart in
+    ``new`` passes this module's comparison against it keeps its committed
+    bytes, so a rewrite moves only the entries that fail.  ``new`` itself
+    when the CSV header or the number of entries differs."""
+    if name in TEXT_CASES:
+        sep = "\n\n"
+
+        def same(got: str, want: str) -> bool:
+            return matrices_mismatch(got, want, TEXT_CASES[name][1]) is None
+    else:
+        header = new.split("\n", 1)[0]
+        if old.split("\n", 1)[0] != header:
+            return new
+        sep, utility = "\n", header.split(",").index("utility")
+
+        def same(got: str, want: str) -> bool:
+            return got == want or row_matches(got, want, utility)
+    old_entries, new_entries = old.split(sep), new.split(sep)
+    if len(old_entries) != len(new_entries):
+        return new
+    return sep.join(o if same(n, o) else n for o, n in zip(old_entries, new_entries))
 
 
 @pytest.fixture(scope="module")
@@ -212,31 +264,56 @@ def test_matches_golden(name, workdir):
     assert len(got) == len(want)
     utility = want[0].split(",").index("utility")
     for got_line, want_line in zip(got[1:], want[1:]):
-        got_fields, want_fields = got_line.split(","), want_line.split(",")
-        got_u, want_u = float(got_fields.pop(utility)), float(want_fields.pop(utility))
-        assert got_fields == want_fields
-        assert got_u == pytest.approx(want_u, rel=UTILITY_RTOL, abs=0.0), want_line
+        assert row_matches(got_line, want_line, utility), (got_line, want_line)
 
 
 def test_descriptors_match_golden(workdir):
     want = (GOLDEN_DIR / f"{DESCRIPTOR_CASE}.txt").read_text()
-    assert_matrices_match(run_descriptor_case(workdir), want, DESCRIPTOR_RTOL)
+    assert matrices_mismatch(run_descriptor_case(workdir), want, DESCRIPTOR_RTOL) is None
 
 
 def test_privatize_matches_golden(workdir):
     want = (GOLDEN_DIR / f"{PRIVATIZE_CASE}.txt").read_text()
-    assert_matrices_match(run_privatize_case(workdir), want, PRIVATIZE_RTOL)
+    assert matrices_mismatch(run_privatize_case(workdir), want, PRIVATIZE_RTOL) is None
 
 
 def test_privatize_log_matches_golden(workdir):
     want = (GOLDEN_DIR / f"{PRIVATIZE_LOG_CASE}.txt").read_text()
-    assert_matrices_match(run_privatize_log_case(workdir), want, PRIVATIZE_RTOL)
+    assert matrices_mismatch(run_privatize_log_case(workdir), want, PRIVATIZE_RTOL) is None
+
+
+def perturbed(text: str, line: int, column: int, sep: str, factor: float) -> str:
+    """``text`` with the number in ``column`` of ``line`` (fields split by
+    ``sep``) multiplied by ``factor``."""
+    lines = text.split("\n")
+    fields = lines[line].split(sep)
+    fields[column] = repr(float(fields[column]) * factor)
+    lines[line] = sep.join(fields)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "name, fixture, sep, column, near, far",
+    [
+        # the utility column of two data rows
+        ("tangent_analytic", "tangent_analytic.csv", ",", 5, 1, 2),
+        # the first matrix row of the first and the second mechanism's block
+        (PRIVATIZE_CASE, "privatize.txt", " ", 0, 1, 5),
+    ],
+)
+def test_rewrite_keeps_entries_within_tolerance(name, fixture, sep, column, near, far):
+    # an entry that moved by 1e-13 relative keeps its committed bytes, one
+    # that moved by 1e-9 is rewritten, and the others are left alone
+    old = (GOLDEN_DIR / fixture).read_text()
+    new = perturbed(perturbed(old, near, column, sep, 1 + 1e-13), far, column, sep, 1 + 1e-9)
+    assert new.split("\n")[near] != old.split("\n")[near]
+    assert rewritten(name, old, new) == perturbed(old, far, column, sep, 1 + 1e-9)
 
 
 if __name__ == "__main__":
     import tempfile
 
-    known = sorted(CASES) + [DESCRIPTOR_CASE, PRIVATIZE_CASE, PRIVATIZE_LOG_CASE]
+    known = sorted(CASES) + list(TEXT_CASES)
     cases = sys.argv[1:] or known
     unknown = sorted(set(cases) - set(known))
     if unknown:
@@ -244,16 +321,11 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:
-            if case == DESCRIPTOR_CASE:
-                path = GOLDEN_DIR / f"{case}.txt"
-                path.write_text(run_descriptor_case(Path(tmp)))
-            elif case == PRIVATIZE_CASE:
-                path = GOLDEN_DIR / f"{case}.txt"
-                path.write_text(run_privatize_case(Path(tmp)))
-            elif case == PRIVATIZE_LOG_CASE:
-                path = GOLDEN_DIR / f"{case}.txt"
-                path.write_text(run_privatize_log_case(Path(tmp)))
+            if case in TEXT_CASES:
+                path, text = GOLDEN_DIR / f"{case}.txt", TEXT_CASES[case][0](Path(tmp))
             else:
-                path = GOLDEN_DIR / f"{case}.csv"
-                path.write_text(run_case(case, Path(tmp)))
+                path, text = GOLDEN_DIR / f"{case}.csv", run_case(case, Path(tmp))
+            if path.exists():
+                text = rewritten(case, path.read_text(), text)
+            path.write_text(text)
             print(f"wrote {path}", file=sys.stderr)

@@ -1197,6 +1197,18 @@ class TestCliInputErrors:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["calibrate", "--sensitivity", "1", "--delta", "1e-5", "--flavor", "classical"],
+            SYNTHETIC + ["--mechanism", "tangent_classical"],
+        ],
+    )
+    def test_classical_epsilon_names_no_function(self, capsys, argv):
+        # a CLI user chooses the analytic calibration by a flag, not a call
+        line = self.check(argv + ["--eps", "2"], capsys, "use the analytic calibration")
+        assert "calibrate_analytic" not in line
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["calibrate", "--sensitivity", "1", "--delta", "1e-6", "--flavor", "classical"],
             SYNTHETIC + ["--mechanism", "tangent_classical"],
             SYNTHETIC + ["--mechanism", "tangent_classical", "--out-plot", "never.svg"],

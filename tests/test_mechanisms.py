@@ -28,7 +28,6 @@ from spdprivacy.mechanisms import (
     Sensitivity,
     SensitivityKind,
     _analytic_condition,
-    _laplace_chain,
     _laplace_chains,
     acceptance_warning,
     calibrate_analytic,
@@ -566,12 +565,22 @@ class TestLaplaceKernel:
     def test_single_chain_equals_chain_stack(self, k):
         summary = sample_synthetic_spd(RngState(74), k, 0.25)
         center = vecd_stack(logm_stack(summary.entries))
-        z, ratio = _laplace_chain(RngState(75), center, 0.3, 2000)
-        states, stack_ratio = _laplace_chains(RngState(75), center, 0.3, 2000, 1)
-        assert z.shape == (1, center.size) and np.array_equal(states, z)
-        assert stack_ratio == ratio
-        stack, _ = laplace_chains_stack(RngState(75), summary, 0.3, burn_in=2000, n_chains=1)
-        assert np.array_equal(stack, expm_stack(invvecd_stack(z, k)))
+        z, ratio = _laplace_chains(RngState(75), center, 0.3, 2000)
+        assert z.shape == (1, center.size)
+        stack, stack_ratio = laplace_chains_stack(RngState(75), summary, 0.3, burn_in=2000,
+                                                  n_chains=1)
+        assert np.array_equal(stack, expm_stack(invvecd_stack(z, k))) and stack_ratio == ratio
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_chain_entry_points_agree_for_one_chain(self, k):
+        # one chain of laplace_chains_stack on substream 0 is the one-trial
+        # release of the chain row, exported, bit for bit
+        summary = sample_synthetic_spd(RngState(85), k, 0.25)
+        rng = RngState(86, (4,))
+        stack, stack_ratio = laplace_chains_stack(rng.substream(0), summary, 0.3, 1500, n_chains=1)
+        (z,), (ratio,) = LAPLACE.release(rng, LAPLACE.center(logm_stack(summary.entries)), 0.3,
+                                         burn_in=1500)
+        assert np.array_equal(stack[0], LAPLACE.export(z, k).entries) and stack_ratio == ratio
 
     @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("per_trial_centers", [False, True])
@@ -591,7 +600,7 @@ class TestLaplaceKernel:
             )
         assert z is out and ratios.shape == (trials,)
         for t, c in enumerate(np.broadcast_to(centers, z.shape)):
-            want, ratio = _laplace_chain(rng.substream(t), c, sigma, burn_in)
+            want, ratio = _laplace_chains(rng.substream(t), c, sigma, burn_in)
             assert np.array_equal(z[t], want[0]) and ratios[t] == ratio
         first, (ratio,) = LAPLACE.release(rng, centers[:1] if per_trial_centers else center,
                                           sigma, burn_in=burn_in)

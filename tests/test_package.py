@@ -32,8 +32,8 @@ NUMPY_RANDOM = re.compile(r"\b(np|numpy)\.random\b")
 # A use of an RngState's numpy generator, e.g. rng.generator.random().
 GENERATOR = re.compile(r"\.generator\b")
 
-# A name of a Laplace chain kernel, the float loop or the vectorised one.
-CHAIN_KERNEL = re.compile(r"\b_laplace_chains?\b")
+# The name of the Laplace chain kernel.
+CHAIN_KERNEL = re.compile(r"\b_laplace_chains\b")
 
 # A read of a mechanism row's chain field, e.g. row.chain.
 CHAIN_FIELD = re.compile(r"\.chain\b")
@@ -100,8 +100,9 @@ def test_randomness_only_through_rng_state():
 
 
 def test_release_noise_only_in_mechanisms():
-    # Mechanism.release draws every release's noise and alone picks a chain
-    # kernel; sampling.py draws datasets, and no other module draws at all
+    # Mechanism.release draws every release's noise and, with
+    # laplace_chains_stack, alone runs the chain kernel; sampling.py draws
+    # datasets, and no other module draws at all
     assert modules_matching(GENERATOR, {"mechanisms.py", "sampling.py"}) == []
     assert modules_matching(CHAIN_KERNEL, {"mechanisms.py"}) == []
 

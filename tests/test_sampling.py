@@ -343,10 +343,10 @@ class TestStreamedSummary:
 
     @staticmethod
     def sizes(k):
-        m = max(1, _FOLD_DOUBLES // (k * k))  # matrices per block at k >= 2
+        m = max(1, _FOLD_DOUBLES // (k * k))  # matrices per block
         return sorted({1, m - 1, m, m + 1, 3 * m + 1} - {0})
 
-    @pytest.mark.parametrize("k", [1, 2, 10, 30])
+    @pytest.mark.parametrize("k", [2, 10, 30])
     def test_summary_equals_stack(self, k):
         for n in self.sizes(k):
             logs = one_shot_logs(RngState(61, (n,)), k, 0.25, n)
