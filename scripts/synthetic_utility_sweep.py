@@ -32,7 +32,6 @@ def parse_args():
     parser.add_argument("--trials", type=int, default=10)
     parser.add_argument("--burn-in", type=int, default=10000, dest="burn_in")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--out-prefix", default="synthetic_sweep", dest="out_prefix")
     return parser.parse_args()
 
@@ -54,7 +53,7 @@ def main():
                 seed=args.seed,
                 burn_in=args.burn_in,
             )
-            chunk = run_synthetic(spec, threads=args.threads)
+            chunk = run_synthetic(spec)
             mean = sum(rec.utility for rec in chunk) / len(chunk)
             print(f"{mechanism:20s} k={k:3d} mean utility {mean:.4g}")
             records.extend(chunk)

@@ -22,9 +22,9 @@ of log-matrices that ``geometry._mean_log`` folds, so neither is held whole:
 One (trials, d) block per distinct d is allocated per call and reused by
 every cell of that d: the cell's release fills it, row t for trial t, and
 it is overwritten in place by the deviations z - c, whose rows are scored
-by one batched dot, so a cell allocates no (trials, d) temporaries.  With
-``threads`` > 1 a thread pool runs the resampled datasets and, as the
-release's ``map_trials``, the chains of a cell.
+by one batched dot, so a cell allocates no (trials, d) temporaries.  Every
+release, chains included, runs on the calling thread; with ``threads`` > 1
+a thread pool draws the resampled datasets, and nothing else.
 
 Wall-clock timing of the privatization call is optional (``record_timing``)
 because real timings are not reproducible; with timing off the
@@ -171,8 +171,8 @@ def _run_cells(
     (_NOISE_STREAM, cell), into the (trials, d) block that every cell of
     that d reuses; the block is then overwritten by the deviations z - c
     and scored.  Resampled datasets are drawn first, one per (cell, trial)
-    on substream (_DATA_STREAM, cell, trial).  With ``threads`` > 1 a pool
-    runs the resampled datasets and, through ``release``, the chains.
+    on substream (_DATA_STREAM, cell, trial), by a pool of ``threads``
+    threads when ``threads`` > 1; the pool closes before the first release.
     """
     mechanism = MECHANISMS[spec.mechanism]
     cells = [
@@ -186,35 +186,32 @@ def _run_cells(
         data_rng = base.substream(_DATA_STREAM, *task)
         return mechanism.center(_mean_log(_synthetic_blocks(data_rng, spec.k, spec.r, spec.n))[0])
 
+    centers = [group.center for group, *_ in cells]
+    if spec.resample_data:
+        tasks = [(ci, t) for ci in range(len(cells)) for t in range(spec.trials)]
+        with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+            centers = np.array(list((pool.map if pool else map)(dataset_center, tasks)))
+        centers = centers.reshape(len(cells), spec.trials, -1)
     records = []
     blocks: dict[int, np.ndarray] = {}
-    with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
-        map_trials = pool.map if pool else map
-        centers = [group.center for group, *_ in cells]
-        if spec.resample_data:
-            tasks = [(ci, t) for ci in range(len(cells)) for t in range(spec.trials)]
-            centers = np.array(list(map_trials(dataset_center, tasks)))
-            centers = centers.reshape(len(cells), spec.trials, -1)
-        for ci, ((group, eps, delta, sigma), center) in enumerate(zip(cells, centers)):
-            d = center.shape[-1]
-            block = blocks.get(d)
-            if block is None:
-                block = blocks[d] = np.empty((spec.trials, d))
-            start = time.perf_counter_ns() if spec.record_timing else 0
-            _, ratios = mechanism.release(
-                base.substream(_NOISE_STREAM, ci), center, sigma, spec.trials,
-                burn_in=spec.burn_in, out=block, map_trials=map_trials,
-            )
-            elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
-            per_trial = -(-elapsed // spec.trials)
-            block -= center
-            ratios = [None] * spec.trials if ratios is None else ratios.tolist()
-            for trial, (utility, ratio) in enumerate(zip(_row_dots(block).tolist(), ratios)):
-                if ratio is not None and (warning := acceptance_warning(ratio)):
-                    log.warning("%s", warning)
-                records.append(TrialRecord(
-                    spec.mechanism, group.k, eps, delta, trial, utility, per_trial, ratio
-                ))
+    for ci, ((group, eps, delta, sigma), center) in enumerate(zip(cells, centers)):
+        d = center.shape[-1]
+        block = blocks.get(d)
+        if block is None:
+            block = blocks[d] = np.empty((spec.trials, d))
+        start = time.perf_counter_ns() if spec.record_timing else 0
+        _, ratios = mechanism.release(base.substream(_NOISE_STREAM, ci), center, sigma,
+                                      spec.trials, burn_in=spec.burn_in, out=block)
+        elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
+        per_trial = -(-elapsed // spec.trials)
+        block -= center
+        ratios = [None] * spec.trials if ratios is None else ratios.tolist()
+        for trial, (utility, ratio) in enumerate(zip(_row_dots(block).tolist(), ratios)):
+            if ratio is not None and (warning := acceptance_warning(ratio)):
+                log.warning("%s", warning)
+            records.append(TrialRecord(
+                spec.mechanism, group.k, eps, delta, trial, utility, per_trial, ratio
+            ))
     records.sort(key=TrialRecord.sort_key)
     return records
 

@@ -222,7 +222,6 @@ class Mechanism:
         *,
         burn_in: int | None = None,
         out: np.ndarray | None = None,
-        map_trials: Callable = map,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """``trials`` releases around ``center``, a d-vector or one row per
         trial (trials, d), d = k(k+1)/2: the (trials, d) block z, written
@@ -237,9 +236,9 @@ class Mechanism:
         A chain row needs ``burn_in``.  Trial t runs one Metropolis chain
         targeting exp(-||z - center||/sigma) on ``rng.substream(t)``
         (:func:`_laplace_chains`, which checks ``burn_in`` and sigma before
-        its draws), so trial t's release does not depend on ``trials``, and
-        ``map_trials`` (the builtin ``map``, or a thread pool's) runs the
-        trials without changing a bit.  A chain's stream is one
+        its draws), so trial t's release does not depend on ``trials``; the
+        trials run one after another on the calling thread, since a chain
+        steps on Python floats and holds the GIL.  A chain's stream is one
         ``standard_normal((1, d))`` direction, then per block of
         b = min(burn_in, 2^16 // 3) steps (the last may be shorter)
         ``standard_normal((b, 1))`` radial steps, scaled by sigma,
@@ -263,8 +262,8 @@ class Mechanism:
             noise += center
             return noise, None
         centers = np.broadcast_to(center, shape)
-        states, ratios = zip(*map_trials(
-            lambda t: _laplace_chains(rng.substream(t), centers[t], sigma, burn_in), range(trials)
+        states, ratios = zip(*(
+            _laplace_chains(rng.substream(t), centers[t], sigma, burn_in) for t in range(trials)
         ))
         return np.concatenate(states, out=out), np.array(ratios)
 

@@ -62,7 +62,7 @@ def emit_plot(records: list[TrialRecord], path: str | Path) -> None:
     positive = [p[1] for pts in series.values() for p in pts if p[1] > 0]
     if not positive:
         raise DomainError("all utilities are nonpositive; nothing to plot on a log axis")
-    y_floor = min(positive) / 10.0
+    y_floor = max(min(positive) / 10.0, math.ulp(0.0))  # a tenth of 1e-323 rounds to 0
     y_top = max(p[1] + 2.0 * p[2] for pts in series.values() for p in pts)
     y_top = min(max(y_top, y_floor * 10), sys.float_info.max)
     log_lo = math.floor(math.log10(y_floor))

@@ -209,6 +209,21 @@ class TestRunSynthetic:
         with pytest.raises(DomainError, match="threads"):
             run_image(image_spec(tmp_path), threads=threads)
 
+    def test_chains_start_no_thread(self, monkeypatch):
+        # a chain steps on Python floats and holds the GIL, so a cell's
+        # chains run on the calling thread whatever ``threads`` is; only
+        # resampled datasets are drawn by a pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool built")
+
+        spec = small_spec(mechanism="riemannian_laplace", burn_in=300)
+        want = render_csv(run_synthetic(spec, threads=1))
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        assert render_csv(run_synthetic(spec, threads=2)) == want
+        with pytest.raises(AssertionError, match="thread pool built"):
+            run_synthetic(small_spec(mechanism="riemannian_laplace", burn_in=300,
+                                     resample_data=True), threads=2)
+
     def test_resample_data_redraws_summary_not_utilities(self, monkeypatch):
         # the noise substream does not depend on the data and the utility
         # ||z - c||^2 is translation invariant, so redrawing the summary c
@@ -838,6 +853,18 @@ class TestPlot:
         svg = path.read_text()
         assert "inf" not in svg and "nan" not in svg
 
+    @pytest.mark.parametrize("utilities", [[1e-323, 2e-323, 1e-323], [5e-324]])
+    def test_tiny_utilities(self, tmp_path, utilities):
+        # a tenth of the smallest mean rounds to 0; the axis floor stays the
+        # smallest positive float
+        records = [
+            TrialRecord("tangent_analytic", 2, 0.1, 1e-6, i, u) for i, u in enumerate(utilities)
+        ]
+        path = tmp_path / "tiny.svg"
+        emit_plot(records, path)
+        svg = path.read_text()
+        assert ">1e-323</text>" in svg and "inf" not in svg and "nan" not in svg
+
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             emit_plot([], tmp_path / "no.svg")
@@ -1104,6 +1131,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert "unrecognized arguments: --ep 0.4" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("r", ["1e-161", "5e-162"])
+    def test_plot_of_tiny_utilities(self, tmp_path, monkeypatch, r):
+        # utilities near 1e-323: the CSV and the plot are both written
+        monkeypatch.chdir(tmp_path)
+        argv = ["synthetic-bench", "--k", "2", "--n", "500", "--r", r, "--eps", "0.1",
+                "--trials", "3", "--seed", "1", "--out-csv", "u.csv", "--out-plot", "u.svg"]
+        assert main(argv) == 0
+        assert len((tmp_path / "u.csv").read_text().splitlines()) == 4
+        assert ">1e-323</text>" in (tmp_path / "u.svg").read_text()
 
     def test_parser_built_once_per_process(self, capsys):
         cli.build_parser.cache_clear()

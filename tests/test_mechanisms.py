@@ -1,6 +1,5 @@
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -406,9 +405,11 @@ class TestExtrinsicGaussian:
         sigma = 0.4
         n = 2 * 10**4
         sq = np.empty(n)
+        row = MECHANISMS["extrinsic_analytic"]
+        center = row.center(logm_stack(summary.entries))  # draws nothing
         for i in range(n):
-            out = gaussian("extrinsic_analytic", rng, summary, sigma)
-            sq[i] = np.sum((out.entries - summary.entries) ** 2) / sigma**2
+            (z,), _ = row.release(rng, center, sigma)
+            sq[i] = np.sum((row.export(z, summary.dim).entries - summary.entries) ** 2) / sigma**2
         assert stats.kstest(sq, stats.chi2(3).cdf).pvalue > 0.01
 
     def test_large_noise_leaves_cone(self):
@@ -582,22 +583,16 @@ class TestLaplaceKernel:
                                          burn_in=1500)
         assert np.array_equal(stack[0], LAPLACE.export(z, k).entries) and stack_ratio == ratio
 
-    @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("per_trial_centers", [False, True])
-    def test_trials_are_one_trial_releases_on_substreams(self, pooled, per_trial_centers):
+    def test_trials_are_one_trial_releases_on_substreams(self, per_trial_centers):
         # trial t of a chain release is the one-chain run on rng.substream(t),
-        # bit for bit, whatever map runs the trials, so the first trial is a
-        # one-trial release on rng
+        # bit for bit, so the first trial is a one-trial release on rng
         trials, burn_in, sigma = 5, 300, 0.2
         rng = RngState(84, (1, 2))
         center = self.center(3, 83)
         centers = center + np.arange(trials)[:, None] if per_trial_centers else center
         out = np.empty((trials, center.size))
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            z, ratios = LAPLACE.release(
-                rng, centers, sigma, trials, burn_in=burn_in, out=out,
-                map_trials=pool.map if pooled else map,
-            )
+        z, ratios = LAPLACE.release(rng, centers, sigma, trials, burn_in=burn_in, out=out)
         assert z is out and ratios.shape == (trials,)
         for t, c in enumerate(np.broadcast_to(centers, z.shape)):
             want, ratio = _laplace_chains(rng.substream(t), c, sigma, burn_in)

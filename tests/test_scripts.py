@@ -60,7 +60,7 @@ def test_pass_stages_reports_each_stage(tmp_path):
     total, data, cells, release, descriptors, logm, csv, svg = map(float, fields)
     assert 0 < descriptors <= data and 0 < logm <= data and data + cells + csv <= total
     assert 0 < release <= cells
-    # a cell's chains run inside its one release call, whatever pool runs them
+    # a cell's chains run inside its one release call, on the calling thread
     out = run([ROOT / "scripts" / "pass_stages.py", "--workload", "laplace-chain", "--passes", "1",
                "--scale", "tiny"], tmp_path)
     fields = out.splitlines()[2].split()[1:]
