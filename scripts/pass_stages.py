@@ -79,9 +79,8 @@ def parse_args():
 
 def timed(totals: Counter, name: str, fn):
     """``fn``, adding its wall time in seconds to ``totals[name]``; no lock,
-    as every stage of a workload runs on the calling thread (the harness
-    starts a pool only for ``--resample-data`` with ``--threads`` > 1, which
-    no workload passes)."""
+    as the harness starts no thread, so every stage runs on the calling
+    thread."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):

@@ -215,7 +215,8 @@ def _add_bench_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trials", type=int, default=10)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--burn-in", type=int, default=50000, dest="burn_in")
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1,
+                     help="checked (>= 1); neither the output nor the speed depends on it")
     sub.add_argument("--out-csv", default=None, dest="out_csv")
     sub.add_argument("--out-plot", default=None, dest="out_plot")
     sub.add_argument("--timing", action="store_true", help="record real wall times")

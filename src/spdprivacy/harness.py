@@ -6,9 +6,8 @@ function of the spec.  Each (epsilon, delta) cell is one
 ``Mechanism.release`` of all its trials on its own RNG substream, keyed by
 (seed, cell); the row lays its trials out in that stream (a Gaussian row
 draws one block, a chain row runs trial t on the sub-substream t), and a
-resampled dataset has its own stream keyed by (seed, cell, trial).  So
-thread count does not affect results, and records are sorted canonically
-before emission.
+resampled dataset has its own stream keyed by (seed, cell, trial).
+Records are sorted canonically before emission.
 
 Releases run in the coordinates the mechanism adds noise in (the log chart,
 or the matrix entries for the extrinsic baseline): each group's summary is
@@ -22,9 +21,10 @@ of log-matrices that ``geometry._mean_log`` folds, so neither is held whole:
 One (trials, d) block per distinct d is allocated per call and reused by
 every cell of that d: the cell's release fills it, row t for trial t, and
 it is overwritten in place by the deviations z - c, whose rows are scored
-by one batched dot, so a cell allocates no (trials, d) temporaries.  Every
-release, chains included, runs on the calling thread; with ``threads`` > 1
-a thread pool draws the resampled datasets, and nothing else.
+by one batched dot, so a cell allocates no (trials, d) temporaries.  The
+cells run one after another on the calling thread: a release is a numpy
+block draw or a chain on Python floats, which threads would not speed up,
+so ``threads`` is validated and has no effect.
 
 Wall-clock timing of the privatization call is optional (``record_timing``)
 because real timings are not reproducible; with timing off the
@@ -35,12 +35,10 @@ rounded up.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -161,18 +159,15 @@ def _row_dots(rows: np.ndarray) -> np.ndarray:
     return dots
 
 
-def _run_cells(
-    spec: ExperimentSpec, base: RngState, groups: list[_Group], threads: int
-) -> list[TrialRecord]:
+def _run_cells(spec: ExperimentSpec, base: RngState, groups: list[_Group]) -> list[TrialRecord]:
     """Release and score every (group, epsilon, delta) cell; the noise
     scale is calibrated once per cell.
 
     A cell is one ``Mechanism.release`` of all its trials on substream
     (_NOISE_STREAM, cell), into the (trials, d) block that every cell of
     that d reuses; the block is then overwritten by the deviations z - c
-    and scored.  Resampled datasets are drawn first, one per (cell, trial)
-    on substream (_DATA_STREAM, cell, trial), by a pool of ``threads``
-    threads when ``threads`` > 1; the pool closes before the first release.
+    and scored.  A resampled cell first draws its (trials, d) centers, trial
+    t's from its own dataset on substream (_DATA_STREAM, cell, trial).
     """
     mechanism = MECHANISMS[spec.mechanism]
     cells = [
@@ -181,20 +176,16 @@ def _run_cells(
         for eps in spec.epsilon_grid
         for delta in spec.delta_grid
     ]
-
-    def dataset_center(task: tuple[int, int]) -> np.ndarray:
-        data_rng = base.substream(_DATA_STREAM, *task)
-        return mechanism.center(_mean_log(_synthetic_blocks(data_rng, spec.k, spec.r, spec.n))[0])
-
-    centers = [group.center for group, *_ in cells]
-    if spec.resample_data:
-        tasks = [(ci, t) for ci in range(len(cells)) for t in range(spec.trials)]
-        with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
-            centers = np.array(list((pool.map if pool else map)(dataset_center, tasks)))
-        centers = centers.reshape(len(cells), spec.trials, -1)
     records = []
     blocks: dict[int, np.ndarray] = {}
-    for ci, ((group, eps, delta, sigma), center) in enumerate(zip(cells, centers)):
+    for ci, (group, eps, delta, sigma) in enumerate(cells):
+        center = group.center
+        if spec.resample_data:  # each trial's summary, of its own dataset
+            streams = (base.substream(_DATA_STREAM, ci, t) for t in range(spec.trials))
+            center = np.array([
+                mechanism.center(_mean_log(_synthetic_blocks(rng, spec.k, spec.r, spec.n))[0])
+                for rng in streams
+            ])
         d = center.shape[-1]
         block = blocks.get(d)
         if block is None:
@@ -230,14 +221,14 @@ def run_synthetic(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     """
     if spec.kind != "synthetic":
         raise DomainError("run_synthetic requires a synthetic spec")
-    threads = _checked_int(threads, "threads")
+    _checked_int(threads, "threads")  # validated, no effect: the cells run on this thread
     base = RngState(spec.seed)
     center = None
     if not spec.resample_data:
         blocks = _synthetic_blocks(base.substream(_DATA_STREAM), spec.k, spec.r, spec.n)
         center = MECHANISMS[spec.mechanism].center(_mean_log(blocks)[0])
     group = _Group(center=center, n=spec.n, k=spec.k, radius=math.sqrt(spec.k) * spec.r)
-    return _run_cells(spec, base, [group], threads)
+    return _run_cells(spec, base, [group])
 
 
 def _sorted_entries(directory: str | Path, want_dirs: bool) -> list[os.DirEntry]:
@@ -281,7 +272,7 @@ def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     """
     if spec.kind != "image":
         raise DomainError("run_image requires an image spec")
-    threads = _checked_int(threads, "threads")
+    _checked_int(threads, "threads")  # validated, no effect: the cells run on this thread
     root = Path(spec.image_dir)
     if not root.is_dir():
         raise DomainError(f"image_dir {root} is not a directory")
@@ -294,7 +285,7 @@ def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
         k = len(mean_log)
         radius = descriptor_radius_bound(k - 8, spec.eta)  # k = 8 + channels
         groups.append(_Group(MECHANISMS[spec.mechanism].center(mean_log), n, k, radius))
-    return _run_cells(spec, base, groups, threads)
+    return _run_cells(spec, base, groups)
 
 
 def _format_float(x: float) -> str:

@@ -1,8 +1,11 @@
 """Minimal SVG rendering of benchmark records: no plotting dependency.
 
-One series per mechanism, mean line plus a translucent (mean - 2 std,
-mean + 2 std) band, utility on a log-scaled y axis.  The x axis is the
-matrix size k when records span several sizes, and epsilon otherwise.
+One series per mechanism and per value of each cell coordinate besides x
+that varies across the records (so cells of different delta are never
+averaged together): a mean line plus a translucent (mean - 2 std,
+mean + 2 std) band, utility on a log-scaled y axis.  Series of one
+mechanism share its colour and differ by dash.  The x axis is the matrix
+size k when records span several sizes, and epsilon otherwise.
 """
 
 from __future__ import annotations
@@ -24,18 +27,26 @@ _COLORS = {
     "riemannian_laplace": "#d62728",
 }
 _FALLBACK_COLOR = "#7f7f7f"
+_DASHES = ("", "6 3", "2 3", "8 3 2 3")  # of a mechanism's series, in order; "" is solid
 
 
 def _series(records: list[TrialRecord]) -> tuple[str, dict[str, list[tuple[float, float, float]]]]:
-    """Group into mechanism -> sorted [(x, mean, std)]; returns axis label."""
+    """Group into series name -> sorted [(x, mean, std)], in the order of
+    (mechanism, coordinates); returns the axis label too.  A series is one
+    mechanism at one value of each non-x cell coordinate that varies across
+    ``records``; its name is the mechanism, then those values, as in
+    ``"tangent_analytic delta=1e-12"``."""
     use_k = len({rec.k for rec in records}) > 1
     label = "k" if use_k else "epsilon"
-    grouped: dict[str, dict[float, list[float]]] = {}
+    others = [name for name in ("epsilon", "delta")
+              if name != label and len({getattr(rec, name) for rec in records}) > 1]
+    grouped: dict[tuple, dict[float, list[float]]] = {}
     for rec in records:
         x = float(rec.k) if use_k else rec.epsilon
-        grouped.setdefault(rec.mechanism, {}).setdefault(x, []).append(rec.utility)
+        key = (rec.mechanism, *(getattr(rec, name) for name in others))
+        grouped.setdefault(key, {}).setdefault(x, []).append(rec.utility)
     out: dict[str, list[tuple[float, float, float]]] = {}
-    for mechanism, cells in grouped.items():
+    for (mechanism, *values), cells in sorted(grouped.items()):
         points = []
         for x in sorted(cells):
             vals = cells[x]
@@ -48,7 +59,7 @@ def _series(records: list[TrialRecord]) -> tuple[str, dict[str, list[tuple[float
             if spread > 0:  # so n > 1
                 std = spread * math.sqrt(sum(((v - mean) / spread) ** 2 for v in vals) / (n - 1))
             points.append((x, mean, std))
-        out[mechanism] = points
+        out[" ".join([mechanism] + [f"{n}={v!r}" for n, v in zip(others, values)])] = points
     return label, out
 
 
@@ -77,10 +88,12 @@ def emit_plot(records: list[TrialRecord], path: str | Path) -> None:
     def sx(x: float) -> float:
         return _MARGIN_L + plot_w * (x - x_lo) / (x_hi - x_lo)
 
+    def sy_log(e: float) -> float:
+        """Height of the value 10**e, which need not be a float64."""
+        return _MARGIN_T + plot_h * (1.0 - (e - log_lo) / (log_hi - log_lo))
+
     def sy(y: float) -> float:
-        y = min(max(y, y_floor), y_top)
-        frac = (math.log10(y) - log_lo) / (log_hi - log_lo)
-        return _MARGIN_T + plot_h * (1.0 - frac)
+        return sy_log(math.log10(min(max(y, y_floor), y_top)))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
@@ -90,8 +103,8 @@ def emit_plot(records: list[TrialRecord], path: str | Path) -> None:
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
 
-    for decade in range(log_lo, min(log_hi, 308) + 1):  # 1e309 is past float64
-        y = sy(10.0**decade)
+    for decade in range(log_lo, log_hi + 1):
+        y = sy_log(decade)
         parts.append(
             f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_MARGIN_L + plot_w}" '
             f'y2="{y:.2f}" stroke="#ddd" stroke-width="1"/>'
@@ -121,9 +134,13 @@ def emit_plot(records: list[TrialRecord], path: str | Path) -> None:
     )
 
     legend_y = _MARGIN_T + 12
-    for mechanism in sorted(series):
-        pts = series[mechanism]
+    drawn: dict[str, int] = {}  # index of the series within its mechanism
+    for name, pts in series.items():
+        mechanism, _, values = name.partition(" ")
         color = _COLORS.get(mechanism, _FALLBACK_COLOR)
+        drawn[mechanism] = drawn.get(mechanism, -1) + 1
+        pattern = _DASHES[drawn[mechanism] % len(_DASHES)]
+        dash = f' stroke-dasharray="{pattern}"' if pattern else ""
         upper = [(sx(x), sy(m + 2 * s)) for x, m, s in pts]
         lower = [(sx(x), sy(max(m - 2 * s, y_floor))) for x, m, s in pts]
         band = upper + lower[::-1]
@@ -135,7 +152,7 @@ def emit_plot(records: list[TrialRecord], path: str | Path) -> None:
         line_path = " ".join(f"{sx(x):.2f},{sy(m):.2f}" for x, m, _ in pts)
         parts.append(
             f'<polyline points="{line_path}" fill="none" stroke="{color}" '
-            'stroke-width="2"/>'
+            f'stroke-width="2"{dash}/>'
         )
         for x, m, _ in pts:
             parts.append(
@@ -144,11 +161,14 @@ def emit_plot(records: list[TrialRecord], path: str | Path) -> None:
         lx = _MARGIN_L + plot_w + 12
         parts.append(
             f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 22}" y2="{legend_y}" '
-            f'stroke="{color}" stroke-width="2"/>'
+            f'stroke="{color}" stroke-width="2"{dash}/>'
         )
         parts.append(
             f'<text x="{lx + 28}" y="{legend_y + 4}" font-size="12">{mechanism}</text>'
         )
+        if values:  # on a line of its own, to fit the right margin
+            legend_y += 14
+            parts.append(f'<text x="{lx + 28}" y="{legend_y + 4}" font-size="11">{values}</text>')
         legend_y += 18
 
     parts.append("</svg>")

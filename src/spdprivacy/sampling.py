@@ -6,8 +6,8 @@ over numpy's SFC64 generator, chosen over Philox because it draws the
 10.0–10.1 ms on one core of a 2-vCPU VM; neither is cryptographic, so the
 choice leaves the threat model as it was.  Substreams forked with :meth:`RngState.substream` are
 seeded by distinct ``SeedSequence`` spawn keys, statistically independent
-and reproducible, so parallel work keyed by a path such as (cell, trial)
-replays bit-exactly regardless of scheduling.
+and reproducible, so a draw keyed by a path such as (cell, trial) replays
+bit-exactly whatever was drawn before it.
 
 Synthetic data E diag(l) E^T (l uniform in [e^-r, e^r], E Haar) is drawn
 as n·k uniforms, then n·k² normals (n = 1 for one SPD matrix).  The normals

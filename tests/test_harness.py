@@ -2,8 +2,10 @@ import contextlib
 import io
 import math
 import statistics
+import threading
 import tracemalloc
 import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from spdprivacy.harness import (
     run_synthetic,
 )
 from spdprivacy.mechanisms import (
+    MECHANISMS,
     Mechanism,
     PrivacyBudget,
     Sensitivity,
@@ -209,20 +212,22 @@ class TestRunSynthetic:
         with pytest.raises(DomainError, match="threads"):
             run_image(image_spec(tmp_path), threads=threads)
 
-    def test_chains_start_no_thread(self, monkeypatch):
-        # a chain steps on Python floats and holds the GIL, so a cell's
-        # chains run on the calling thread whatever ``threads`` is; only
-        # resampled datasets are drawn by a pool
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool built")
+    @pytest.mark.parametrize("kind", ["laplace", "resampled", "image"])
+    def test_runs_start_no_thread(self, monkeypatch, tmp_path, kind):
+        # every cell runs on the calling thread whatever ``threads`` is, and
+        # the output does not depend on it
+        def no_thread(self):
+            raise AssertionError("thread started")
 
-        spec = small_spec(mechanism="riemannian_laplace", burn_in=300)
-        want = render_csv(run_synthetic(spec, threads=1))
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
-        assert render_csv(run_synthetic(spec, threads=2)) == want
-        with pytest.raises(AssertionError, match="thread pool built"):
-            run_synthetic(small_spec(mechanism="riemannian_laplace", burn_in=300,
-                                     resample_data=True), threads=2)
+        if kind == "image":
+            write_corpus(tmp_path, per_class=20)
+            spec, run = image_spec(tmp_path), run_image
+        else:
+            spec, run = small_spec(mechanism="riemannian_laplace", burn_in=300,
+                                   resample_data=kind == "resampled"), run_synthetic
+        want = render_csv(run(spec, threads=1))
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert render_csv(run(spec, threads=2)) == want
 
     def test_resample_data_redraws_summary_not_utilities(self, monkeypatch):
         # the noise substream does not depend on the data and the utility
@@ -295,25 +300,45 @@ class TestRunSynthetic:
         )
         assert all(r.acceptance_ratio is not None for r in laplace)
 
-    def test_utility_law_at_harness_level(self):
-        # sample mean of utility / sigma^2 approaches d = 3 at rate n^-1/2
+    @pytest.mark.parametrize("k", [2, 10])
+    @pytest.mark.parametrize("mechanism", list(MECHANISMS))
+    def test_utility_law_at_harness_level(self, mechanism, k):
+        # the cell's mean utility / sigma^2 lies within 4 standard errors of
+        # its closed form: d for a Gaussian row (variance 2d), d(d + 1) for
+        # the exact Laplace law (variance d(d + 1)(4d + 6)), whose chain runs
+        # at a burn-in where its distance to that law is below 1e-10
+        laplace = mechanism == "riemannian_laplace"
         spec = small_spec(
-            mechanism="tangent_classical",
+            mechanism=mechanism,
             epsilon_grid=(0.1,),
             delta_grid=(1e-6,),
-            trials=10**4,
+            trials=200 if laplace else 10**4,
             n=30,
+            k=k,
             seed=7,
+            burn_in={2: 1000, 10: 10000}[k] if laplace else 1,
         )
         records = run_synthetic(spec, threads=2)
-        sens = Sensitivity(
-            2 * math.sqrt(spec.k) * spec.r / spec.n, SensitivityKind.LOG_EUCLIDEAN
+        extrinsic = mechanism == "extrinsic_analytic"
+        sens = (sensitivity_extrinsic if extrinsic else sensitivity_frechet_le)(
+            spec.n, math.sqrt(k) * spec.r
         )
-        sigma = calibrate_classical(sens, PrivacyBudget(0.1, 1e-6))
+        budget = PrivacyBudget(0.1, 1e-6)
+        if laplace:
+            sigma = sens.value / budget.epsilon
+        elif mechanism == "tangent_classical":
+            sigma = calibrate_classical(sens, budget)
+        else:
+            sigma = calibrate_analytic(sens, budget)
+        d = k * (k + 1) // 2
+        mean, var = (d * (d + 1), d * (d + 1) * (4 * d + 6)) if laplace else (d, 2 * d)
         scaled = np.array([r.utility for r in records]) / sigma**2
-        assert abs(scaled.mean() - 3.0) / 3.0 <= 0.05
-        # the paper-style 1000-trial average lands within 10% of sigma^2 d
-        assert abs(scaled[:1000].mean() - 3.0) / 3.0 <= 0.10
+        assert abs(scaled.mean() - mean) <= 4 * math.sqrt(var / scaled.size)
+        if not laplace:
+            # sample mean approaches sigma^2 d at rate n^-1/2, and the
+            # paper-style 1000-trial average lands within 10% of it
+            assert abs(scaled.mean() - d) / d <= 0.05
+            assert abs(scaled[:1000].mean() - d) / d <= 0.10
 
     def test_timing_recorded_only_on_request(self):
         silent = run_synthetic(small_spec(trials=1))
@@ -389,10 +414,10 @@ class TestGaussianCellBlock:
         spec = small_spec(k=30, n=500, trials=120, epsilon_grid=(0.1, 0.2, 0.3))
         center = np.linspace(-1.0, 1.0, 465)
         group = harness._Group(center=center, n=500, k=30, radius=math.sqrt(30) * 0.25)
-        harness._run_cells(spec, RngState(5), [group], 1)  # warm-up
+        harness._run_cells(spec, RngState(5), [group])  # warm-up
         tracemalloc.start()
         try:
-            harness._run_cells(spec, RngState(5), [group], 1)
+            harness._run_cells(spec, RngState(5), [group])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -622,7 +647,7 @@ class TestImageBlocks:
         got = descriptors._class_logs("c", [str(p) for p in sorted(d.iterdir())], params)
         assert np.array_equal(np.concatenate(list(got)), logm_stack(ref))
         groups = []
-        monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs, t: groups.extend(gs) or [])
+        monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs: groups.extend(gs) or [])
         run_image(image_spec(d, mechanism=mechanism))
         mean_log = logm_stack(ref).mean(axis=0)
         want = vecd_stack(expm_stack(mean_log) if mechanism == "extrinsic_analytic" else mean_log)
@@ -742,7 +767,7 @@ class TestImageSummaryMemory:
                 (d / f"{i:04d}.pgm").write_bytes(b"P5\n8 8\n255\n" + pixels.tobytes())
             specs[n] = image_spec(d)
         groups = []
-        monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs, t: groups.extend(gs) or [])
+        monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs: groups.extend(gs) or [])
         run_image(specs[300])  # warm numpy up
         small, large = peak_bytes(run_image, specs[300]), peak_bytes(run_image, specs[3000])
         assert [g.n for g in groups] == [300, 300, 3000]
@@ -864,6 +889,47 @@ class TestPlot:
         emit_plot(records, path)
         svg = path.read_text()
         assert ">1e-323</text>" in svg and "inf" not in svg and "nan" not in svg
+
+    @pytest.mark.parametrize(
+        "utilities", [[3e-3, 1e-3, 2e-2, 5e-3], [1e-323, 2e-323], [1e307, 1e308]]
+    )
+    def test_gridlines_at_their_decades(self, tmp_path, utilities):
+        # decade e is drawn at the height of log10 = e: the lowest and
+        # highest at the ends of the axis, the rest evenly between
+        records = [
+            TrialRecord("tangent_analytic", 2, 0.1, 1e-6, i, u) for i, u in enumerate(utilities)
+        ]
+        path = tmp_path / "grid.svg"
+        emit_plot(records, path)
+        root = ET.parse(path).getroot()
+        ys = [float(e.get("y1")) for e in root if e.get("stroke") == "#ddd"]
+        labels = [e.text for e in root if e.get("text-anchor") == "end"]
+        decades = [int(label[2:]) for label in labels]
+        assert decades == list(range(decades[0], decades[-1] + 1)) and len(ys) == len(decades)
+        assert ys[0] == 424.0 and ys[-1] == 24.0  # the axis's bottom and top
+        step = (ys[0] - ys[-1]) / (len(ys) - 1)
+        assert ys == pytest.approx([ys[0] - i * step for i in range(len(ys))], abs=0.01)
+
+    def test_series_per_varying_cell_coordinate(self, tmp_path):
+        # cells of different delta are separate series, never averaged
+        from spdprivacy.plotting import _series
+
+        records = run_synthetic(small_spec(epsilon_grid=(0.1, 0.2), delta_grid=(1e-2, 1e-12)))
+        path = tmp_path / "delta.svg"
+        emit_plot(records, path)
+        root = ET.parse(path).getroot()
+        lines = [e for e in root if e.tag.endswith("polyline")]
+        assert len([e for e in root if e.tag.endswith("circle")]) == 4 and len(lines) == 2
+        assert [e.get("stroke") for e in lines] == ["#2ca02c"] * 2  # the mechanism's colour
+        assert [e.get("stroke-dasharray") for e in lines] == [None, "6 3"]
+        texts = [e.text for e in root if e.tag.endswith("text")]
+        assert "delta=0.01" in texts and "delta=1e-12" in texts
+        # on a k axis, each epsilon is its own series
+        records = [TrialRecord("tangent_analytic", k, eps, 1e-6, 0, 1.0)
+                   for k in (9, 11) for eps in (0.1, 0.5)]
+        label, series = _series(records)
+        assert label == "k"
+        assert list(series) == ["tangent_analytic epsilon=0.1", "tangent_analytic epsilon=0.5"]
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(DomainError):

@@ -66,3 +66,18 @@ def test_pass_stages_reports_each_stage(tmp_path):
     fields = out.splitlines()[2].split()[1:]
     total, data, cells, release, descriptors, logm, csv, svg = map(float, fields)
     assert 0 < release <= cells and data + cells + csv <= total
+
+
+def test_output_digests_one_line_per_call(tmp_path):
+    args = [ROOT / "scripts" / "output_digests.py", "--seed", "5", "--scale", "tiny"]
+    out = run(args, tmp_path)
+    rows = [line.split() for line in out.splitlines()]
+    assert len(rows) == 14 and run(args, tmp_path) == out
+    # workload, call index, CSV digest, SVG digest ("-" unless the call plots)
+    assert [(w, int(i), svg != "-") for w, i, _, svg in rows] == (
+        [("gaussian-grid", i, True) for i in range(9)]
+        + [("fresh-data", i, False) for i in range(2)]
+        + [("laplace-chain", i, False) for i in range(2)]
+        + [("image-corpus", 0, False)]
+    )
+    assert all(len(csv) == 64 for _, _, csv, _ in rows)
