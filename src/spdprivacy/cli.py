@@ -7,22 +7,25 @@ harness with CSV/SVG output), ``descriptor`` (image to descriptor matrix).
 Flags may also come from a config file of ``key = value`` lines passed with
 ``--config``; explicit command-line flags win over the file.  Flags must be
 spelled out in full (no argparse prefix matching), so the tokens on the
-command line name exactly the flags that win.
+command line name exactly the flags that win.  ``--timing --out-csv`` also
+writes the run's stage times and counts to ``<out-csv>.manifest.json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .descriptors import DescriptorParams, covariance_descriptor, load_pnm
-from .errors import NumericalError, SpdPrivacyError
+from .errors import NumericalError, SpdPrivacyError, _timed
 from .geometry import SpdMatrix, invvecd_stack, logm_stack
-from .harness import ExperimentSpec, emit_csv, render_csv, run_image, run_synthetic
+from .harness import COUNTS, STAGES, SYNTHETIC_DEFAULTS, ExperimentSpec, emit_csv, render_csv
+from .harness import run_image, run_synthetic
 from .mechanisms import (
     MECHANISMS,
     PrivacyBudget,
@@ -151,7 +154,7 @@ def _cmd_privatize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spec_from_args(args: argparse.Namespace, kind: str) -> ExperimentSpec:
+def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     # each bench subcommand lacks the other's own options; the spec's
     # defaults stand in for them
     own = {
@@ -160,7 +163,7 @@ def _spec_from_args(args: argparse.Namespace, kind: str) -> ExperimentSpec:
         if hasattr(args, name)
     }
     return ExperimentSpec(
-        kind=kind,
+        kind="image" if args.command == "image-bench" else "synthetic",
         mechanism=args.mechanism,
         epsilon_grid=_parse_float_list(args.eps, "--eps"),
         delta_grid=_parse_float_list(args.delta, "--delta"),
@@ -173,25 +176,24 @@ def _spec_from_args(args: argparse.Namespace, kind: str) -> ExperimentSpec:
     )
 
 
-def _emit(records, args) -> None:
+def _cmd_bench(args: argparse.Namespace) -> int:
+    run = run_image if args.command == "image-bench" else run_synthetic
+    stages = {} if args.timing and args.out_csv else None
+    _emit(run(_spec_from_args(args), threads=args.threads, stages=stages), args, stages)
+    return 0
+
+
+def _emit(records, args, stages: dict | None) -> None:
     if args.out_csv:
-        emit_csv(records, args.out_csv)
+        _timed(stages, "csv", emit_csv, records, args.out_csv)
     if args.out_plot:
-        emit_plot(records, args.out_plot)
+        _timed(stages, "svg", emit_plot, records, args.out_plot)
     if not args.out_csv and not args.out_plot:
         sys.stdout.write(render_csv(records))
-
-
-def _cmd_synthetic(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args, "synthetic")
-    _emit(run_synthetic(spec, threads=args.threads), args)
-    return 0
-
-
-def _cmd_image(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args, "image")
-    _emit(run_image(spec, threads=args.threads), args)
-    return 0
+    if stages is not None:
+        sidecar = {"stages_ns": {n: stages[n] for n in STAGES},
+                   "counts": {n: stages[n] for n in COUNTS}}
+        Path(f"{args.out_csv}.manifest.json").write_text(json.dumps(sidecar, indent=1) + "\n")
 
 
 def _cmd_descriptor(args: argparse.Namespace) -> int:
@@ -212,14 +214,14 @@ def _add_budget_flags(sub: argparse.ArgumentParser, grid: bool) -> None:
 
 def _add_bench_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mechanism", choices=MECHANISMS, default="tangent_analytic")
-    sub.add_argument("--trials", type=int, default=10)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--burn-in", type=int, default=50000, dest="burn_in")
+    sub.add_argument("--trials", type=int, default=ExperimentSpec.trials)
+    sub.add_argument("--seed", type=int, default=ExperimentSpec.seed)
+    sub.add_argument("--burn-in", type=int, default=ExperimentSpec.burn_in, dest="burn_in")
     sub.add_argument("--threads", type=int, default=1,
                      help="checked (>= 1); neither the output nor the speed depends on it")
     sub.add_argument("--out-csv", default=None, dest="out_csv")
     sub.add_argument("--out-plot", default=None, dest="out_plot")
-    sub.add_argument("--timing", action="store_true", help="record real wall times")
+    sub.add_argument("--timing", action="store_true", help="record real wall and stage times")
     sub.add_argument("--config", default=None, help="key = value defaults file")
 
 
@@ -248,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(priv, grid=False)
     priv.add_argument("--n", type=int, required=True, help="dataset size behind the summary")
     priv.add_argument("--r", type=float, required=True, help="geodesic ball radius of the data")
-    priv.add_argument("--seed", type=int, default=0)
-    priv.add_argument("--burn-in", type=int, default=50000, dest="burn_in")
+    priv.add_argument("--seed", type=int, default=ExperimentSpec.seed)
+    priv.add_argument("--burn-in", type=int, default=ExperimentSpec.burn_in, dest="burn_in")
     priv.add_argument(
         "--output",
         choices=("matrix", "log"),
@@ -261,22 +263,21 @@ def build_parser() -> argparse.ArgumentParser:
     syn = add_parser("synthetic-bench", help="synthetic-data experiment grid")
     _add_budget_flags(syn, grid=True)
     _add_bench_flags(syn)
-    syn.add_argument("--n", type=int, default=500)
-    syn.add_argument("--r", type=float, default=0.25)
-    syn.add_argument("--k", type=int, default=2)
+    for name, default in SYNTHETIC_DEFAULTS.items():
+        syn.add_argument(f"--{name}", type=type(default), default=default)
     syn.add_argument("--resample-data", action="store_true", dest="resample_data")
-    syn.set_defaults(func=_cmd_synthetic)
+    syn.set_defaults(func=_cmd_bench)
 
     img = add_parser("image-bench", help="covariance-descriptor experiment grid")
     _add_budget_flags(img, grid=True)
     _add_bench_flags(img)
     img.add_argument("--images", required=True, help="directory of PGM/PPM files")
-    img.add_argument("--eta", type=float, default=1e-6)
-    img.set_defaults(func=_cmd_image)
+    img.add_argument("--eta", type=float, default=DescriptorParams.eta)
+    img.set_defaults(func=_cmd_bench)
 
     desc = add_parser("descriptor", help="print an image's covariance descriptor")
     desc.add_argument("--image", required=True)
-    desc.add_argument("--eta", type=float, default=1e-6)
+    desc.add_argument("--eta", type=float, default=DescriptorParams.eta)
     desc.set_defaults(func=_cmd_descriptor)
 
     return parser

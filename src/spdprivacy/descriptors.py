@@ -71,7 +71,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _timed
 from .geometry import _FOLD_DOUBLES, SpdMatrix, logm_stack
 
 log = logging.getLogger(__name__)
@@ -311,7 +311,9 @@ class _BlockBuffers:
             yield self._scratch[: flat.size].reshape(padded.shape)[:, :h, :w]
 
 
-def _class_logs(name: str, files: list[str], params: DescriptorParams) -> Iterator[np.ndarray]:
+def _class_logs(
+    name: str, files: list[str], params: DescriptorParams, stages: dict | None = None
+) -> Iterator[np.ndarray]:
     """Log-matrices of the descriptors of a class's parseable images, in
     file order, as consecutive (m, k, k) blocks; unparseable files are
     skipped with a warning.
@@ -324,7 +326,8 @@ def _class_logs(name: str, files: list[str], params: DescriptorParams) -> Iterat
     :func:`load_pnm` makes; each feature block's descriptors land in their
     slice of the log block, which ``logm_stack`` maps in one batched call
     when it is full or the run ends.  Memory does not grow with the class:
-    the caller folds each log block before the next is made.
+    the caller folds each log block before the next is made.  ``stages``
+    gets the bytes read and the ``descriptors`` and ``logm`` times.
     """
 
     def parsed():
@@ -332,7 +335,10 @@ def _class_logs(name: str, files: list[str], params: DescriptorParams) -> Iterat
         for path in files:
             try:
                 with open(path, "rb", buffering=0) as f:
-                    pixels, maxval = _parse_pnm(f.read())
+                    data = f.read()
+                if stages is not None:
+                    stages["bytes"] += len(data)
+                pixels, maxval = _parse_pnm(data)
             except DomainError as exc:
                 log.warning("skipping %s: %s", path, exc)
                 continue
@@ -354,13 +360,14 @@ def _class_logs(name: str, files: list[str], params: DescriptorParams) -> Iterat
             for image, (pixels, maxval) in zip(buffers.intensities, chunk):
                 np.divide(pixels, float(maxval), out=image)
             m = len(chunk)
-            buffers.descriptors(buffers.intensities[:m], params, log_block[filled : filled + m])
+            _timed(stages, "descriptors", buffers.descriptors, buffers.intensities[:m], params,
+                   log_block[filled : filled + m])
             filled += m
             if filled == len(log_block):
-                yield logm_stack(log_block)
+                yield _timed(stages, "logm", logm_stack, log_block)
                 filled = 0
         if filled:
-            yield logm_stack(log_block[:filled])
+            yield _timed(stages, "logm", logm_stack, log_block[:filled])
     if buffers is None:
         raise DomainError(f"class {name!r} contains no parseable images")
 

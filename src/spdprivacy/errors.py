@@ -1,6 +1,7 @@
-"""Exception types, and the integer check, shared across the package."""
+"""Exception types, and the integer check and stage clock the package shares."""
 
 import operator
+import time
 
 
 class SpdPrivacyError(Exception):
@@ -38,3 +39,13 @@ def _checked_int(
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise error(f"{what} must be {bound}, got {value}")
     return value
+
+
+def _timed(stages: dict | None, name: str, fn, *args):
+    """``fn(*args)``, its ns added to ``stages[name]`` unless ``stages`` is None."""
+    if stages is None:
+        return fn(*args)
+    start = time.perf_counter_ns()
+    result = fn(*args)
+    stages[name] += time.perf_counter_ns() - start
+    return result

@@ -31,6 +31,12 @@ because real timings are not reproducible; with timing off the
 ``wall_time_ns`` column is zero and the CSV is byte-stable across runs.  A
 trial records its cell's release time divided by the number of trials,
 rounded up.
+
+A run given a ``stages`` dict adds to it the ns of each of :data:`STAGES`
+and each of :data:`COUNTS` (matrices drawn, images parsed, bytes read, chain
+steps and accepted steps), and returns the same records.  ``data`` is the
+fold of a dataset (inside ``cells`` when resampled) or of an image class,
+with its ``descriptors`` and ``logm``; ``release`` is inside ``cells``.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .descriptors import DescriptorParams, _class_logs, descriptor_radius_bound
-from .errors import DimensionError, DomainError, NumericalError, _checked_int
+from .errors import DimensionError, DomainError, NumericalError, _checked_int, _timed
 from .geometry import MAX_DIM, _mean_log
 from .mechanisms import MECHANISMS, acceptance_warning
 from .sampling import _MAX_SEED, RngState, _check_radius, _synthetic_blocks
@@ -54,6 +60,13 @@ from .sampling import _MAX_SEED, RngState, _check_radius, _synthetic_blocks
 log = logging.getLogger(__name__)
 
 CSV_HEADER = "mechanism,k,epsilon,delta,trial,utility,wall_time_ns,acceptance_ratio"
+
+# A recorded run's stage times in ns (the CLI times csv and svg), then counts.
+STAGES = ("data", "cells", "release", "descriptors", "logm", "csv", "svg")
+COUNTS = ("matrices", "images", "bytes", "mcmc_steps", "mcmc_accepted")
+
+# A synthetic spec's n, r and k when it leaves them None.
+SYNTHETIC_DEFAULTS = {"n": 500, "r": 0.25, "k": 2}
 
 # Substream tags so dataset and noise streams never collide.
 _DATA_STREAM = 0
@@ -68,9 +81,9 @@ class ExperimentSpec:
     mechanism: str
     epsilon_grid: tuple[float, ...]
     delta_grid: tuple[float, ...]
-    n: int | None = None  # synthetic only: 500
-    r: float | None = None  # synthetic only: 0.25
-    k: int | None = None  # synthetic only: 2
+    n: int | None = None  # synthetic only, as r and k: SYNTHETIC_DEFAULTS
+    r: float | None = None
+    k: int | None = None
     trials: int = 10
     seed: int = 0
     burn_in: int = 50000
@@ -92,7 +105,7 @@ class ExperimentSpec:
             object.__setattr__(self, name, _checked_int(getattr(self, name), name))
         object.__setattr__(self, "seed", _checked_int(self.seed, "seed", 0, _MAX_SEED))
         if self.kind == "synthetic":
-            for name, default in (("n", 500), ("r", 0.25), ("k", 2)):
+            for name, default in SYNTHETIC_DEFAULTS.items():
                 if getattr(self, name) is None:
                     object.__setattr__(self, name, default)
             object.__setattr__(self, "n", _checked_int(self.n, "n"))
@@ -159,7 +172,23 @@ def _row_dots(rows: np.ndarray) -> np.ndarray:
     return dots
 
 
-def _run_cells(spec: ExperimentSpec, base: RngState, groups: list[_Group]) -> list[TrialRecord]:
+def _record(stages: dict | None) -> None:
+    """Give a recorded run's ``stages`` every name it may add to."""
+    if stages is not None:
+        stages.update({name: stages.get(name, 0) for name in STAGES + COUNTS})
+
+
+def _dataset_center(spec: ExperimentSpec, rng: RngState, stages: dict | None) -> np.ndarray:
+    """The release center of ``spec``'s dataset drawn on ``rng``; the fold is ``data``."""
+    mean_log, n = _timed(stages, "data", _mean_log, _synthetic_blocks(rng, spec.k, spec.r, spec.n))
+    if stages is not None:
+        stages["matrices"] += n
+    return MECHANISMS[spec.mechanism].center(mean_log)
+
+
+def _run_cells(
+    spec: ExperimentSpec, base: RngState, groups: list[_Group], stages: dict | None = None
+) -> list[TrialRecord]:
     """Release and score every (group, epsilon, delta) cell; the noise
     scale is calibrated once per cell.
 
@@ -181,22 +210,26 @@ def _run_cells(spec: ExperimentSpec, base: RngState, groups: list[_Group]) -> li
     for ci, (group, eps, delta, sigma) in enumerate(cells):
         center = group.center
         if spec.resample_data:  # each trial's summary, of its own dataset
-            streams = (base.substream(_DATA_STREAM, ci, t) for t in range(spec.trials))
             center = np.array([
-                mechanism.center(_mean_log(_synthetic_blocks(rng, spec.k, spec.r, spec.n))[0])
-                for rng in streams
+                _dataset_center(spec, base.substream(_DATA_STREAM, ci, t), stages)
+                for t in range(spec.trials)
             ])
         d = center.shape[-1]
         block = blocks.get(d)
         if block is None:
             block = blocks[d] = np.empty((spec.trials, d))
-        start = time.perf_counter_ns() if spec.record_timing else 0
+        start = time.perf_counter_ns()
         _, ratios = mechanism.release(base.substream(_NOISE_STREAM, ci), center, sigma,
                                       spec.trials, burn_in=spec.burn_in, out=block)
-        elapsed = time.perf_counter_ns() - start if spec.record_timing else 0
-        per_trial = -(-elapsed // spec.trials)
+        elapsed = time.perf_counter_ns() - start
+        per_trial = -(-elapsed // spec.trials) if spec.record_timing else 0
         block -= center
         ratios = [None] * spec.trials if ratios is None else ratios.tolist()
+        if stages is not None:
+            stages["release"] += elapsed
+            if ratios[0] is not None:  # a chain's steps
+                stages["mcmc_steps"] += spec.burn_in * spec.trials
+                stages["mcmc_accepted"] += sum(round(r * spec.burn_in) for r in ratios)
         for trial, (utility, ratio) in enumerate(zip(_row_dots(block).tolist(), ratios)):
             if ratio is not None and (warning := acceptance_warning(ratio)):
                 log.warning("%s", warning)
@@ -207,7 +240,9 @@ def _run_cells(spec: ExperimentSpec, base: RngState, groups: list[_Group]) -> li
     return records
 
 
-def run_synthetic(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
+def run_synthetic(
+    spec: ExperimentSpec, threads: int = 1, *, stages: dict | None = None
+) -> list[TrialRecord]:
     """Run the synthetic-data experiment described by ``spec``.
 
     The dataset is drawn once per (k, r, seed), on its own substream, and
@@ -222,13 +257,13 @@ def run_synthetic(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     if spec.kind != "synthetic":
         raise DomainError("run_synthetic requires a synthetic spec")
     _checked_int(threads, "threads")  # validated, no effect: the cells run on this thread
+    _record(stages)
     base = RngState(spec.seed)
     center = None
     if not spec.resample_data:
-        blocks = _synthetic_blocks(base.substream(_DATA_STREAM), spec.k, spec.r, spec.n)
-        center = MECHANISMS[spec.mechanism].center(_mean_log(blocks)[0])
+        center = _dataset_center(spec, base.substream(_DATA_STREAM), stages)
     group = _Group(center=center, n=spec.n, k=spec.k, radius=math.sqrt(spec.k) * spec.r)
-    return _run_cells(spec, base, [group])
+    return _timed(stages, "cells", _run_cells, spec, base, [group], stages)
 
 
 def _sorted_entries(directory: str | Path, want_dirs: bool) -> list[os.DirEntry]:
@@ -259,7 +294,9 @@ def _image_classes(root: Path) -> list[tuple[str, list[str]]]:
     return [("", [f.path for f in _sorted_entries(root, want_dirs=False)])]
 
 
-def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
+def run_image(
+    spec: ExperimentSpec, threads: int = 1, *, stages: dict | None = None
+) -> list[TrialRecord]:
     """Run the covariance-descriptor experiment over a directory of images.
 
     One subdirectory per class, or a flat directory treated as one class.
@@ -278,14 +315,16 @@ def run_image(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
         raise DomainError(f"image_dir {root} is not a directory")
     params = DescriptorParams(eta=spec.eta)
     base = RngState(spec.seed)
-
+    _record(stages)
     groups = []
     for name, files in _image_classes(root):
-        mean_log, n = _mean_log(_class_logs(name, files, params))
+        mean_log, n = _timed(stages, "data", _mean_log, _class_logs(name, files, params, stages))
+        if stages is not None:
+            stages["images"] += n
         k = len(mean_log)
         radius = descriptor_radius_bound(k - 8, spec.eta)  # k = 8 + channels
         groups.append(_Group(MECHANISMS[spec.mechanism].center(mean_log), n, k, radius))
-    return _run_cells(spec, base, groups)
+    return _timed(stages, "cells", _run_cells, spec, base, groups, stages)
 
 
 def _format_float(x: float) -> str:

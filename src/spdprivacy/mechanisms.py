@@ -378,7 +378,8 @@ def _laplace_chains(
             q = np.zeros(size)
         log_u = np.log(gen.random(size))
         if n_chains == 1:
-            for a, q2, lu in zip(alpha[:, 0].tolist(), q[:, 0].tolist(), log_u[:, 0].tolist()):
+            columns = (memoryview(alpha[:, 0]), memoryview(q[:, 0]), memoryview(log_u[:, 0]))
+            for a, q2, lu in zip(*columns):
                 t = r + a
                 cand = math.sqrt(t * t + q2)
                 if lu < (r - cand) / sigma:

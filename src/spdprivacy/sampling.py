@@ -20,6 +20,13 @@ beyond the n·k eigenvalues the memory of a draw does not grow with n.  E
 is a QR factor without the sign fix that makes it exactly Haar (signing
 its columns by the diagonal of R, Mezzadri 2007): the fix flips columns of
 E by ±1, which cancels exactly in E diag(l) E^T.
+
+E stays LAPACK's batched ``np.linalg.qr`` (22–30 µs a 30 x 30 matrix, one
+pinned core).  At k = 30, n = 500 in blocks of 18, QR plus the rebuild took
+21.7–22.3 ms (medians of 31 calls); in numpy, Stewart's Householder product
+took 58 ms, compact-WY by the ``dlarft`` recurrence 22.5 ms, a tree-built T
+24.9 ms against QR's 21.6 ms at 72-matrix blocks, and one GEMM for the
+rebuild and the sum 20.8 ms against 20.6 ms.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import statistics
 import threading
@@ -33,7 +34,10 @@ from spdprivacy.geometry import (
     vecd_stack,
 )
 from spdprivacy.harness import (
+    COUNTS,
     CSV_HEADER,
+    STAGES,
+    SYNTHETIC_DEFAULTS,
     ExperimentSpec,
     TrialRecord,
     emit_csv,
@@ -647,7 +651,7 @@ class TestImageBlocks:
         got = descriptors._class_logs("c", [str(p) for p in sorted(d.iterdir())], params)
         assert np.array_equal(np.concatenate(list(got)), logm_stack(ref))
         groups = []
-        monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs: groups.extend(gs) or [])
+        monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs, stages: groups.extend(gs) or [])
         run_image(image_spec(d, mechanism=mechanism))
         mean_log = logm_stack(ref).mean(axis=0)
         want = vecd_stack(expm_stack(mean_log) if mechanism == "extrinsic_analytic" else mean_log)
@@ -767,7 +771,7 @@ class TestImageSummaryMemory:
                 (d / f"{i:04d}.pgm").write_bytes(b"P5\n8 8\n255\n" + pixels.tobytes())
             specs[n] = image_spec(d)
         groups = []
-        monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs: groups.extend(gs) or [])
+        monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs, stages: groups.extend(gs) or [])
         run_image(specs[300])  # warm numpy up
         small, large = peak_bytes(run_image, specs[300]), peak_bytes(run_image, specs[3000])
         assert [g.n for g in groups] == [300, 300, 3000]
@@ -1172,8 +1176,9 @@ class TestCli:
     @pytest.mark.parametrize("value, want", [("TRUE", True), ("on", True), ("0", False), ("No", False)])
     def test_config_boolean_spellings(self, tmp_path, monkeypatch, value, want):
         seen = {}
-        monkeypatch.setattr(cli, "run_synthetic", lambda spec, threads: seen.setdefault("spec", spec))
-        monkeypatch.setattr(cli, "_emit", lambda records, args: None)
+        monkeypatch.setattr(cli, "run_synthetic",
+                            lambda spec, threads, stages: seen.setdefault("spec", spec))
+        monkeypatch.setattr(cli, "_emit", lambda records, args, stages: None)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"resample_data = {value}\n")
         assert main(["synthetic-bench", "--config", str(cfg)]) == 0
@@ -1219,6 +1224,85 @@ class TestCli:
         assert outs[0] == outs[1] != ""
         info = cli.build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    def test_bench_defaults_are_the_specs(self):
+        parser = cli.build_parser()
+        syn = parser.parse_args(["synthetic-bench"])
+        assert cli._spec_from_args(syn) == ExperimentSpec(
+            "synthetic", "tangent_analytic", (0.1,), (1e-6,))
+        assert {name: getattr(syn, name) for name in SYNTHETIC_DEFAULTS} == SYNTHETIC_DEFAULTS
+        assert [type(getattr(syn, name)) for name in ("n", "r", "k")] == [int, float, int]
+        img = parser.parse_args(["image-bench", "--images", "x"])
+        assert cli._spec_from_args(img) == ExperimentSpec(
+            "image", "tangent_analytic", (0.1,), (1e-6,), image_dir="x")
+        desc = parser.parse_args(["descriptor", "--image", "x"])
+        priv = parser.parse_args(PRIVATIZE + ["--matrix", "x"])
+        assert desc.eta == DescriptorParams.eta and priv.burn_in == ExperimentSpec.burn_in
+
+    def test_timing_sidecar_needs_out_csv(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(SYNTHETIC + ["--out-csv", "a.csv"]) == 0
+        assert main(SYNTHETIC + ["--timing", "--out-plot", "a.svg"]) == 0
+        assert main(SYNTHETIC + ["--timing"]) == 0
+        assert capsys.readouterr().out.startswith(CSV_HEADER)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.svg"]
+        assert main(SYNTHETIC + ["--timing", "--out-csv", "b.csv", "--out-plot", "b.svg"]) == 0
+        sidecar = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+        assert list(sidecar) == ["stages_ns", "counts"]
+        assert list(sidecar["stages_ns"]) == list(STAGES)
+        assert list(sidecar["counts"]) == list(COUNTS)
+        times = sidecar["stages_ns"]
+        assert min(times["data"], times["release"], times["csv"], times["svg"]) > 0
+        assert times["release"] <= times["cells"] and times["descriptors"] == times["logm"] == 0
+        assert sidecar["counts"] == dict.fromkeys(COUNTS, 0) | {"matrices": 20}
+
+
+class TestStageRecorder:
+    """A run given a ``stages`` dict adds its stage times and counts to it,
+    and returns the records of a run without one."""
+
+    def test_synthetic_stages_and_counts(self):
+        spec = small_spec()
+        stages = {}
+        assert run_synthetic(spec, stages=stages) == run_synthetic(spec)
+        assert list(stages) == list(STAGES + COUNTS)
+        assert 0 < stages["data"] and 0 < stages["release"] <= stages["cells"]
+        assert [stages[name] for name in ("descriptors", "logm", "csv", "svg")] == [0] * 4
+        assert {name: stages[name] for name in COUNTS} == dict.fromkeys(COUNTS, 0) | {"matrices": 40}
+        run_synthetic(spec, stages=stages)  # a second run adds to the first
+        assert stages["matrices"] == 80
+
+    def test_resampled_draws_nest_in_cells(self):
+        spec = small_spec(resample_data=True, n=30, trials=4, epsilon_grid=(0.1, 0.2, 0.5))
+        stages = {}
+        assert run_synthetic(spec, stages=stages) == run_synthetic(spec)
+        assert stages["matrices"] == 30 * 4 * 3
+        assert 0 < stages["data"] <= stages["cells"]
+
+    def test_chain_steps_and_accepted_steps(self):
+        spec = small_spec(mechanism="riemannian_laplace", burn_in=700, trials=3)
+        stages = {}
+        records = run_synthetic(spec, stages=stages)
+        assert records == run_synthetic(spec)
+        assert stages["mcmc_steps"] == 700 * 3 * 2
+        accepted = sum(r.acceptance_ratio for r in records) * 700
+        assert 0 < stages["mcmc_accepted"] < stages["mcmc_steps"]
+        assert stages["mcmc_accepted"] == pytest.approx(accepted, abs=1e-6)
+
+    def test_image_stages_and_counts(self, tmp_path):
+        write_corpus(tmp_path, classes=("a", "b"))
+        (tmp_path / "a" / "junk.pgm").write_bytes(b"P2\n1 1\n255\n0\n")  # read, not parsed
+        spec = image_spec(tmp_path)
+        stages = {}
+        assert run_image(spec, stages=stages) == run_image(spec)
+        assert list(stages) == list(STAGES + COUNTS)
+        assert 0 < stages["descriptors"] <= stages["data"]
+        assert 0 < stages["logm"] <= stages["data"]
+        assert 0 < stages["release"] <= stages["cells"]
+        files = [f for d in tmp_path.iterdir() for f in d.iterdir()]
+        assert stages["images"] == len(files) - 1 == 800
+        assert stages["bytes"] == sum(f.stat().st_size for f in files)
+        assert stages["matrices"] == stages["mcmc_steps"] == 0
 
 
 PRIVATIZE = ["privatize", "--eps", "0.5", "--delta", "1e-6", "--n", "100", "--r", "1"]

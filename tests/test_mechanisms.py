@@ -38,6 +38,8 @@ from spdprivacy.mechanisms import (
 )
 from spdprivacy.sampling import RngState, sample_synthetic_spd
 
+from conftest import peak_bytes
+
 
 def le_sens(value):
     return Sensitivity(value=value, kind=SensitivityKind.LOG_EUCLIDEAN)
@@ -561,6 +563,13 @@ class TestLaplaceKernel:
         assert ratio == accepted / (3 * burn_in)
         for z, w in zip(states, want):
             assert_close_in_norm(z, w)
+
+    def test_single_chain_copies_no_block_to_lists(self):
+        # a 10^4-step block is three (b, 1) draws of 80 KB each; read through
+        # lists, each would add a list and 10^4 float objects
+        center = self.center(30, 76)
+        _laplace_chains(RngState(77), center, 0.05, 10_000)  # warm-up
+        assert peak_bytes(_laplace_chains, RngState(77), center, 0.05, 10_000) < 500_000
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_single_chain_equals_chain_stack(self, k):

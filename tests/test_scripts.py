@@ -68,6 +68,15 @@ def test_pass_stages_reports_each_stage(tmp_path):
     assert 0 < release <= cells and data + cells + csv <= total
 
 
+def test_pass_stages_nests_resampled_draws_in_cells(tmp_path):
+    # fresh-data draws every trial's dataset inside its cell
+    out = run([ROOT / "scripts" / "pass_stages.py", "--workload", "fresh-data", "--passes", "1",
+               "--scale", "tiny"], tmp_path)
+    fields = out.splitlines()[2].split()[1:]
+    total, data, cells, release, descriptors, logm, csv, svg = map(float, fields)
+    assert 0 < data <= cells and 0 < release <= cells and cells + csv <= total
+
+
 def test_output_digests_one_line_per_call(tmp_path):
     args = [ROOT / "scripts" / "output_digests.py", "--seed", "5", "--scale", "tiny"]
     out = run(args, tmp_path)
