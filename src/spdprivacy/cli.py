@@ -7,8 +7,9 @@ harness with CSV/SVG output), ``descriptor`` (image to descriptor matrix).
 Flags may also come from a config file of ``key = value`` lines passed with
 ``--config``; explicit command-line flags win over the file.  Flags must be
 spelled out in full (no argparse prefix matching), so the tokens on the
-command line name exactly the flags that win.  ``--timing --out-csv`` also
-writes the run's stage times and counts to ``<out-csv>.manifest.json``.
+command line name exactly the flags that win.  ``--timing`` puts real
+release times in ``wall_time_ns``, and with ``--out-csv`` writes the run's
+stage times and counts to ``<out-csv>.manifest.json``.
 """
 
 from __future__ import annotations
@@ -171,26 +172,27 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         seed=args.seed,
         burn_in=args.burn_in,
         image_dir=getattr(args, "images", None),
-        record_timing=args.timing,
         **own,
     )
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     run = run_image if args.command == "image-bench" else run_synthetic
-    stages = {} if args.timing and args.out_csv else None
-    _emit(run(_spec_from_args(args), threads=args.threads, stages=stages), args, stages)
+    stages = dict.fromkeys(STAGES + COUNTS, 0)  # read only under --timing
+    records = run(_spec_from_args(args), threads=args.threads,
+                  stages=stages if args.timing else None)
+    _emit(records, args, stages)
     return 0
 
 
-def _emit(records, args, stages: dict | None) -> None:
+def _emit(records, args, stages: dict) -> None:
     if args.out_csv:
         _timed(stages, "csv", emit_csv, records, args.out_csv)
     if args.out_plot:
         _timed(stages, "svg", emit_plot, records, args.out_plot)
     if not args.out_csv and not args.out_plot:
         sys.stdout.write(render_csv(records))
-    if stages is not None:
+    if args.timing and args.out_csv:
         sidecar = {"stages_ns": {n: stages[n] for n in STAGES},
                    "counts": {n: stages[n] for n in COUNTS}}
         Path(f"{args.out_csv}.manifest.json").write_text(json.dumps(sidecar, indent=1) + "\n")

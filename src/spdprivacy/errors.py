@@ -41,10 +41,8 @@ def _checked_int(
     return value
 
 
-def _timed(stages: dict | None, name: str, fn, *args):
-    """``fn(*args)``, its ns added to ``stages[name]`` unless ``stages`` is None."""
-    if stages is None:
-        return fn(*args)
+def _timed(stages: dict, name: str, fn, *args):
+    """``fn(*args)``, its ns added to ``stages[name]``."""
     start = time.perf_counter_ns()
     result = fn(*args)
     stages[name] += time.perf_counter_ns() - start

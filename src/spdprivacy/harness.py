@@ -1,8 +1,8 @@
 """Benchmark harness: privacy-utility experiments on synthetic and image data.
 
 An :class:`ExperimentSpec` pins everything an experiment depends on,
-including the seed; the emitted records (and hence the CSV) are a pure
-function of the spec.  Each (epsilon, delta) cell is one
+including the seed; an untimed run's records (and hence its CSV) are a
+pure function of the spec.  Each (epsilon, delta) cell is one
 ``Mechanism.release`` of all its trials on its own RNG substream, keyed by
 (seed, cell); the row lays its trials out in that stream (a Gaussian row
 draws one block, a chain row runs trial t on the sub-substream t), and a
@@ -26,17 +26,18 @@ cells run one after another on the calling thread: a release is a numpy
 block draw or a chain on Python floats, which threads would not speed up,
 so ``threads`` is validated and has no effect.
 
-Wall-clock timing of the privatization call is optional (``record_timing``)
-because real timings are not reproducible; with timing off the
-``wall_time_ns`` column is zero and the CSV is byte-stable across runs.  A
-trial records its cell's release time divided by the number of trials,
-rounded up.
+A run given a ``stages`` dict is timed (real timings are not reproducible,
+so an untimed run's ``wall_time_ns`` is zero and its CSV byte-stable): it
+adds to ``stages`` the ns of each of :data:`STAGES` and each of
+:data:`COUNTS` (matrices drawn, images parsed, bytes read, chain steps and
+accepted steps).  ``data`` is the fold of a dataset (inside ``cells`` when
+resampled) or of an image class, with its ``descriptors`` and ``logm``.
+``release``, inside ``cells``, times each cell's draw alone, after its noise
+substream is forked; a timed trial records its cell's release time divided
+by the number of trials, rounded up.
 
-A run given a ``stages`` dict adds to it the ns of each of :data:`STAGES`
-and each of :data:`COUNTS` (matrices drawn, images parsed, bytes read, chain
-steps and accepted steps), and returns the same records.  ``data`` is the
-fold of a dataset (inside ``cells`` when resampled) or of an image class,
-with its ``descriptors`` and ``logm``; ``release`` is inside ``cells``.
+Every noise scale is calibrated before any data work, so an invalid
+privacy budget fails before a dataset is drawn or an image is read.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ import numpy as np
 from .descriptors import DescriptorParams, _class_logs, descriptor_radius_bound
 from .errors import DimensionError, DomainError, NumericalError, _checked_int, _timed
 from .geometry import MAX_DIM, _mean_log
-from .mechanisms import MECHANISMS, acceptance_warning
+from .mechanisms import MECHANISMS, PrivacyBudget, Sensitivity, SensitivityKind
+from .mechanisms import acceptance_warning
 from .sampling import _MAX_SEED, RngState, _check_radius, _synthetic_blocks
 
 log = logging.getLogger(__name__)
@@ -75,7 +77,7 @@ _NOISE_STREAM = 1
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One benchmark configuration; every field participates in determinism."""
+    """One benchmark configuration; an untimed run's records are a pure function of it."""
 
     kind: str  # "synthetic" | "image"
     mechanism: str
@@ -90,7 +92,6 @@ class ExperimentSpec:
     image_dir: str | None = None
     eta: float = 1e-6
     resample_data: bool = False
-    record_timing: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("synthetic", "image"):
@@ -172,25 +173,37 @@ def _row_dots(rows: np.ndarray) -> np.ndarray:
     return dots
 
 
-def _record(stages: dict | None) -> None:
-    """Give a recorded run's ``stages`` every name it may add to."""
-    if stages is not None:
-        stages.update({name: stages.get(name, 0) for name in STAGES + COUNTS})
+def _record(stages: dict | None) -> tuple[bool, dict]:
+    """Whether a run given ``stages`` is timed, and the dict it adds to
+    (``stages``, or a throwaway one) with every name it may add to."""
+    timed = stages is not None
+    stages = stages if timed else {}
+    stages.update({name: stages.get(name, 0) for name in STAGES + COUNTS})
+    return timed, stages
 
 
-def _dataset_center(spec: ExperimentSpec, rng: RngState, stages: dict | None) -> np.ndarray:
+def _budgets(spec: ExperimentSpec, n: int, radius: float) -> list[tuple[float, float, float]]:
+    """(epsilon, delta, sigma) of each cell of a group of ``n`` points in a
+    ball of ``radius``."""
+    mechanism = MECHANISMS[spec.mechanism]
+    return [
+        (eps, delta, mechanism.noise_scale(n, radius, eps, delta))
+        for eps in spec.epsilon_grid
+        for delta in spec.delta_grid
+    ]
+
+
+def _dataset_center(spec: ExperimentSpec, rng: RngState, stages: dict) -> np.ndarray:
     """The release center of ``spec``'s dataset drawn on ``rng``; the fold is ``data``."""
     mean_log, n = _timed(stages, "data", _mean_log, _synthetic_blocks(rng, spec.k, spec.r, spec.n))
-    if stages is not None:
-        stages["matrices"] += n
+    stages["matrices"] += n
     return MECHANISMS[spec.mechanism].center(mean_log)
 
 
 def _run_cells(
-    spec: ExperimentSpec, base: RngState, groups: list[_Group], stages: dict | None = None
+    spec: ExperimentSpec, base: RngState, cells: list[tuple], stages: dict, timed: bool
 ) -> list[TrialRecord]:
-    """Release and score every (group, epsilon, delta) cell; the noise
-    scale is calibrated once per cell.
+    """Release and score every (group, epsilon, delta, sigma) cell.
 
     A cell is one ``Mechanism.release`` of all its trials on substream
     (_NOISE_STREAM, cell), into the (trials, d) block that every cell of
@@ -199,12 +212,6 @@ def _run_cells(
     t's from its own dataset on substream (_DATA_STREAM, cell, trial).
     """
     mechanism = MECHANISMS[spec.mechanism]
-    cells = [
-        (group, eps, delta, mechanism.noise_scale(group.n, group.radius, eps, delta))
-        for group in groups
-        for eps in spec.epsilon_grid
-        for delta in spec.delta_grid
-    ]
     records = []
     blocks: dict[int, np.ndarray] = {}
     for ci, (group, eps, delta, sigma) in enumerate(cells):
@@ -218,18 +225,18 @@ def _run_cells(
         block = blocks.get(d)
         if block is None:
             block = blocks[d] = np.empty((spec.trials, d))
+        rng = base.substream(_NOISE_STREAM, ci)
         start = time.perf_counter_ns()
-        _, ratios = mechanism.release(base.substream(_NOISE_STREAM, ci), center, sigma,
-                                      spec.trials, burn_in=spec.burn_in, out=block)
+        _, ratios = mechanism.release(rng, center, sigma, spec.trials,
+                                      burn_in=spec.burn_in, out=block)
         elapsed = time.perf_counter_ns() - start
-        per_trial = -(-elapsed // spec.trials) if spec.record_timing else 0
+        stages["release"] += elapsed
+        per_trial = -(-elapsed // spec.trials) if timed else 0
         block -= center
         ratios = [None] * spec.trials if ratios is None else ratios.tolist()
-        if stages is not None:
-            stages["release"] += elapsed
-            if ratios[0] is not None:  # a chain's steps
-                stages["mcmc_steps"] += spec.burn_in * spec.trials
-                stages["mcmc_accepted"] += sum(round(r * spec.burn_in) for r in ratios)
+        if ratios[0] is not None:  # a chain's steps
+            stages["mcmc_steps"] += spec.burn_in * spec.trials
+            stages["mcmc_accepted"] += sum(round(r * spec.burn_in) for r in ratios)
         for trial, (utility, ratio) in enumerate(zip(_row_dots(block).tolist(), ratios)):
             if ratio is not None and (warning := acceptance_warning(ratio)):
                 log.warning("%s", warning)
@@ -251,19 +258,23 @@ def run_synthetic(
     dataset is streamed block by block into its mean log-matrix; its
     (n, k, k) stack is never built.  The ball radius, and so every noise
     scale, is the generator's public guarantee sqrt(k) * r, never read from
-    the data.  ``resample_data`` stays until the benchmark's fresh-data
-    workload no longer passes it.
+    the data, and every noise scale is calibrated before the draw.
+    ``resample_data`` stays until the benchmark's fresh-data workload no
+    longer passes it.
     """
     if spec.kind != "synthetic":
         raise DomainError("run_synthetic requires a synthetic spec")
     _checked_int(threads, "threads")  # validated, no effect: the cells run on this thread
-    _record(stages)
+    timed, stages = _record(stages)
     base = RngState(spec.seed)
+    radius = math.sqrt(spec.k) * spec.r
+    budgets = _budgets(spec, spec.n, radius)
     center = None
     if not spec.resample_data:
         center = _dataset_center(spec, base.substream(_DATA_STREAM), stages)
-    group = _Group(center=center, n=spec.n, k=spec.k, radius=math.sqrt(spec.k) * spec.r)
-    return _timed(stages, "cells", _run_cells, spec, base, [group], stages)
+    group = _Group(center=center, n=spec.n, k=spec.k, radius=radius)
+    cells = [(group, *budget) for budget in budgets]
+    return _timed(stages, "cells", _run_cells, spec, base, cells, stages, timed)
 
 
 def _sorted_entries(directory: str | Path, want_dirs: bool) -> list[os.DirEntry]:
@@ -305,26 +316,34 @@ def run_image(
     ``descriptors._class_logs``, whose ``logm_stack`` checks the
     descriptors' positive definiteness once per block.  Sensitivity uses
     the analytic radius bound of the descriptor pipeline and n = class
-    size; an image spec sets no n, r or k.
+    size; an image spec sets no n, r or k.  The row's calibration runs at
+    unit sensitivity on every (epsilon, delta) before any file is read, so
+    only a noise scale that overflows at a class's own sensitivity fails
+    after the read.
     """
     if spec.kind != "image":
         raise DomainError("run_image requires an image spec")
     _checked_int(threads, "threads")  # validated, no effect: the cells run on this thread
+    mechanism = MECHANISMS[spec.mechanism]
+    unit = Sensitivity(1.0, SensitivityKind.LOG_EUCLIDEAN)
+    for eps in spec.epsilon_grid:
+        for delta in spec.delta_grid:
+            mechanism.calibrate(unit, PrivacyBudget(eps, delta))
     root = Path(spec.image_dir)
     if not root.is_dir():
         raise DomainError(f"image_dir {root} is not a directory")
     params = DescriptorParams(eta=spec.eta)
     base = RngState(spec.seed)
-    _record(stages)
-    groups = []
+    timed, stages = _record(stages)
+    cells = []
     for name, files in _image_classes(root):
         mean_log, n = _timed(stages, "data", _mean_log, _class_logs(name, files, params, stages))
-        if stages is not None:
-            stages["images"] += n
+        stages["images"] += n
         k = len(mean_log)
         radius = descriptor_radius_bound(k - 8, spec.eta)  # k = 8 + channels
-        groups.append(_Group(MECHANISMS[spec.mechanism].center(mean_log), n, k, radius))
-    return _timed(stages, "cells", _run_cells, spec, base, groups, stages)
+        group = _Group(mechanism.center(mean_log), n, k, radius)
+        cells += [(group, *budget) for budget in _budgets(spec, n, radius)]
+    return _timed(stages, "cells", _run_cells, spec, base, cells, stages, timed)
 
 
 def _format_float(x: float) -> str:

@@ -347,25 +347,24 @@ class TestRunSynthetic:
     def test_timing_recorded_only_on_request(self):
         silent = run_synthetic(small_spec(trials=1))
         assert all(r.wall_time_ns == 0 for r in silent)
-        timed = run_synthetic(small_spec(trials=1, record_timing=True))
+        timed = run_synthetic(small_spec(trials=1), stages={})
         assert all(r.wall_time_ns > 0 for r in timed)
 
     def test_tangent_much_faster_than_mcmc(self):
-        tangent = small_spec(k=10, trials=5, epsilon_grid=(0.1,), record_timing=True)
+        tangent = small_spec(k=10, trials=5, epsilon_grid=(0.1,))
         laplace = small_spec(
             k=10,
             trials=5,
             epsilon_grid=(0.1,),
             mechanism="riemannian_laplace",
             burn_in=10000,
-            record_timing=True,
         )
         # three interleaved runs of each, so that load on the host in one
         # stretch of time cannot slow only one side's fastest release
         fast, slow = [], []
         for _ in range(3):
-            fast += [r.wall_time_ns for r in run_synthetic(tangent)]
-            slow += [r.wall_time_ns for r in run_synthetic(laplace)]
+            fast += [r.wall_time_ns for r in run_synthetic(tangent, stages={})]
+            slow += [r.wall_time_ns for r in run_synthetic(laplace, stages={})]
         assert min(slow) >= 100 * min(fast)
 
 
@@ -418,10 +417,12 @@ class TestGaussianCellBlock:
         spec = small_spec(k=30, n=500, trials=120, epsilon_grid=(0.1, 0.2, 0.3))
         center = np.linspace(-1.0, 1.0, 465)
         group = harness._Group(center=center, n=500, k=30, radius=math.sqrt(30) * 0.25)
-        harness._run_cells(spec, RngState(5), [group])  # warm-up
+        cells = [(group, *budget) for budget in harness._budgets(spec, group.n, group.radius)]
+        stages = dict.fromkeys(STAGES + COUNTS, 0)
+        harness._run_cells(spec, RngState(5), cells, stages, False)  # warm-up
         tracemalloc.start()
         try:
-            harness._run_cells(spec, RngState(5), [group])
+            harness._run_cells(spec, RngState(5), cells, stages, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -651,7 +652,8 @@ class TestImageBlocks:
         got = descriptors._class_logs("c", [str(p) for p in sorted(d.iterdir())], params)
         assert np.array_equal(np.concatenate(list(got)), logm_stack(ref))
         groups = []
-        monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs, stages: groups.extend(gs) or [])
+        monkeypatch.setattr(harness, "_run_cells", lambda s, b, cells, stages, timed:
+                            groups.extend(group for group, *_ in cells) or [])
         run_image(image_spec(d, mechanism=mechanism))
         mean_log = logm_stack(ref).mean(axis=0)
         want = vecd_stack(expm_stack(mean_log) if mechanism == "extrinsic_analytic" else mean_log)
@@ -771,7 +773,8 @@ class TestImageSummaryMemory:
                 (d / f"{i:04d}.pgm").write_bytes(b"P5\n8 8\n255\n" + pixels.tobytes())
             specs[n] = image_spec(d)
         groups = []
-        monkeypatch.setattr(harness, "_run_cells", lambda s, b, gs, stages: groups.extend(gs) or [])
+        monkeypatch.setattr(harness, "_run_cells", lambda s, b, cells, stages, timed:
+                            groups.extend(group for group, *_ in cells) or [])
         run_image(specs[300])  # warm numpy up
         small, large = peak_bytes(run_image, specs[300]), peak_bytes(run_image, specs[3000])
         assert [g.n for g in groups] == [300, 300, 3000]
@@ -1257,14 +1260,22 @@ class TestCli:
         assert sidecar["counts"] == dict.fromkeys(COUNTS, 0) | {"matrices": 20}
 
 
+def untimed(records):
+    """``records`` with ``wall_time_ns`` zeroed, after checking that each
+    record of a timed run has a positive one."""
+    assert all(r.wall_time_ns > 0 for r in records)
+    return [r._replace(wall_time_ns=0) for r in records]
+
+
 class TestStageRecorder:
-    """A run given a ``stages`` dict adds its stage times and counts to it,
-    and returns the records of a run without one."""
+    """A run given a ``stages`` dict is timed: it adds its stage times and
+    counts to it, and returns the records of a run without one but for
+    their positive ``wall_time_ns``."""
 
     def test_synthetic_stages_and_counts(self):
         spec = small_spec()
         stages = {}
-        assert run_synthetic(spec, stages=stages) == run_synthetic(spec)
+        assert untimed(run_synthetic(spec, stages=stages)) == run_synthetic(spec)
         assert list(stages) == list(STAGES + COUNTS)
         assert 0 < stages["data"] and 0 < stages["release"] <= stages["cells"]
         assert [stages[name] for name in ("descriptors", "logm", "csv", "svg")] == [0] * 4
@@ -1275,7 +1286,7 @@ class TestStageRecorder:
     def test_resampled_draws_nest_in_cells(self):
         spec = small_spec(resample_data=True, n=30, trials=4, epsilon_grid=(0.1, 0.2, 0.5))
         stages = {}
-        assert run_synthetic(spec, stages=stages) == run_synthetic(spec)
+        assert untimed(run_synthetic(spec, stages=stages)) == run_synthetic(spec)
         assert stages["matrices"] == 30 * 4 * 3
         assert 0 < stages["data"] <= stages["cells"]
 
@@ -1283,7 +1294,7 @@ class TestStageRecorder:
         spec = small_spec(mechanism="riemannian_laplace", burn_in=700, trials=3)
         stages = {}
         records = run_synthetic(spec, stages=stages)
-        assert records == run_synthetic(spec)
+        assert untimed(records) == run_synthetic(spec)
         assert stages["mcmc_steps"] == 700 * 3 * 2
         accepted = sum(r.acceptance_ratio for r in records) * 700
         assert 0 < stages["mcmc_accepted"] < stages["mcmc_steps"]
@@ -1294,7 +1305,7 @@ class TestStageRecorder:
         (tmp_path / "a" / "junk.pgm").write_bytes(b"P2\n1 1\n255\n0\n")  # read, not parsed
         spec = image_spec(tmp_path)
         stages = {}
-        assert run_image(spec, stages=stages) == run_image(spec)
+        assert untimed(run_image(spec, stages=stages)) == run_image(spec)
         assert list(stages) == list(STAGES + COUNTS)
         assert 0 < stages["descriptors"] <= stages["data"]
         assert 0 < stages["logm"] <= stages["data"]
@@ -1303,6 +1314,59 @@ class TestStageRecorder:
         assert stages["images"] == len(files) - 1 == 800
         assert stages["bytes"] == sum(f.stat().st_size for f in files)
         assert stages["matrices"] == stages["mcmc_steps"] == 0
+
+
+# (mechanism, epsilon, delta) of budgets that no run may use
+BAD_BUDGETS = [
+    ("tangent_analytic", 0.5, 2.0),
+    ("tangent_analytic", -1.0, 1e-6),
+    ("tangent_classical", 1.5, 1e-6),
+]
+
+
+class TestBudgetFailsFirst:
+    """An invalid privacy budget fails before any data work: no synthetic
+    dataset is drawn and no image file is read."""
+
+    @pytest.fixture(autouse=True)
+    def no_data_work(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("data work before the budget was checked")
+
+        # the names the harness calls
+        monkeypatch.setattr(harness, "_synthetic_blocks", reached)
+        monkeypatch.setattr(harness, "_class_logs", reached)
+
+    @pytest.fixture
+    def image_dir(self, tmp_path):
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "x.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+        return tmp_path
+
+    @pytest.mark.parametrize("mechanism, eps, delta", BAD_BUDGETS)
+    def test_synthetic(self, mechanism, eps, delta):
+        spec = small_spec(mechanism=mechanism, epsilon_grid=(0.1, eps), delta_grid=(delta,))
+        with pytest.raises(DomainError):
+            run_synthetic(spec)
+
+    @pytest.mark.parametrize("mechanism, eps, delta", BAD_BUDGETS)
+    def test_image(self, image_dir, mechanism, eps, delta):
+        spec = image_spec(image_dir, mechanism=mechanism, epsilon_grid=(0.1, eps),
+                          delta_grid=(delta,))
+        with pytest.raises(DomainError):
+            run_image(spec)
+
+    @pytest.mark.parametrize("command", ["synthetic-bench", "image-bench"])
+    @pytest.mark.parametrize("mechanism, eps, delta", BAD_BUDGETS)
+    def test_cli_exit_2(self, image_dir, capsys, command, mechanism, eps, delta):
+        out = image_dir / "x.csv"
+        data = {"synthetic-bench": ["--k", "30", "--n", "200000"],
+                "image-bench": ["--images", str(image_dir)]}[command]
+        argv = [command, *data, "--mechanism", mechanism, f"--eps={eps}", f"--delta={delta}",
+                "--out-csv", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 PRIVATIZE = ["privatize", "--eps", "0.5", "--delta", "1e-6", "--n", "100", "--r", "1"]
