@@ -106,7 +106,6 @@ _FEATURE_CAP = {1: 12.0, 3: 14.0}  # max ||feature||^2 per channel count
 BLOCK_DOUBLES = 2**17
 
 _PAD = 2  # radius of the widest kernel
-_UNREAD_STAGES = dict.fromkeys(("bytes", "descriptors", "logm"), 0)  # a sink, never read
 
 
 def _flipped_taps(kernel: np.ndarray) -> tuple[tuple[float, int, int], ...]:
@@ -313,7 +312,7 @@ class _BlockBuffers:
 
 
 def _class_logs(
-    name: str, files: list[str], params: DescriptorParams, stages: dict = _UNREAD_STAGES
+    name: str, files: list[str], params: DescriptorParams, stages: dict
 ) -> Iterator[np.ndarray]:
     """Log-matrices of the descriptors of a class's parseable images, in
     file order, as consecutive (m, k, k) blocks; unparseable files are

@@ -160,20 +160,12 @@ def _positive_eig(
     return w, u, s
 
 
-def _rebuild(
-    basis: np.ndarray,
-    eigs: np.ndarray,
-    scaled: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Symmetric U diag(w) U^T for stacks of bases and eigenvalue vectors.
-
-    ``scaled`` and ``out`` are optional buffers of the bases' shape, not
-    overlapping ``basis``, for U diag(w) and the product; the result
-    overwrites U diag(w)."""
-    scaled = np.multiply(basis, eigs[..., None, :], out=scaled)
-    product = np.matmul(scaled, np.swapaxes(basis, -1, -2), out=out)
-    half = np.multiply(0.5, product, out=product)  # P + P^T can overflow; halves cannot
+def _rebuild(basis: np.ndarray, eigs: np.ndarray) -> np.ndarray:
+    """Symmetric U diag(w) U^T for stacks of bases and eigenvalue vectors,
+    in a fresh array."""
+    scaled = basis * eigs[..., None, :]
+    half = scaled @ np.swapaxes(basis, -1, -2)
+    half *= 0.5  # P + P^T can overflow; halves cannot
     return np.add(half, np.swapaxes(half, -1, -2), out=scaled)
 
 

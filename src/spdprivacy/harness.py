@@ -18,13 +18,13 @@ of log-matrices that ``geometry._mean_log`` folds, so neither is held whole:
 ``sampling._synthetic_blocks`` draws a dataset's blocks, and
 ``descriptors._class_logs`` reads a class's files into its blocks.
 
-One (trials, d) block per distinct d is allocated per call and reused by
-every cell of that d: the cell's release fills it, row t for trial t, and
-it is overwritten in place by the deviations z - c, whose rows are scored
-by one batched dot, so a cell allocates no (trials, d) temporaries.  The
-cells run one after another on the calling thread: a release is a numpy
-block draw or a chain on Python floats, which threads would not speed up,
-so ``threads`` is validated and has no effect.
+A cell's release is one (trials, d) block z, row t for trial t; it is
+overwritten in place by the deviations z - c, whose rows are scored by one
+batched dot, and let go before the next cell's release, so a run holds one
+(trials, d) block at a time.  The cells run one after another on the
+calling thread: a release is a numpy block draw or a chain on Python
+floats, which threads would not speed up, so ``threads`` is validated and
+has no effect.
 
 A run given a ``stages`` dict is timed (real timings are not reproducible,
 so an untimed run's ``wall_time_ns`` is zero and its CSV byte-stable): it
@@ -206,14 +206,13 @@ def _run_cells(
     """Release and score every (group, epsilon, delta, sigma) cell.
 
     A cell is one ``Mechanism.release`` of all its trials on substream
-    (_NOISE_STREAM, cell), into the (trials, d) block that every cell of
-    that d reuses; the block is then overwritten by the deviations z - c
-    and scored.  A resampled cell first draws its (trials, d) centers, trial
-    t's from its own dataset on substream (_DATA_STREAM, cell, trial).
+    (_NOISE_STREAM, cell), a (trials, d) block that is then overwritten by
+    the deviations z - c, scored and dropped.  A resampled cell first draws
+    its (trials, d) centers, trial t's from its own dataset on substream
+    (_DATA_STREAM, cell, trial).
     """
     mechanism = MECHANISMS[spec.mechanism]
     records = []
-    blocks: dict[int, np.ndarray] = {}
     for ci, (group, eps, delta, sigma) in enumerate(cells):
         center = group.center
         if spec.resample_data:  # each trial's summary, of its own dataset
@@ -221,23 +220,20 @@ def _run_cells(
                 _dataset_center(spec, base.substream(_DATA_STREAM, ci, t), stages)
                 for t in range(spec.trials)
             ])
-        d = center.shape[-1]
-        block = blocks.get(d)
-        if block is None:
-            block = blocks[d] = np.empty((spec.trials, d))
         rng = base.substream(_NOISE_STREAM, ci)
         start = time.perf_counter_ns()
-        _, ratios = mechanism.release(rng, center, sigma, spec.trials,
-                                      burn_in=spec.burn_in, out=block)
+        block, ratios = mechanism.release(rng, center, sigma, spec.trials, burn_in=spec.burn_in)
         elapsed = time.perf_counter_ns() - start
         stages["release"] += elapsed
         per_trial = -(-elapsed // spec.trials) if timed else 0
         block -= center
+        utilities = _row_dots(block).tolist()
+        del block  # before the next cell's release makes its own
         ratios = [None] * spec.trials if ratios is None else ratios.tolist()
         if ratios[0] is not None:  # a chain's steps
             stages["mcmc_steps"] += spec.burn_in * spec.trials
             stages["mcmc_accepted"] += sum(round(r * spec.burn_in) for r in ratios)
-        for trial, (utility, ratio) in enumerate(zip(_row_dots(block).tolist(), ratios)):
+        for trial, (utility, ratio) in enumerate(zip(utilities, ratios)):
             if ratio is not None and (warning := acceptance_warning(ratio)):
                 log.warning("%s", warning)
             records.append(TrialRecord(

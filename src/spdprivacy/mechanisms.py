@@ -161,10 +161,17 @@ def calibrate_analytic(sensitivity: Sensitivity, budget: PrivacyBudget) -> float
     Bisects Phi(D/2s - es/D) - e^eps Phi(-D/2s - es/D) <= delta, which is
     continuous and strictly decreasing in sigma, to relative width 1e-12.
     The result never exceeds the classical scale when epsilon < 1.
+
+    The condition reads only s/D, so the bisection runs at D 2^-e, e the
+    binary exponent of D, an exact scaling that keeps its bracket inside
+    float64's normal range for every D, and its result is scaled back by
+    2^e: bit for bit the unscaled bisection wherever that stays in range,
+    rounded up when it lands below the normal range.
     """
     if sensitivity.value <= 0:
         raise DomainError("analytic calibration requires a positive sensitivity")
-    delta_s = sensitivity.value
+    e = math.frexp(sensitivity.value)[1]
+    delta_s = math.ldexp(sensitivity.value, -e)
     eps, delta = budget.epsilon, budget.delta
     if eps > LOG_FLOAT64_MAX:
         raise DomainError(
@@ -174,8 +181,8 @@ def calibrate_analytic(sensitivity: Sensitivity, budget: PrivacyBudget) -> float
     lo = delta_s * _ANALYTIC_BRACKET[0]
     hi = delta_s * _ANALYTIC_BRACKET[1]
     if _analytic_condition(lo, delta_s, eps) <= delta:
-        return lo
-    if _analytic_condition(hi, delta_s, eps) > delta:
+        hi = lo
+    elif _analytic_condition(hi, delta_s, eps) > delta:
         raise NumericalError(
             f"analytic calibration bracket failed for eps={eps}, delta={delta}"
         )
@@ -185,7 +192,11 @@ def calibrate_analytic(sensitivity: Sensitivity, budget: PrivacyBudget) -> float
             hi = mid
         else:
             lo = mid
-    return _finite_scale(hi, sensitivity, budget)
+    # math.ldexp raises, not returns inf, past float64's exponent range
+    sigma = math.ldexp(hi, e) if e + math.frexp(hi)[1] <= 1024 else math.inf
+    if math.ldexp(sigma, -e) < hi:  # rounded down to a subnormal
+        sigma = math.nextafter(sigma, math.inf)
+    return _finite_scale(sigma, sensitivity, budget)
 
 
 def _calibrate_pure(sensitivity: Sensitivity, budget: PrivacyBudget) -> float:
@@ -221,11 +232,9 @@ class Mechanism:
         trials: int = 1,
         *,
         burn_in: int | None = None,
-        out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """``trials`` releases around ``center``, a d-vector or one row per
-        trial (trials, d), d = k(k+1)/2: the (trials, d) block z, written
-        into ``out`` when given (the harness reuses one per run), and each
+        trial (trials, d), d = k(k+1)/2: a fresh (trials, d) block z and each
         trial's acceptance ratio (trials,), None for a Gaussian row.  The
         utility of trial t is ||z[t] - center||^2.
 
@@ -254,18 +263,16 @@ class Mechanism:
         center = np.asarray(center, dtype=float)
         _ambient_dim(center, trials)
         shape = (trials, center.shape[-1])
-        if out is not None and np.shape(out) != shape:
-            raise DimensionError(f"out block of shape {np.shape(out)} is not {shape}")
         if not self.chain:
-            noise = rng.generator.standard_normal(shape, out=out)
-            np.multiply(float(sigma), noise, out=noise)
+            noise = rng.generator.standard_normal(shape)
+            noise *= float(sigma)
             noise += center
             return noise, None
         centers = np.broadcast_to(center, shape)
         states, ratios = zip(*(
             _laplace_chains(rng.substream(t), centers[t], sigma, burn_in) for t in range(trials)
         ))
-        return np.concatenate(states, out=out), np.array(ratios)
+        return np.concatenate(states), np.array(ratios)
 
     def export(self, z: np.ndarray, k: int) -> SymMatrix:
         """The release ``z`` as a k x k matrix, the inverse of :meth:`center`:

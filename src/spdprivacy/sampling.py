@@ -11,10 +11,10 @@ bit-exactly whatever was drawn before it.
 
 Synthetic data E diag(l) E^T (l uniform in [e^-r, e^r], E Haar) is drawn
 as n·k uniforms, then n·k² normals (n = 1 for one SPD matrix).  The normals
-are streamed: they fill one reused buffer of at most
-``geometry._FOLD_DOUBLES`` doubles (one matrix when k² is larger) block
-by block, in the order of a single (n, k, k) draw, so the stream is that
-of one draw, and each block is rebuilt in place.  This module only draws:
+are streamed in blocks of at most ``geometry._FOLD_DOUBLES`` doubles (one
+matrix when k² is larger), in the order of a single (n, k, k) draw, so
+the stream is that of one draw, and each block is rebuilt into a fresh
+array.  This module only draws:
 ``geometry._mean_log`` folds the blocks into the Fréchet-mean summary, so
 beyond the n·k eigenvalues the memory of a draw does not grow with n.  E
 is a QR factor without the sign fix that makes it exactly Haar (signing
@@ -81,10 +81,9 @@ def _synthetic_blocks(
     """The n draws E diag(w) E^T, w = ln l (or l itself when ``logs`` is
     false), as consecutive (m, k, k) blocks.
 
-    All n·k uniforms are drawn first, then the normals of each block into
-    one reused buffer, so the stream is that of one (n, k, k) draw.  Each
-    block is a view of that buffer and is overwritten by the next one; a
-    caller may change it in place.
+    All n·k uniforms are drawn first, then the normals of each block, so
+    the stream is that of one (n, k, k) draw.  Each block is a fresh array,
+    which a caller may keep or change in place.
     """
     k = _checked_int(k, "k", 1, MAX_DIM, DimensionError)
     _check_radius(r)
@@ -93,12 +92,9 @@ def _synthetic_blocks(
     if logs:
         np.log(eigs, out=eigs)
     m = min(n, max(1, _FOLD_DOUBLES // (k * k)))
-    normals, product = np.empty((m, k, k)), np.empty((m, k, k))
     for start in range(0, n, m):
-        rows = min(m, n - start)
-        gauss = rng.generator.standard_normal(out=normals[:rows])
-        basis = np.linalg.qr(gauss)[0]
-        yield _rebuild(basis, eigs[start : start + rows], scaled=gauss, out=product[:rows])
+        basis = np.linalg.qr(rng.generator.standard_normal((min(m, n - start), k, k)))[0]
+        yield _rebuild(basis, eigs[start : start + m])
 
 
 def sample_synthetic_spd(rng: RngState, k: int, r: float) -> SpdMatrix:

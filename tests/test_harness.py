@@ -403,7 +403,7 @@ def per_cell_utilities(spec):
 
 class TestGaussianCellBlock:
     """A Gaussian cell releases, centers and scores its trials in one
-    reused (trials, d) block."""
+    (trials, d) block, dropped before the next cell's release."""
 
     @pytest.mark.parametrize("trials", [1, 2, 120])
     @pytest.mark.parametrize("d", [1, 3, 55, 465])
@@ -412,8 +412,8 @@ class TestGaussianCellBlock:
         assert harness._row_dots(rows).tolist() == [float(r @ r) for r in rows]
 
     def test_cells_allocate_under_two_blocks(self):
-        # three k = 30 cells of 120 trials: one (120, 465) block for all of
-        # them, not fresh noise, release and deviation blocks per cell
+        # three k = 30 cells of 120 trials: one (120, 465) block at a time,
+        # not separate noise, release and deviation blocks, nor two cells' blocks
         spec = small_spec(k=30, n=500, trials=120, epsilon_grid=(0.1, 0.2, 0.3))
         center = np.linspace(-1.0, 1.0, 465)
         group = harness._Group(center=center, n=500, k=30, radius=math.sqrt(30) * 0.25)
@@ -649,7 +649,8 @@ class TestImageBlocks:
                 except DomainError:
                     continue
         ref = np.stack(ref)
-        got = descriptors._class_logs("c", [str(p) for p in sorted(d.iterdir())], params)
+        got = descriptors._class_logs("c", [str(p) for p in sorted(d.iterdir())], params,
+                                       dict.fromkeys(STAGES + COUNTS, 0))
         assert np.array_equal(np.concatenate(list(got)), logm_stack(ref))
         groups = []
         monkeypatch.setattr(harness, "_run_cells", lambda s, b, cells, stages, timed:
@@ -749,7 +750,8 @@ class TestImageBlocks:
         write_shapes(tmp_path / "c", [shape] * sum(sizes), seed=50)
         files = [str(p) for p in sorted((tmp_path / "c").iterdir())]
         params = DescriptorParams(eta=1e-6)
-        assert [len(b) for b in descriptors._class_logs("c", files, params)] == sizes
+        logs = descriptors._class_logs("c", files, params, dict.fromkeys(STAGES + COUNTS, 0))
+        assert [len(b) for b in logs] == sizes
         assert log_blocks == sizes
 
     def test_gray_rgb_mix_mid_block_names_class(self, tmp_path, blocks):
@@ -988,6 +990,32 @@ class TestCli:
             main(["calibrate", "--sensitivity", "2", "--eps", eps, "--delta", "1e-6", "--flavor", "classical"])
             cla = float(capsys.readouterr().out.strip())
             assert ana <= cla
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["calibrate", "--sensitivity", "1e303", "--eps", "1", "--delta", "1e-6"],
+             "4.22467888933e+303"),
+            (["calibrate", "--sensitivity", "1e-320", "--eps", "0.5", "--delta", "1e-6"],
+             "8.05771661802e-320"),
+        ],
+    )
+    def test_calibrate_analytic_bracket_leaves_float64(self, capsys, argv, want):
+        assert main(argv + ["--flavor", "analytic"]) == 0
+        assert capsys.readouterr().out.strip() == want
+
+    def test_synthetic_bench_subnormal_radius(self, tmp_path):
+        argv = ["synthetic-bench", "--k", "2", "--trials", "2", "--eps", "0.1", "--r", "1e-316"]
+        assert main(argv + ["--out-csv", str(tmp_path / "u.csv")]) == 0
+        assert (tmp_path / "u.csv").read_text().startswith(CSV_HEADER)
+
+    def test_privatize_subnormal_radius(self, tmp_path, capsys):
+        mat = tmp_path / "i2.txt"
+        mat.write_text("1 0\n0 1\n")
+        argv = ["privatize", "--matrix", str(mat), "--eps", "0.5", "--delta", "1e-6",
+                "--n", "100", "--r", "1e-320"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.split()) == 4
 
     def test_privatize_deterministic(self, tmp_path, capsys):
         mat = tmp_path / "m.txt"

@@ -286,9 +286,28 @@ class TestAnalyticCalibration:
             calibrate_analytic(le_sens(1.0), PrivacyBudget(710.0, 1e-6))
 
     def test_infinite_scale_rejected(self):
-        # the upper bisection bracket, 1e6 * Delta, overflows float64
+        # sigma is about 8 Delta, past float64's largest value
         with pytest.raises(DomainError, match="noise scale overflows float64"):
-            calibrate_analytic(le_sens(1e305), PrivacyBudget(0.5, 1e-6))
+            calibrate_analytic(le_sens(1e308), PrivacyBudget(0.5, 1e-6))
+
+    def test_bracket_past_float64_max(self):
+        # 1e6 * Delta overflows above Delta ~ 1.8e302; sigma / Delta does not move
+        budget = PrivacyBudget(1.0, 1e-6)
+        for value in (1e300, 1e302, 1e303, 1e305):
+            sigma = calibrate_analytic(le_sens(value), budget)
+            assert sigma / value == pytest.approx(4.22467888933, rel=1e-11)
+            # the bisection at an exact power-of-two scaling, scaled back
+            assert sigma == math.ldexp(calibrate_analytic(le_sens(value * 2.0**-900), budget), 900)
+
+    @pytest.mark.parametrize("value", [1e-311, 1e-320, 5e-324])
+    def test_bracket_below_float64_normal(self, value):
+        # 1e-6 * Delta leaves the normal range below Delta ~ 2.2e-302 and is 0
+        # below about 5e-318; sigma is the in-range sigma at Delta 2^1000
+        # scaled back, rounded up to the nearest float at or above it
+        budget = PrivacyBudget(0.5, 1e-6)
+        scaled = calibrate_analytic(le_sens(math.ldexp(value, 1000)), budget)
+        sigma = calibrate_analytic(le_sens(value), budget)
+        assert math.ldexp(sigma, 1000) >= scaled > math.ldexp(math.nextafter(sigma, 0.0), 1000)
 
 
 class TestMechanismTable:
@@ -600,9 +619,8 @@ class TestLaplaceKernel:
         rng = RngState(84, (1, 2))
         center = self.center(3, 83)
         centers = center + np.arange(trials)[:, None] if per_trial_centers else center
-        out = np.empty((trials, center.size))
-        z, ratios = LAPLACE.release(rng, centers, sigma, trials, burn_in=burn_in, out=out)
-        assert z is out and ratios.shape == (trials,)
+        z, ratios = LAPLACE.release(rng, centers, sigma, trials, burn_in=burn_in)
+        assert z.shape == (trials, center.size) and ratios.shape == (trials,)
         for t, c in enumerate(np.broadcast_to(centers, z.shape)):
             want, ratio = _laplace_chains(rng.substream(t), c, sigma, burn_in)
             assert np.array_equal(z[t], want[0]) and ratios[t] == ratio
@@ -716,12 +734,6 @@ class TestLogChartCores:
             LAPLACE.release(RngState(1), np.zeros(4), 1.0, burn_in=10)
         with pytest.raises(DomainError):
             LAPLACE.release(RngState(1), np.zeros(3), 1.0, burn_in=0)
-        # a chain release writes its final states into out
-        out = np.full((2, 3), np.nan)
-        z, ratios = LAPLACE.release(RngState(1), np.zeros(3), 1.0, 2, burn_in=10, out=out)
-        assert z is out and np.isfinite(out).all() and ratios.shape == (2,)
-        with pytest.raises(DimensionError, match="out"):
-            LAPLACE.release(RngState(1), np.zeros(3), 1.0, burn_in=10, out=np.empty((2, 3)))
 
     @pytest.mark.parametrize("name", MECHANISMS)
     def test_release_validates_center_and_sigma(self, name):

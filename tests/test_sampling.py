@@ -113,20 +113,14 @@ class TestGaussianRelease:
             self.ROW.release(rng, np.zeros((4, 2)), 1.0, 4)
         with pytest.raises(DomainError):
             self.ROW.release(rng, np.zeros(3), -1.0)
-        with pytest.raises(DimensionError, match="out block"):
-            self.ROW.release(rng, np.zeros(3), 1.0, out=np.zeros((2, 3)))
 
     @pytest.mark.parametrize("center_shape", [(6,), (5, 6)])
-    def test_out_buffer_gives_the_same_release(self, center_shape):
-        # released into ``out``, or into a fresh block: the same elements,
-        # each center + (sigma * noise) of the (trials, d) normal draw
+    def test_release_is_center_plus_scaled_noise(self, center_shape):
+        # each element is center + (sigma * noise) of the (trials, d) normal draw
         center = np.random.default_rng(3).standard_normal(center_shape)
         noise = RngState(4).generator.standard_normal((5, 6))
-        fresh, ratio = self.ROW.release(RngState(4), center, 0.7, 5)
-        assert ratio is None and np.array_equal(fresh, center + 0.7 * noise)
-        out = np.empty((5, 6))
-        z, _ = self.ROW.release(RngState(4), center, 0.7, 5, out=out)
-        assert z is out and np.array_equal(out, fresh)
+        z, ratio = self.ROW.release(RngState(4), center, 0.7, 5)
+        assert ratio is None and np.array_equal(z, center + 0.7 * noise)
 
 
 class TestHaarOrthogonal:
@@ -354,6 +348,9 @@ class TestStreamedSummary:
             mean, count = _mean_log(_synthetic_blocks(rng, k, 0.25, n))
             assert np.array_equal(mean, logs.mean(axis=0)), n
             assert count == n
+            # the yielded blocks can be kept: together they are the one-shot draw
+            blocks = list(_synthetic_blocks(RngState(61, (n,)), k, 0.25, n))
+            assert np.array_equal(np.concatenate(blocks), logs), n
             # the summary leaves the stream where the one-shot draw does
             ref = RngState(61, (n,))
             one_shot_logs(ref, k, 0.25, n)
