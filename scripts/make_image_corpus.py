@@ -1,51 +1,34 @@
 #!/usr/bin/env python3
-"""Generate a synthetic PGM/PPM corpus for `spd-bench image-bench`.
+"""Write the seeded PGM/PPM corpus of the ``image-corpus`` benchmark workload
+(``write_corpus`` of ``perfbench/workloads.py``) for ``spd-bench image-bench``:
+one subdirectory per class, gray 28 x 28 classes and one larger RGB class.  A
+class directory that exists is never overwritten: the script then writes
+nothing and stops with one error line.
 
-Creates one subdirectory per class filled with random-noise images, the
-setup used by the desk-scale image experiments when no real dataset is
-available.  Gray images get textured noise so descriptors vary across
-classes.
-
-Example:
-    python scripts/make_image_corpus.py corpus --classes 4 --per-class 500
-    spd-bench image-bench --images corpus --eps 0.5 --delta 1e-6 --out-csv img.csv
+Example, from the repository root:
+    PYTHONPATH=src python3 scripts/make_image_corpus.py corpus --seed 3
+    PYTHONPATH=src python3 -m spdprivacy image-bench --images corpus --eps 0.5 --out-csv img.csv
 """
 
 import argparse
 from pathlib import Path
 
-import numpy as np
-
-from spdprivacy.descriptors import RasterImage, save_pnm
-
-
-def parse_args():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("out_dir", type=Path)
-    parser.add_argument("--classes", type=int, default=2)
-    parser.add_argument("--per-class", type=int, default=500, dest="per_class")
-    parser.add_argument("--size", type=int, default=28)
-    parser.add_argument("--rgb", action="store_true")
-    parser.add_argument("--seed", type=int, default=0)
-    return parser.parse_args()
+from workload_passes import workloads
 
 
 def main():
-    args = parse_args()
-    rng = np.random.default_rng(args.seed)
-    channels = 3 if args.rgb else 1
-    ext = "ppm" if args.rgb else "pgm"
-    for cls in range(args.classes):
-        class_dir = args.out_dir / f"class{cls}"
-        class_dir.mkdir(parents=True, exist_ok=True)
-        # per-class brightness offset so class means are distinguishable
-        offset = cls / max(1, args.classes - 1) * 0.25
-        for i in range(args.per_class):
-            noise = rng.random((args.size, args.size, channels)) * 0.7 + offset
-            pixels = np.clip(np.rint(noise * 255), 0, 255) / 255.0
-            save_pnm(RasterImage(pixels), class_dir / f"{i:05d}.{ext}")
-    total = args.classes * args.per_class
-    print(f"wrote {total} {ext} files under {args.out_dir}")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("out_dir", type=Path)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--scale", choices=workloads.SCALES, default="full")
+    args = parser.parse_args()
+    classes = workloads.corpus_classes(args.scale)
+    if taken := [args.out_dir / cls.name for cls in classes if (args.out_dir / cls.name).exists()]:
+        raise SystemExit(f"error: {taken[0]} exists; a class directory is never overwritten")
+    workloads.write_corpus(args.out_dir, args.seed, args.scale)
+    print(f"wrote {sum(cls.count for cls in classes)} pgm/ppm files under {args.out_dir}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
-"""What ``scripts/pass_*.py`` share: a pass is the ``spd-bench`` calls of one
-pass of a ``perfbench/workloads.py`` workload, run in this process, pinned to
-one core with BLAS on one thread as in ``perfbench/run.py``, after one
-unreported warm-up pass.  Import this module before anything loads numpy.
+"""What ``scripts/`` share: ``perfbench/`` on ``sys.path``, BLAS on one
+thread as in ``perfbench/run.py``, and a pass: the ``spd-bench`` calls of one
+pass of a ``perfbench/workloads.py`` workload, run in this process.  Import
+this module before anything loads numpy.
 """
 
 import argparse
@@ -22,6 +22,13 @@ import workloads  # noqa: E402
 
 import spdprivacy  # noqa: E402
 from spdprivacy.__main__ import main as spd_bench  # noqa: E402
+
+
+def workload_inputs(workload: str, seed: int, workdir: Path, scale: str) -> list:
+    """The calls of one pass of ``workload``, its inputs written under ``workdir``."""
+    if workload == "image-corpus":
+        workloads.write_corpus(workdir / "corpus", seed, scale)
+    return workloads.calls(workload, seed, workdir, scale)
 
 
 def run_pass(calls, *flags: str) -> None:
@@ -51,9 +58,6 @@ def workload_calls(doc: str, columns: str, *flags: str):
           f"spdprivacy from {Path(spdprivacy.__file__).parent}")
     print(columns)
     with tempfile.TemporaryDirectory() as tmp:
-        workdir = Path(tmp)
-        calls = workloads.calls(args.workload, args.seed, workdir, args.scale)
-        if args.workload == "image-corpus":
-            workloads.write_corpus(workdir / "corpus", args.seed, args.scale)
+        calls = workload_inputs(args.workload, args.seed, Path(tmp), args.scale)
         run_pass(calls, *flags)
         yield args, calls

@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     img = add_parser("image-bench", help="covariance-descriptor experiment grid")
     _add_budget_flags(img, grid=True)
     _add_bench_flags(img)
-    img.add_argument("--images", required=True, help="directory of PGM/PPM files")
+    img.add_argument("--images", help="directory of PGM/PPM files; required, here or in --config")
     img.add_argument("--eta", type=float, default=DescriptorParams.eta)
     img.set_defaults(func=_cmd_bench)
 

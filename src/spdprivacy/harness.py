@@ -89,8 +89,8 @@ class ExperimentSpec:
     trials: int = 10
     seed: int = 0
     burn_in: int = 50000
-    image_dir: str | None = None
-    eta: float = 1e-6
+    image_dir: str | None = None  # image only, as eta: DescriptorParams.eta
+    eta: float | None = None
     resample_data: bool = False
 
     def __post_init__(self) -> None:
@@ -114,6 +114,9 @@ class ExperimentSpec:
             if not 2 <= self.k <= MAX_DIM:
                 raise DomainError(f"synthetic experiments need 2 <= k <= {MAX_DIM}, got {self.k}")
             _check_radius(self.r)
+            if self.image_dir is not None or self.eta is not None:
+                # run_synthetic reads no image
+                raise DomainError("synthetic experiments take no image_dir or eta")
         elif self.image_dir is None:
             raise DomainError("image experiments require image_dir")
         elif self.resample_data:  # a class has no other draw
@@ -121,6 +124,8 @@ class ExperimentSpec:
         elif any(v is not None for v in (self.n, self.r, self.k)):
             # a class's n is its size, its radius the descriptors' bound, k 8 + channels
             raise DomainError("image experiments take no n, r or k: each class sets its own")
+        elif self.eta is None:
+            object.__setattr__(self, "eta", DescriptorParams.eta)
         for name in ("epsilon_grid", "delta_grid"):
             grid = tuple(float(v) for v in getattr(self, name))
             if len(set(grid)) != len(grid):
@@ -352,15 +357,15 @@ def render_csv(records: list[TrialRecord]) -> str:
     if not records:
         raise DomainError("no records to emit")
     lines = [CSV_HEADER]
-    prefixes: dict[tuple, str] = {}  # "mechanism,k,epsilon,delta," per cell
+    # a cell's "mechanism,k,epsilon,delta," is formatted where the cell
+    # changes, once per cell in canonical order: the repr of its two floats
+    # is a third of the time per record
+    cell = prefix = None
     for rec in records:
-        cell, (trial, utility, wall_time_ns, acceptance) = rec[:4], rec[4:]
-        prefix = prefixes.get(cell)
-        if prefix is None:
-            mechanism, k, epsilon, delta = cell
-            prefix = prefixes[cell] = (
-                f"{mechanism},{k},{_format_float(epsilon)},{_format_float(delta)},"
-            )
+        if rec[:4] != cell:
+            cell = mechanism, k, epsilon, delta = rec[:4]
+            prefix = f"{mechanism},{k},{_format_float(epsilon)},{_format_float(delta)},"
+        trial, utility, wall_time_ns, acceptance = rec[4:]
         acceptance = "" if acceptance is None else _format_float(acceptance)
         lines.append(f"{prefix}{trial},{_format_float(utility)},{wall_time_ns},{acceptance}")
     return "\n".join(lines) + "\n"

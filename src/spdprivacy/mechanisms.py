@@ -126,8 +126,24 @@ def _std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _finite_scale(sigma: float, sensitivity: Sensitivity, budget: PrivacyBudget) -> float:
-    """``sigma``, or :class:`DomainError` when it overflowed to infinity."""
+def _at_unit_exponent(
+    scale: Callable[[float], float], sensitivity: Sensitivity, budget: PrivacyBudget
+) -> float:
+    """``scale(D)`` for a noise scale proportional to the sensitivity D.
+
+    ``scale`` runs at D 2^-e, e the binary exponent of D, an exact scaling
+    to [0.5, 1) that keeps its work inside float64's normal range for every
+    D, and its result is scaled back by 2^e: bit for bit ``scale(D)``
+    wherever that stays in the normal range, rounded up to the subnormal
+    grid where it lands below it, and :class:`DomainError` where it
+    overflows.
+    """
+    e = math.frexp(sensitivity.value)[1]
+    scaled = scale(math.ldexp(sensitivity.value, -e))
+    # math.ldexp raises, not returns inf, past float64's exponent range
+    sigma = math.ldexp(scaled, e) if e + math.frexp(scaled)[1] <= 1024 else math.inf
+    if math.ldexp(sigma, -e) < scaled:  # rounded down to a subnormal
+        sigma = math.nextafter(sigma, math.inf)
     if not math.isfinite(sigma):
         raise DomainError(
             f"noise scale overflows float64 for sensitivity {sensitivity.value} "
@@ -145,8 +161,8 @@ def calibrate_classical(sensitivity: Sensitivity, budget: PrivacyBudget) -> floa
         )
     if sensitivity.value <= 0:
         raise DomainError("classical calibration requires a positive sensitivity")
-    sigma = sensitivity.value * math.sqrt(2.0 * math.log(1.25 / budget.delta)) / budget.epsilon
-    return _finite_scale(sigma, sensitivity, budget)
+    factor = math.sqrt(2.0 * math.log(1.25 / budget.delta))
+    return _at_unit_exponent(lambda d: d * factor / budget.epsilon, sensitivity, budget)
 
 
 def _analytic_condition(sigma: float, delta_s: float, epsilon: float) -> float:
@@ -162,22 +178,23 @@ def calibrate_analytic(sensitivity: Sensitivity, budget: PrivacyBudget) -> float
     continuous and strictly decreasing in sigma, to relative width 1e-12.
     The result never exceeds the classical scale when epsilon < 1.
 
-    The condition reads only s/D, so the bisection runs at D 2^-e, e the
-    binary exponent of D, an exact scaling that keeps its bracket inside
-    float64's normal range for every D, and its result is scaled back by
-    2^e: bit for bit the unscaled bisection wherever that stays in range,
-    rounded up when it lands below the normal range.
+    The condition reads only s/D, so the bisection runs at a D in [0.5, 1),
+    where its bracket stays inside float64's normal range
+    (:func:`_at_unit_exponent`).
     """
     if sensitivity.value <= 0:
         raise DomainError("analytic calibration requires a positive sensitivity")
-    e = math.frexp(sensitivity.value)[1]
-    delta_s = math.ldexp(sensitivity.value, -e)
     eps, delta = budget.epsilon, budget.delta
     if eps > LOG_FLOAT64_MAX:
         raise DomainError(
             f"analytic calibration requires epsilon <= {LOG_FLOAT64_MAX:.6g} "
             f"so e^epsilon is finite, got {eps}"
         )
+    return _at_unit_exponent(lambda d: _analytic_root(d, eps, delta), sensitivity, budget)
+
+
+def _analytic_root(delta_s: float, eps: float, delta: float) -> float:
+    """The bisection of :func:`calibrate_analytic` at sensitivity ``delta_s``."""
     lo = delta_s * _ANALYTIC_BRACKET[0]
     hi = delta_s * _ANALYTIC_BRACKET[1]
     if _analytic_condition(lo, delta_s, eps) <= delta:
@@ -192,16 +209,12 @@ def calibrate_analytic(sensitivity: Sensitivity, budget: PrivacyBudget) -> float
             hi = mid
         else:
             lo = mid
-    # math.ldexp raises, not returns inf, past float64's exponent range
-    sigma = math.ldexp(hi, e) if e + math.frexp(hi)[1] <= 1024 else math.inf
-    if math.ldexp(sigma, -e) < hi:  # rounded down to a subnormal
-        sigma = math.nextafter(sigma, math.inf)
-    return _finite_scale(sigma, sensitivity, budget)
+    return hi
 
 
 def _calibrate_pure(sensitivity: Sensitivity, budget: PrivacyBudget) -> float:
     # Pure-DP Laplace scale; delta plays no role.
-    return _finite_scale(sensitivity.value / budget.epsilon, sensitivity, budget)
+    return _at_unit_exponent(lambda d: d / budget.epsilon, sensitivity, budget)
 
 
 @dataclass(frozen=True)

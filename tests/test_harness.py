@@ -179,6 +179,15 @@ class TestSpecValidation:
         spec = image_spec(tmp_path)
         assert (spec.n, spec.r, spec.k) == (None, None, None)
 
+    @pytest.mark.parametrize("field", [{"image_dir": "/nonexistent"}, {"eta": 5.0},
+                                       {"eta": DescriptorParams.eta}])
+    def test_synthetic_rejects_image_fields(self, tmp_path, field):
+        # run_synthetic would ignore them: it reads no image
+        with pytest.raises(DomainError, match="take no image_dir or eta"):
+            small_spec(**field)
+        assert (small_spec().image_dir, small_spec().eta) == (None, None)
+        assert image_spec(tmp_path).eta == DescriptorParams.eta
+
     def test_synthetic_sizes_default(self):
         spec = ExperimentSpec(kind="synthetic", mechanism="tangent_analytic",
                               epsilon_grid=(0.5,), delta_grid=(1e-6,))
@@ -1204,6 +1213,14 @@ class TestCli:
         assert main(base + ["--out-csv", str(c), "--eps", "0.4"]) == 0
         assert "0.4" in c.read_text() and "0.1," not in c.read_text()
 
+    def test_config_supplies_images(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_corpus(tmp_path / "corp", classes=("x",))
+        (tmp_path / "c.cfg").write_text("images = corp\ntrials = 1\n")
+        assert main(["image-bench", "--config", "c.cfg", "--out-csv", "a.csv"]) == 0
+        assert main(["image-bench", "--images", "corp", "--trials", "1", "--out-csv", "b.csv"]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     @pytest.mark.parametrize("value, want", [("TRUE", True), ("on", True), ("0", False), ("No", False)])
     def test_config_boolean_spellings(self, tmp_path, monkeypatch, value, want):
         seen = {}
@@ -1436,6 +1453,10 @@ class TestCliInputErrors:
         cfg.write_text(f"{flag[2:]} = {value}\n")
         self.check(["image-bench", "--images", str(tmp_path), "--config", str(cfg)], capsys,
                    f"unknown config key {flag[2:]!r}")
+
+    def test_image_bench_needs_images(self, capsys):
+        # --images may come from a config file, so the spec checks for it
+        self.check(["image-bench"], capsys, "image experiments require image_dir")
 
     def test_non_numeric_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -308,6 +309,40 @@ class TestAnalyticCalibration:
         scaled = calibrate_analytic(le_sens(math.ldexp(value, 1000)), budget)
         sigma = calibrate_analytic(le_sens(value), budget)
         assert math.ldexp(sigma, 1000) >= scaled > math.ldexp(math.nextafter(sigma, 0.0), 1000)
+
+
+# Sensitivities whose noise scales land below float64's normal range, on its
+# grid of 2^-1074 ~ 4.9e-324.
+SUBNORMAL_SENSITIVITIES = (1.5e-323, 2e-323, 3e-322, 1e-320)
+
+
+class TestSubnormalScales:
+    """A scale below the normal range is computed at D 2^-e and scaled back
+    rounding up, so rounding it to the subnormal grid never lowers it."""
+
+    @pytest.mark.parametrize("value", SUBNORMAL_SENSITIVITIES)
+    def test_classical_at_or_above_exact(self, value):
+        sigma = calibrate_classical(le_sens(value), PrivacyBudget(0.5, 1e-6))
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(value) * mpmath.sqrt(2 * mpmath.log(1.25 / mpmath.mpf(1e-6))) / 0.5
+            assert math.nextafter(sigma, 0.0) < exact <= sigma
+
+    @pytest.mark.parametrize("value, eps", [(value, 2.5) for value in SUBNORMAL_SENSITIVITIES] + [
+        # 0.75 / 0.3 rounds down by 0.37 ulp to 2.5, whose scaled-back value
+        # lies on the grid: the normal-range ulp that ROADMAP item 9 rounds up
+        pytest.param(1.5e-323, 0.3, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 9")),
+    ])
+    def test_pure_at_or_above_exact(self, value, eps):
+        sigma = LAPLACE.calibrate(le_sens(value), PrivacyBudget(eps, 0.5))
+        exact = Fraction(value) / Fraction(eps)
+        assert Fraction(math.nextafter(sigma, 0.0)) < exact <= Fraction(sigma)
+
+    def test_normal_range_keeps_its_bits(self):
+        factor = math.sqrt(2.0 * math.log(1.25 / 1e-6))
+        for value in (1e-307, 1e-300, 0.37, 1e300):
+            sigma = calibrate_classical(le_sens(value), PrivacyBudget(0.5, 1e-6))
+            assert sigma == value * factor / 0.5
+            assert LAPLACE.calibrate(le_sens(value), PrivacyBudget(2.5, 0.5)) == value / 2.5
 
 
 class TestMechanismTable:

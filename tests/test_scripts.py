@@ -10,25 +10,52 @@ from spdprivacy.harness import CSV_HEADER
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run(args, cwd):
+def run(args, cwd, returncode=0):
+    """The script's stdout, or its stderr when it is to fail with ``returncode``."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+    assert done.returncode == returncode, done.stderr
+    return done.stdout if returncode == 0 else done.stderr
+
+
+def tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def test_scripts_write_canonical_csv(tmp_path):
     run([ROOT / "scripts" / "synthetic_utility_sweep.py", "--ks", "2", "--trials", "1",
          "--n", "20", "--burn-in", "10", "--mechanisms", "tangent_analytic,riemannian_laplace"],
         tmp_path)
-    run([ROOT / "scripts" / "make_image_corpus.py", "corpus", "--classes", "2",
-         "--per-class", "20", "--size", "8"], tmp_path)
+    run([ROOT / "scripts" / "make_image_corpus.py", "corpus", "--seed", "3", "--scale", "tiny"],
+        tmp_path)
     run(["-m", "spdprivacy", "image-bench", "--images", "corpus", "--trials", "1",
          "--out-csv", "image.csv"], tmp_path)
     for name in ("synthetic_sweep.csv", "image.csv"):
         assert (tmp_path / name).read_text().splitlines()[0] == CSV_HEADER
+
+
+def test_make_image_corpus_writes_the_workload_corpus(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    args = [ROOT / "scripts" / "make_image_corpus.py", "corpus", "--seed", "3", "--scale", "tiny"]
+    assert run(args, tmp_path) == "wrote 900 pgm/ppm files under corpus\n"
+    workloads.write_corpus(tmp_path / "expected", 3, "tiny")
+    written = tree(tmp_path / "corpus")
+    assert sorted({name.parts[0] for name in written}) == ["gray0", "rgb"]
+    assert written == tree(tmp_path / "expected")
+    # a class directory that exists is never overwritten
+    (tmp_path / "corpus" / "gray0" / "0000.pgm").write_bytes(b"kept")
+    error = run(args, tmp_path, returncode=1).splitlines()
+    assert len(error) == 1 and error[0].startswith(f"error: {Path('corpus', 'gray0')} exists")
+    assert (tmp_path / "corpus" / "gray0" / "0000.pgm").read_bytes() == b"kept"
+    # nor is any other class written next to one that exists
+    (tmp_path / "other" / "rgb").mkdir(parents=True)
+    error = run(args[:1] + ["other"] + args[2:], tmp_path, returncode=1).splitlines()
+    assert len(error) == 1 and error[0].startswith(f"error: {Path('other', 'rgb')} exists")
+    assert [p.name for p in (tmp_path / "other").iterdir()] == ["rgb"]
 
 
 def test_pass_rusage_reports_each_pass(tmp_path):
