@@ -133,10 +133,11 @@ def _at_unit_exponent(
 
     ``scale`` runs at D 2^-e, e the binary exponent of D, an exact scaling
     to [0.5, 1) that keeps its work inside float64's normal range for every
-    D, and its result is scaled back by 2^e: bit for bit ``scale(D)``
-    wherever that stays in the normal range, rounded up to the subnormal
-    grid where it lands below it, and :class:`DomainError` where it
-    overflows.
+    D (unless epsilon alone takes it out, as D / epsilon at epsilon above
+    about 2e307 does), and its result is scaled back by 2^e: bit for bit
+    ``scale(D)`` wherever that stays in the normal range, rounded up to the
+    subnormal grid where it lands below it, and :class:`DomainError` where
+    it overflows.
     """
     e = math.frexp(sensitivity.value)[1]
     scaled = scale(math.ldexp(sensitivity.value, -e))
@@ -213,8 +214,23 @@ def _analytic_root(delta_s: float, eps: float, delta: float) -> float:
 
 
 def _calibrate_pure(sensitivity: Sensitivity, budget: PrivacyBudget) -> float:
-    # Pure-DP Laplace scale; delta plays no role.
-    return _at_unit_exponent(lambda d: d / budget.epsilon, sensitivity, budget)
+    """Pure-DP Laplace scale D / epsilon; delta plays no role.
+
+    Below float64's normal range the scale is the smallest point of the
+    subnormal grid (multiples of 2^-1074) at or above the exact quotient,
+    the ceiling of D 2^1074 / epsilon taken on integer ratios.  The float
+    quotient cannot give it: it is rounded to nearest before
+    :func:`_at_unit_exponent` rounds it up to the grid, so it can land one
+    grid point short (0.75 / 0.3 rounds down to 2.5), and for epsilon above
+    about 2e307 the quotient at D 2^-e is itself subnormal and its rounding
+    error, scaled back, spans up to two grid points.
+    """
+    sigma = _at_unit_exponent(lambda d: d / budget.epsilon, sensitivity, budget)
+    if sigma < 2.0**-1022:
+        d, d_den = sensitivity.value.as_integer_ratio()
+        e, e_den = budget.epsilon.as_integer_ratio()
+        sigma = math.ldexp(-(-(d * e_den << 1074) // (d_den * e)), -1074)
+    return sigma
 
 
 @dataclass(frozen=True)

@@ -200,7 +200,7 @@ class TestBatchedPipeline:
                     assert np.array_equal(layer[i], want)
 
     @pytest.mark.parametrize("c", [1, 3])
-    @pytest.mark.parametrize("h,w", SHAPES)
+    @pytest.mark.parametrize("h,w", SHAPES + [(28, 28), (40, 40)])
     def test_stack_equals_scipy_reference(self, h, w, c):
         rng = np.random.default_rng(200 + h * 10 + w + c)
         stack = edgy_stack(rng, 6, h, w, c)

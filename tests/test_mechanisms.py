@@ -329,13 +329,34 @@ class TestSubnormalScales:
 
     @pytest.mark.parametrize("value, eps", [(value, 2.5) for value in SUBNORMAL_SENSITIVITIES] + [
         # 0.75 / 0.3 rounds down by 0.37 ulp to 2.5, whose scaled-back value
-        # lies on the grid: the normal-range ulp that ROADMAP item 9 rounds up
-        pytest.param(1.5e-323, 0.3, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 9")),
+        # lies on the grid, one grid point below the exact quotient
+        (1.5e-323, 0.3),
     ])
     def test_pure_at_or_above_exact(self, value, eps):
         sigma = LAPLACE.calibrate(le_sens(value), PrivacyBudget(eps, 0.5))
         exact = Fraction(value) / Fraction(eps)
         assert Fraction(math.nextafter(sigma, 0.0)) < exact <= Fraction(sigma)
+
+    def test_pure_sweep_is_exact_and_minimal(self):
+        # subnormal Laplace scales over random budgets: each is the smallest
+        # grid point at or above the exact D / epsilon.  The second half has
+        # epsilon above 2e307, where D 2^-e / epsilon is itself subnormal
+        rng = np.random.default_rng(9)
+        eps = 10.0 ** np.concatenate([rng.uniform(-3, 1.5, 3000), rng.uniform(307.4, 308.25, 3000)])
+        values = np.concatenate([
+            eps[:3000] * 10.0 ** rng.uniform(-323.6, -308, 3000), rng.uniform(0.5, 4, 3000)
+        ])
+        subnormal = 0
+        for value, e in zip(values.tolist(), eps.tolist()):
+            if value == 0.0:
+                continue
+            sigma = LAPLACE.calibrate(le_sens(value), PrivacyBudget(e, 0.5))
+            if sigma >= np.finfo(float).tiny:
+                continue
+            subnormal += 1
+            exact = Fraction(value) / Fraction(e)
+            assert Fraction(math.nextafter(sigma, 0.0)) < exact <= Fraction(sigma), (value, e)
+        assert subnormal > 3500
 
     def test_normal_range_keeps_its_bits(self):
         factor = math.sqrt(2.0 * math.log(1.25 / 1e-6))
