@@ -29,7 +29,9 @@ Noise calibration comes in two flavors: the classical closed form
 ``sensitivity * sqrt(2 ln(1.25/delta)) / epsilon`` (valid for epsilon < 1)
 and the analytic calibration, which bisects for the smallest sigma
 satisfying the exact Gaussian-mechanism privacy condition and is never
-worse than the classical value.
+worse than the classical value.  Every noise scale, and the sensitivity
+2r/n, is the least float at or above its exact value computed from its
+float inputs (:func:`_round_up`), subnormals included.
 """
 
 from __future__ import annotations
@@ -101,11 +103,12 @@ class Sensitivity:
 
 def sensitivity_frechet_le(n: int, r: float) -> Sensitivity:
     """Sensitivity 2r/n of the log-Euclidean Fréchet mean over datasets of
-    size n inside a geodesic ball of radius r."""
+    size n inside a geodesic ball of radius r, rounded up to a float."""
     n = _checked_int(n, "n")
-    if not (r > 0):
-        raise DomainError("r must be positive")
-    return Sensitivity(value=2.0 * r / n, kind=SensitivityKind.LOG_EUCLIDEAN)
+    if not (0 < r < math.inf):
+        raise DomainError(f"r must be positive and finite, got {r}")
+    r_num, r_den = float(r).as_integer_ratio()
+    return Sensitivity(value=_round_up(2 * r_num, r_den * n), kind=SensitivityKind.LOG_EUCLIDEAN)
 
 
 def sensitivity_extrinsic(n: int, r: float) -> Sensitivity:
@@ -126,26 +129,28 @@ def _std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _at_unit_exponent(
-    scale: Callable[[float], float], sensitivity: Sensitivity, budget: PrivacyBudget
-) -> float:
-    """``scale(D)`` for a noise scale proportional to the sensitivity D.
+def _round_up(num: int, den: int) -> float:
+    """The least float at or above num / den, for ints num >= 0 and den > 0,
+    or inf past float64's largest value.
 
-    ``scale`` runs at D 2^-e, e the binary exponent of D, an exact scaling
-    to [0.5, 1) that keeps its work inside float64's normal range for every
-    D (unless epsilon alone takes it out, as D / epsilon at epsilon above
-    about 2e307 does), and its result is scaled back by 2^e: bit for bit
-    ``scale(D)`` wherever that stays in the normal range, rounded up to the
-    subnormal grid where it lands below it, and :class:`DomainError` where
-    it overflows.
+    Int division is correctly rounded in every range, subnormals included,
+    so one exact comparison decides whether to step up one float.
     """
-    e = math.frexp(sensitivity.value)[1]
-    scaled = scale(math.ldexp(sensitivity.value, -e))
-    # math.ldexp raises, not returns inf, past float64's exponent range
-    sigma = math.ldexp(scaled, e) if e + math.frexp(scaled)[1] <= 1024 else math.inf
-    if math.ldexp(sigma, -e) < scaled:  # rounded down to a subnormal
-        sigma = math.nextafter(sigma, math.inf)
-    if not math.isfinite(sigma):
+    try:
+        q = num / den
+    except OverflowError:
+        return math.inf
+    q_num, q_den = q.as_integer_ratio()
+    return q if q_num * den >= num * q_den else math.nextafter(q, math.inf)
+
+
+def _noise_scale(sensitivity: Sensitivity, budget: PrivacyBudget, x: float, y: float) -> float:
+    """The least float at or above D x / y, D the sensitivity value, for
+    positive floats x and y; :class:`DomainError` past float64's largest value."""
+    ratios = (float(v).as_integer_ratio() for v in (sensitivity.value, x, y))
+    (d_num, d_den), (x_num, x_den), (y_num, y_den) = ratios
+    sigma = _round_up(d_num * x_num * y_den, d_den * x_den * y_num)
+    if sigma == math.inf:
         raise DomainError(
             f"noise scale overflows float64 for sensitivity {sensitivity.value} "
             f"and epsilon {budget.epsilon}"
@@ -163,7 +168,7 @@ def calibrate_classical(sensitivity: Sensitivity, budget: PrivacyBudget) -> floa
     if sensitivity.value <= 0:
         raise DomainError("classical calibration requires a positive sensitivity")
     factor = math.sqrt(2.0 * math.log(1.25 / budget.delta))
-    return _at_unit_exponent(lambda d: d * factor / budget.epsilon, sensitivity, budget)
+    return _noise_scale(sensitivity, budget, factor, budget.epsilon)
 
 
 def _analytic_condition(sigma: float, delta_s: float, epsilon: float) -> float:
@@ -179,9 +184,10 @@ def calibrate_analytic(sensitivity: Sensitivity, budget: PrivacyBudget) -> float
     continuous and strictly decreasing in sigma, to relative width 1e-12.
     The result never exceeds the classical scale when epsilon < 1.
 
-    The condition reads only s/D, so the bisection runs at a D in [0.5, 1),
-    where its bracket stays inside float64's normal range
-    (:func:`_at_unit_exponent`).
+    The condition reads only s/D, so the bisection runs at u = D 2^-e in
+    [0.5, 1), e the binary exponent of D, where its bracket stays inside
+    float64's normal range; the result is the least float at or above
+    D root / u, the root scaled back exactly and rounded up.
     """
     if sensitivity.value <= 0:
         raise DomainError("analytic calibration requires a positive sensitivity")
@@ -191,7 +197,8 @@ def calibrate_analytic(sensitivity: Sensitivity, budget: PrivacyBudget) -> float
             f"analytic calibration requires epsilon <= {LOG_FLOAT64_MAX:.6g} "
             f"so e^epsilon is finite, got {eps}"
         )
-    return _at_unit_exponent(lambda d: _analytic_root(d, eps, delta), sensitivity, budget)
+    u = math.ldexp(sensitivity.value, -math.frexp(sensitivity.value)[1])
+    return _noise_scale(sensitivity, budget, _analytic_root(u, eps, delta), u)
 
 
 def _analytic_root(delta_s: float, eps: float, delta: float) -> float:
@@ -214,23 +221,8 @@ def _analytic_root(delta_s: float, eps: float, delta: float) -> float:
 
 
 def _calibrate_pure(sensitivity: Sensitivity, budget: PrivacyBudget) -> float:
-    """Pure-DP Laplace scale D / epsilon; delta plays no role.
-
-    Below float64's normal range the scale is the smallest point of the
-    subnormal grid (multiples of 2^-1074) at or above the exact quotient,
-    the ceiling of D 2^1074 / epsilon taken on integer ratios.  The float
-    quotient cannot give it: it is rounded to nearest before
-    :func:`_at_unit_exponent` rounds it up to the grid, so it can land one
-    grid point short (0.75 / 0.3 rounds down to 2.5), and for epsilon above
-    about 2e307 the quotient at D 2^-e is itself subnormal and its rounding
-    error, scaled back, spans up to two grid points.
-    """
-    sigma = _at_unit_exponent(lambda d: d / budget.epsilon, sensitivity, budget)
-    if sigma < 2.0**-1022:
-        d, d_den = sensitivity.value.as_integer_ratio()
-        e, e_den = budget.epsilon.as_integer_ratio()
-        sigma = math.ldexp(-(-(d * e_den << 1074) // (d_den * e)), -1074)
-    return sigma
+    """Pure-DP Laplace scale D / epsilon; delta plays no role."""
+    return _noise_scale(sensitivity, budget, 1.0, budget.epsilon)
 
 
 @dataclass(frozen=True)

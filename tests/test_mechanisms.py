@@ -55,6 +55,12 @@ def mp_classical(delta_le, eps, delta):
 LAPLACE = MECHANISMS["riemannian_laplace"]
 
 
+def least_at_or_above(x, exact):
+    """Whether the float ``x`` is the least float at or above the Fraction
+    ``exact``."""
+    return Fraction(math.nextafter(x, -math.inf)) < exact <= Fraction(x)
+
+
 def gaussian(name, rng, summary, sigma):
     """One release of ``summary`` by the Gaussian table row ``name``."""
     row = MECHANISMS[name]
@@ -115,6 +121,26 @@ class TestSensitivities:
         sens = sensitivity_frechet_le(500, math.sqrt(k) * 0.25)
         assert sens.value == pytest.approx(math.sqrt(k) / 1000, rel=1e-15)
         assert sens.kind == SensitivityKind.LOG_EUCLIDEAN
+
+    def test_frechet_sweep_is_exact_and_minimal(self):
+        # Delta is the least float at or above the exact 2r/n, subnormal r included
+        rng = np.random.default_rng(12)
+        radii = 10.0 ** rng.uniform(-320, 300, 10000)
+        counts = np.floor(10.0 ** rng.uniform(0, 12, 10000)).astype(np.int64)
+        for n, r in zip(counts.tolist(), radii.tolist()):
+            value = sensitivity_frechet_le(n, r).value
+            assert least_at_or_above(value, 2 * Fraction(r) / n), (n, r)
+
+    @pytest.mark.parametrize(
+        "n, r", [(3, 2.5e-323), (10, 1e308), (2**1024, 0.25), (2**1100, 1e-300)],
+        ids=["subnormal", "2r-past-max", "n-past-max", "below-subnormal"],
+    )
+    def test_frechet_edges_exact(self, n, r):
+        # 2r/n rounded to nearest lands 10% low on the subnormal grid, 2r
+        # overflows although 2r/n does not, and n past float64's largest
+        # value has no float; the last quotient is below the least subnormal
+        value = sensitivity_frechet_le(n, r).value
+        assert least_at_or_above(value, 2 * Fraction(r) / n)
 
     def test_frechet_brute_force_adjacent(self, nprng):
         # swapping one point never moves the mean by more than 2r/n
@@ -188,6 +214,11 @@ class TestSensitivities:
     def test_validation(self):
         with pytest.raises(DomainError):
             sensitivity_frechet_le(0, 1.0)
+        for r in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="r must be positive and finite"):
+                sensitivity_frechet_le(5, r)
+        with pytest.raises(DomainError, match="sensitivity must be finite"):
+            sensitivity_frechet_le(1, 1e308)
         with pytest.raises(DomainError):
             sensitivity_extrinsic(5, 0.0)
         with pytest.raises(DomainError, match="e\\^r is finite"):
@@ -317,8 +348,8 @@ SUBNORMAL_SENSITIVITIES = (1.5e-323, 2e-323, 3e-322, 1e-320)
 
 
 class TestSubnormalScales:
-    """A scale below the normal range is computed at D 2^-e and scaled back
-    rounding up, so rounding it to the subnormal grid never lowers it."""
+    """A scale is the least float at or above its exact value, on the
+    subnormal grid below float64's normal range as well as within it."""
 
     @pytest.mark.parametrize("value", SUBNORMAL_SENSITIVITIES)
     def test_classical_at_or_above_exact(self, value):
@@ -328,19 +359,18 @@ class TestSubnormalScales:
             assert math.nextafter(sigma, 0.0) < exact <= sigma
 
     @pytest.mark.parametrize("value, eps", [(value, 2.5) for value in SUBNORMAL_SENSITIVITIES] + [
-        # 0.75 / 0.3 rounds down by 0.37 ulp to 2.5, whose scaled-back value
-        # lies on the grid, one grid point below the exact quotient
+        # 0.75 / 0.3 rounds down by 0.37 ulp to 2.5, and so 1.5e-323 / 0.3
+        # rounded to the grid lands one grid point below the exact quotient
         (1.5e-323, 0.3),
     ])
     def test_pure_at_or_above_exact(self, value, eps):
         sigma = LAPLACE.calibrate(le_sens(value), PrivacyBudget(eps, 0.5))
-        exact = Fraction(value) / Fraction(eps)
-        assert Fraction(math.nextafter(sigma, 0.0)) < exact <= Fraction(sigma)
+        assert least_at_or_above(sigma, Fraction(value) / Fraction(eps))
 
     def test_pure_sweep_is_exact_and_minimal(self):
         # subnormal Laplace scales over random budgets: each is the smallest
         # grid point at or above the exact D / epsilon.  The second half has
-        # epsilon above 2e307, where D 2^-e / epsilon is itself subnormal
+        # epsilon above 2e307 and D in [0.5, 4)
         rng = np.random.default_rng(9)
         eps = 10.0 ** np.concatenate([rng.uniform(-3, 1.5, 3000), rng.uniform(307.4, 308.25, 3000)])
         values = np.concatenate([
@@ -354,16 +384,29 @@ class TestSubnormalScales:
             if sigma >= np.finfo(float).tiny:
                 continue
             subnormal += 1
-            exact = Fraction(value) / Fraction(e)
-            assert Fraction(math.nextafter(sigma, 0.0)) < exact <= Fraction(sigma), (value, e)
+            assert least_at_or_above(sigma, Fraction(value) / Fraction(e)), (value, e)
         assert subnormal > 3500
 
-    def test_normal_range_keeps_its_bits(self):
-        factor = math.sqrt(2.0 * math.log(1.25 / 1e-6))
-        for value in (1e-307, 1e-300, 0.37, 1e300):
-            sigma = calibrate_classical(le_sens(value), PrivacyBudget(0.5, 1e-6))
-            assert sigma == value * factor / 0.5
-            assert LAPLACE.calibrate(le_sens(value), PrivacyBudget(2.5, 0.5)) == value / 2.5
+    def test_normal_range_sweep_is_exact_and_minimal(self):
+        # normal-range scales over random budgets: the Laplace scale is the
+        # least float at or above the exact D / epsilon, and the classical
+        # one at or above the exact D factor / epsilon, with factor the float
+        # sqrt(2 ln(1.25/delta)) the calibration computes
+        rng = np.random.default_rng(10)
+        values = 10.0 ** rng.uniform(-300, 300, 3000)
+        eps = 10.0 ** rng.uniform(-3, 1.5, 3000)
+        deltas = 10.0 ** rng.uniform(-30, -1, 3000)
+        classical = 0
+        for value, e, delta in zip(values.tolist(), eps.tolist(), deltas.tolist()):
+            budget = PrivacyBudget(e, delta)
+            exact = Fraction(value) / Fraction(e)
+            assert least_at_or_above(LAPLACE.calibrate(le_sens(value), budget), exact), (value, e)
+            if e < 1:
+                classical += 1
+                factor = Fraction(math.sqrt(2.0 * math.log(1.25 / delta)))
+                sigma = calibrate_classical(le_sens(value), budget)
+                assert least_at_or_above(sigma, exact * factor), (value, e, delta)
+        assert classical > 1500
 
 
 class TestMechanismTable:
@@ -373,16 +416,20 @@ class TestMechanismTable:
         ]
 
     def test_noise_scales_from_public_functions(self):
-        n, r, eps, delta = 300, 0.7, 0.5, 1e-5
-        budget = PrivacyBudget(eps, delta)
+        n, r, delta = 300, 0.7, 1e-5
         le, ext = sensitivity_frechet_le(n, r), sensitivity_extrinsic(n, r)
-        want = {
-            "tangent_classical": calibrate_classical(le, budget),
-            "tangent_analytic": calibrate_analytic(le, budget),
-            "extrinsic_analytic": calibrate_analytic(ext, budget),
-            "riemannian_laplace": le.value / eps,
-        }
-        assert {name: m.noise_scale(n, r, eps, delta) for name, m in MECHANISMS.items()} == want
+        for eps in (0.5, 0.3):
+            budget = PrivacyBudget(eps, delta)
+            want = {
+                "tangent_classical": calibrate_classical(le, budget),
+                "tangent_analytic": calibrate_analytic(le, budget),
+                "extrinsic_analytic": calibrate_analytic(ext, budget),
+            }
+            got = {name: m.noise_scale(n, r, eps, delta) for name, m in MECHANISMS.items()}
+            # the pure-DP scale is the least float at or above Delta / epsilon
+            laplace = got.pop("riemannian_laplace")
+            assert least_at_or_above(laplace, Fraction(le.value) / Fraction(eps))
+            assert got == want
 
     def test_laplace_infinite_scale_rejected(self):
         # the pure-DP scale Delta / epsilon overflows float64

@@ -41,6 +41,9 @@ CHAIN_FIELD = re.compile(r"\.chain\b")
 # A call of numpy's symmetric eigensolvers, or float64's largest value.
 FLOAT64_EDGE = re.compile(r"\b(np|numpy)\.linalg\.eig|finfo\(float\)\.max")
 
+# A step to the next float or an exact float ratio: where a value is rounded.
+ROUNDING = re.compile(r"\bmath\.nextafter\b|\.as_integer_ratio\(")
+
 # A Sphinx cross-reference in a docstring or comment, e.g. :func:`load_pnm`.
 ROLE_REF = re.compile(r":(func|class|data|meth):`([\w.]+)`")
 
@@ -117,6 +120,12 @@ def test_float64_edge_only_in_geometry():
     # what float64 can hold is decided once: geometry alone decomposes
     # matrices (admitting them as SPD) and bounds their exponentials
     assert modules_matching(FLOAT64_EDGE, {"geometry.py"}) == []
+
+
+def test_rounding_only_in_mechanisms():
+    # a privacy quantity (the sensitivity 2r/n, a noise scale) is rounded up
+    # to a float in one place, mechanisms._round_up
+    assert modules_matching(ROUNDING, {"mechanisms.py"}) == []
 
 
 def spec(**overrides):
