@@ -21,9 +21,11 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from workload_passes import hostspeed, run_pass, spdprivacy, workload_calls
+from workload_passes import hostspeed, run_pass, workload_calls
 
-NAMES = ("pass",) + spdprivacy.harness.STAGES
+from spdprivacy.harness import STAGES
+
+NAMES = ("pass",) + STAGES
 
 
 def timed_pass(calls) -> list[int]:

@@ -1,4 +1,13 @@
-"""Differentially private Fréchet means on SPD matrices (log-Euclidean metric)."""
+"""Differentially private Fréchet means on SPD matrices (log-Euclidean metric).
+
+Importing the package loads the DP core: ``errors``, ``geometry``,
+``mechanisms`` and ``sampling``.  The names it re-exports from the
+application layer (the image pipeline ``descriptors``, the experiment
+``harness`` and the SVG ``plotting``) load their module on first access
+(PEP 562), so a library import or a synthetic run compiles none of it.
+"""
+
+from importlib import import_module
 
 from .errors import (
     DimensionError,
@@ -36,18 +45,21 @@ from .sampling import (
     RngState,
     sample_synthetic_spd,
 )
-from .descriptors import (
-    DescriptorParams,
-    RasterImage,
-    covariance_descriptor,
-    descriptor_radius_bound,
-    load_pnm,
-    save_pnm,
-)
-from .harness import ExperimentSpec, TrialRecord, emit_csv, run_image, run_synthetic
-from .plotting import emit_plot
 
 __version__ = "0.1.0"
+
+# The module of each name loaded on first access.
+_LAZY = {
+    **dict.fromkeys(
+        ("DescriptorParams", "RasterImage", "covariance_descriptor", "descriptor_radius_bound",
+         "load_pnm", "save_pnm"),
+        "descriptors",
+    ),
+    **dict.fromkeys(
+        ("ExperimentSpec", "TrialRecord", "emit_csv", "run_image", "run_synthetic"), "harness"
+    ),
+    "emit_plot": "plotting",
+}
 
 __all__ = [
     "SpdPrivacyError",
@@ -92,3 +104,16 @@ __all__ = [
     "emit_plot",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """A name of :data:`_LAZY`, imported from its module and kept in the
+    package namespace, so later reads do not come here."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

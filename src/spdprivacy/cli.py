@@ -10,19 +10,21 @@ spelled out in full (no argparse prefix matching), so the tokens on the
 command line name exactly the flags that win.  ``--timing`` puts real
 release times in ``wall_time_ns``, and with ``--out-csv`` writes the run's
 stage times and counts to ``<out-csv>.manifest.json``.
+
+Building the parser and running a synthetic bench load neither the image
+pipeline nor the plotter: each is imported by the command or flag that
+uses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .descriptors import DescriptorParams, covariance_descriptor, load_pnm
 from .errors import NumericalError, SpdPrivacyError, _timed
 from .geometry import SpdMatrix, invvecd_stack, logm_stack
 from .harness import COUNTS, STAGES, SYNTHETIC_DEFAULTS, ExperimentSpec, emit_csv, render_csv
@@ -36,8 +38,11 @@ from .mechanisms import (
     calibrate_analytic,
     calibrate_classical,
 )
-from .plotting import emit_plot
 from .sampling import RngState
+
+# DescriptorParams.eta, the --eta default, spelled out so that building the
+# parser does not import the image pipeline
+_ETA = 1e-6
 
 
 def _parse_number(text: str, kind: type, what: str):
@@ -189,16 +194,22 @@ def _emit(records, args, stages: dict) -> None:
     if args.out_csv:
         _timed(stages, "csv", emit_csv, records, args.out_csv)
     if args.out_plot:
+        from .plotting import emit_plot
+
         _timed(stages, "svg", emit_plot, records, args.out_plot)
     if not args.out_csv and not args.out_plot:
         sys.stdout.write(render_csv(records))
     if args.timing and args.out_csv:
+        import json
+
         sidecar = {"stages_ns": {n: stages[n] for n in STAGES},
                    "counts": {n: stages[n] for n in COUNTS}}
         Path(f"{args.out_csv}.manifest.json").write_text(json.dumps(sidecar, indent=1) + "\n")
 
 
 def _cmd_descriptor(args: argparse.Namespace) -> int:
+    from .descriptors import DescriptorParams, covariance_descriptor, load_pnm
+
     image = load_pnm(args.image)
     descriptor = covariance_descriptor(image, DescriptorParams(eta=args.eta))
     print(format_matrix(descriptor.entries))
@@ -274,12 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(img, grid=True)
     _add_bench_flags(img)
     img.add_argument("--images", help="directory of PGM/PPM files; required, here or in --config")
-    img.add_argument("--eta", type=float, default=DescriptorParams.eta)
+    img.add_argument("--eta", type=float, default=_ETA)
     img.set_defaults(func=_cmd_bench)
 
     desc = add_parser("descriptor", help="print an image's covariance descriptor")
     desc.add_argument("--image", required=True)
-    desc.add_argument("--eta", type=float, default=DescriptorParams.eta)
+    desc.add_argument("--eta", type=float, default=_ETA)
     desc.set_defaults(func=_cmd_descriptor)
 
     return parser

@@ -37,7 +37,9 @@ substream is forked; a timed trial records its cell's release time divided
 by the number of trials, rounded up.
 
 Every noise scale is calibrated before any data work, so an invalid
-privacy budget fails before a dataset is drawn or an image is read.
+privacy budget fails before a dataset is drawn or an image is read.  The
+image paths alone import the image pipeline, so a synthetic run never
+loads it.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .descriptors import DescriptorParams, _class_logs, descriptor_radius_bound
 from .errors import DimensionError, DomainError, NumericalError, _checked_int, _timed
 from .geometry import MAX_DIM, _mean_log
 from .mechanisms import MECHANISMS, PrivacyBudget, Sensitivity, SensitivityKind
@@ -125,6 +126,8 @@ class ExperimentSpec:
             # a class's n is its size, its radius the descriptors' bound, k 8 + channels
             raise DomainError("image experiments take no n, r or k: each class sets its own")
         elif self.eta is None:
+            from .descriptors import DescriptorParams
+
             object.__setattr__(self, "eta", DescriptorParams.eta)
         for name in ("epsilon_grid", "delta_grid"):
             grid = tuple(float(v) for v in getattr(self, name))
@@ -324,6 +327,8 @@ def run_image(
     """
     if spec.kind != "image":
         raise DomainError("run_image requires an image spec")
+    from .descriptors import DescriptorParams, _class_logs, descriptor_radius_bound
+
     _checked_int(threads, "threads")  # validated, no effect: the cells run on this thread
     mechanism = MECHANISMS[spec.mechanism]
     unit = Sensitivity(1.0, SensitivityKind.LOG_EUCLIDEAN)

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -245,15 +246,47 @@ class TestBatchedPipeline:
             _BlockBuffers(*stack.shape).descriptors(stack, DescriptorParams())
 
 
-def test_package_import_does_not_load_scipy():
-    # scipy is a test dependency only; importing it would add ~0.4 s to startup
+# Code run in a fresh interpreter, then the modules it must not load.  A
+# library import loads the DP core alone: not the application layer, not the
+# standard modules only that layer uses, and not scipy, a test dependency
+# that would add ~0.4 s to startup.  A synthetic run without a plot loads
+# neither the image pipeline, nor the plotter, nor json.
+FRESH_RUNS = {
+    "package": (
+        "import spdprivacy",
+        ("spdprivacy.harness", "spdprivacy.descriptors", "spdprivacy.plotting", "spdprivacy.cli",
+         "logging", "json", "argparse", "scipy"),
+    ),
+    "synthetic-bench": (
+        "from spdprivacy.cli import main\n"
+        "assert main(['synthetic-bench', '--n', '20', '--trials', '1', '--out-csv', 'x.csv']) == 0",
+        ("spdprivacy.descriptors", "spdprivacy.plotting", "json"),
+    ),
+}
+
+
+@pytest.mark.parametrize("run", FRESH_RUNS)
+def test_fresh_run_loads_only_what_it_uses(run, tmp_path):
+    code, unused = FRESH_RUNS[run]
     src = str(Path(spdprivacy.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, spdprivacy; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    probe = (
+        f"import sys\n{code}\nloaded = sorted(sys.modules)\n"
+        "import spdprivacy\n"
+        "print(loaded)\n"
+        "print(set(spdprivacy.__all__) <= set(dir(spdprivacy)), hasattr(spdprivacy, 'nope'))"
     )
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env, cwd=tmp_path).stdout.splitlines()
+    loaded = ast.literal_eval(out[0])
+    assert [m for m in loaded if m.split(".")[0] in unused or m in unused] == []
+    if run == "package":
+        assert [m for m in loaded if m.startswith("spdprivacy")] == [
+            "spdprivacy", "spdprivacy.errors", "spdprivacy.geometry", "spdprivacy.mechanisms",
+            "spdprivacy.sampling",
+        ]
+    # every exported name is listed before it loads, and no other name resolves
+    assert out[1] == "True False"
 
 
 class TestRasterImage:

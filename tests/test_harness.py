@@ -1221,6 +1221,14 @@ class TestCli:
         assert main(["image-bench", "--images", "corp", "--trials", "1", "--out-csv", "b.csv"]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_config_eta_is_a_float(self, tmp_path):
+        # parsed by the type of the parser's spelled-out --eta default
+        (tmp_path / "c.cfg").write_text("eta = 2e-6\n")
+        tokens = ["image-bench", "--images", "x", "--config", str(tmp_path / "c.cfg")]
+        args = cli.build_parser().parse_args(tokens)
+        cli._apply_config(args, tokens)
+        assert type(args.eta) is float and args.eta == 2e-6
+
     @pytest.mark.parametrize("value, want", [("TRUE", True), ("on", True), ("0", False), ("No", False)])
     def test_config_boolean_spellings(self, tmp_path, monkeypatch, value, want):
         seen = {}
@@ -1285,7 +1293,9 @@ class TestCli:
             "image", "tangent_analytic", (0.1,), (1e-6,), image_dir="x")
         desc = parser.parse_args(["descriptor", "--image", "x"])
         priv = parser.parse_args(PRIVATIZE + ["--matrix", "x"])
-        assert desc.eta == DescriptorParams.eta and priv.burn_in == ExperimentSpec.burn_in
+        # the parser spells out the --eta default rather than import the image pipeline
+        assert img.eta == desc.eta == DescriptorParams.eta
+        assert priv.burn_in == ExperimentSpec.burn_in
 
     def test_timing_sidecar_needs_out_csv(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -1378,9 +1388,9 @@ class TestBudgetFailsFirst:
         def reached(*args):
             raise AssertionError("data work before the budget was checked")
 
-        # the names the harness calls
+        # the names the harness calls: run_image imports _class_logs when it runs
         monkeypatch.setattr(harness, "_synthetic_blocks", reached)
-        monkeypatch.setattr(harness, "_class_logs", reached)
+        monkeypatch.setattr(descriptors, "_class_logs", reached)
 
     @pytest.fixture
     def image_dir(self, tmp_path):
