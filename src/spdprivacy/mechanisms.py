@@ -31,7 +31,10 @@ and the analytic calibration, which bisects for the smallest sigma
 satisfying the exact Gaussian-mechanism privacy condition and is never
 worse than the classical value.  Every noise scale, and the sensitivity
 2r/n, is the least float at or above its exact value computed from its
-float inputs (:func:`_round_up`), subnormals included.
+float inputs (:func:`_round_up`), subnormals included.  The classical
+factor sqrt(2 ln(1.25/delta)) and the extrinsic sensitivity's e^r enter
+those values as floats at or above their exact values, so no noise scale
+or sensitivity falls below the exact one.
 """
 
 from __future__ import annotations
@@ -117,11 +120,15 @@ def sensitivity_extrinsic(n: int, r: float) -> Sensitivity:
 
     Swapping one point moves the mean log by at most 2r/n inside the ball of
     radius r, and the matrix exponential is e^r-Lipschitz in Frobenius norm
-    there (Higham, Functions of Matrices, 2008).
+    there (Higham, Functions of Matrices, 2008).  The value is the least
+    float at or above 2 r E / n, E a float at or above e^r (:func:`_libm_up`).
     """
     n = _checked_int(n, "n")
     _check_radius(r)
-    return Sensitivity(value=2.0 * r * math.exp(r) / n, kind=SensitivityKind.EXTRINSIC)
+    r_num, r_den = float(r).as_integer_ratio()
+    e_num, e_den = _libm_up(math.exp(r)).as_integer_ratio()
+    value = _round_up(2 * r_num * e_num, r_den * e_den * n)
+    return Sensitivity(value=value, kind=SensitivityKind.EXTRINSIC)
 
 
 def _std_normal_cdf(x: float) -> float:
@@ -144,6 +151,41 @@ def _round_up(num: int, den: int) -> float:
     return q if q_num * den >= num * q_den else math.nextafter(q, math.inf)
 
 
+def _libm_up(value: float) -> float:
+    """The float after ``value``, a positive result of ``math.exp`` or
+    ``math.log``: at or above the exact value it approximates.
+
+    This assumes the platform's libm computes both within one ulp, the
+    largest error that glibc's manual lists for its double ``exp`` and
+    ``log`` ("Known Maximum Errors in Math Functions").
+    """
+    return math.nextafter(value, math.inf)
+
+
+def _classical_factor(delta: float) -> float:
+    """A float at or above the exact sqrt(2 ln(1.25/delta)), a few ulps
+    above it at most.
+
+    1.25/delta is rounded up exactly, its log is stepped up past libm's
+    error (:func:`_libm_up`), and the correctly rounded square root is
+    stepped up when an exact check finds its square short.
+    """
+    d_num, d_den = float(delta).as_integer_ratio()
+    ratio = _round_up(5 * d_den, 4 * d_num)
+    if ratio == math.inf:
+        raise DomainError(
+            f"classical calibration requires 1.25/delta below float64's largest value, "
+            f"got delta {delta}"
+        )
+    twice_log = 2.0 * _libm_up(math.log(ratio))
+    factor = math.sqrt(twice_log)
+    f_num, f_den = factor.as_integer_ratio()
+    t_num, t_den = twice_log.as_integer_ratio()
+    if f_num * f_num * t_den < t_num * f_den * f_den:  # factor^2 < twice_log
+        factor = math.nextafter(factor, math.inf)
+    return factor
+
+
 def _noise_scale(sensitivity: Sensitivity, budget: PrivacyBudget, x: float, y: float) -> float:
     """The least float at or above D x / y, D the sensitivity value, for
     positive floats x and y; :class:`DomainError` past float64's largest value."""
@@ -159,7 +201,8 @@ def _noise_scale(sensitivity: Sensitivity, budget: PrivacyBudget, x: float, y: f
 
 
 def calibrate_classical(sensitivity: Sensitivity, budget: PrivacyBudget) -> float:
-    """Closed-form noise scale Delta * sqrt(2 ln(1.25/delta)) / epsilon."""
+    """Closed-form noise scale Delta * sqrt(2 ln(1.25/delta)) / epsilon, at
+    or above its exact value (:func:`_classical_factor`)."""
     if budget.epsilon >= 1:
         raise DomainError(
             f"classical calibration requires epsilon < 1 (got {budget.epsilon}); "
@@ -167,8 +210,7 @@ def calibrate_classical(sensitivity: Sensitivity, budget: PrivacyBudget) -> floa
         )
     if sensitivity.value <= 0:
         raise DomainError("classical calibration requires a positive sensitivity")
-    factor = math.sqrt(2.0 * math.log(1.25 / budget.delta))
-    return _noise_scale(sensitivity, budget, factor, budget.epsilon)
+    return _noise_scale(sensitivity, budget, _classical_factor(budget.delta), budget.epsilon)
 
 
 def _analytic_condition(sigma: float, delta_s: float, epsilon: float) -> float:

@@ -28,6 +28,7 @@ from spdprivacy.mechanisms import (
     Sensitivity,
     SensitivityKind,
     _analytic_condition,
+    _classical_factor,
     _laplace_chains,
     acceptance_warning,
     calibrate_analytic,
@@ -260,6 +261,11 @@ class TestClassicalCalibration:
         ]
         assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
 
+    def test_ratio_past_float64_max_rejected(self):
+        # 1.25 / 1e-310 has no float, so neither has the bound on its log
+        with pytest.raises(DomainError, match="1.25/delta below float64's largest value"):
+            calibrate_classical(le_sens(1.0), PrivacyBudget(0.5, 1e-310))
+
     def test_infinite_scale_rejected(self):
         # Delta * sqrt(2 ln(1.25/delta)) / 5e-324 overflows float64
         with pytest.raises(DomainError, match="noise scale overflows float64"):
@@ -391,7 +397,7 @@ class TestSubnormalScales:
         # normal-range scales over random budgets: the Laplace scale is the
         # least float at or above the exact D / epsilon, and the classical
         # one at or above the exact D factor / epsilon, with factor the float
-        # sqrt(2 ln(1.25/delta)) the calibration computes
+        # bound on sqrt(2 ln(1.25/delta)) the calibration computes
         rng = np.random.default_rng(10)
         values = 10.0 ** rng.uniform(-300, 300, 3000)
         eps = 10.0 ** rng.uniform(-3, 1.5, 3000)
@@ -403,10 +409,38 @@ class TestSubnormalScales:
             assert least_at_or_above(LAPLACE.calibrate(le_sens(value), budget), exact), (value, e)
             if e < 1:
                 classical += 1
-                factor = Fraction(math.sqrt(2.0 * math.log(1.25 / delta)))
+                factor = Fraction(_classical_factor(delta))
                 sigma = calibrate_classical(le_sens(value), budget)
                 assert least_at_or_above(sigma, exact * factor), (value, e, delta)
         assert classical > 1500
+
+
+class TestExactUpperBounds:
+    """The classical noise scale and the extrinsic sensitivity lie at or
+    above their exact values, computed with mpmath at 50 digits, and within
+    a few ulps of them."""
+
+    def test_extrinsic_sweep(self):
+        rng = np.random.default_rng(3)
+        counts = np.floor(10.0 ** rng.uniform(0, 6, 2000)).astype(np.int64)
+        radii = 10.0 ** rng.uniform(-3, 2.8, 2000)
+        with mpmath.workdps(50):
+            for n, r in zip(counts.tolist(), radii.tolist()):
+                value = sensitivity_extrinsic(n, r).value
+                exact = 2 * mpmath.mpf(r) * mpmath.exp(mpmath.mpf(r)) / n
+                assert exact <= value <= exact * (1 + 2.0**-50), (n, r)
+
+    def test_classical_sweep(self):
+        rng = np.random.default_rng(3)
+        values = 10.0 ** rng.uniform(-300, 300, 3000)
+        eps = 10.0 ** rng.uniform(-3, 0, 3000)
+        deltas = 10.0 ** rng.uniform(-30, -1, 3000)
+        with mpmath.workdps(50):
+            for value, e, delta in zip(values.tolist(), eps.tolist(), deltas.tolist()):
+                sigma = calibrate_classical(le_sens(value), PrivacyBudget(e, delta))
+                factor = mpmath.sqrt(2 * mpmath.log(mpmath.mpf(5) / (4 * mpmath.mpf(delta))))
+                exact = mpmath.mpf(value) * factor / mpmath.mpf(e)
+                assert exact <= sigma <= exact * (1 + 2.0**-50), (value, e, delta)
 
 
 class TestMechanismTable:
