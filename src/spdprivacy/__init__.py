@@ -4,10 +4,8 @@ Importing the package loads the DP core: ``errors``, ``geometry``,
 ``mechanisms`` and ``sampling``.  The names it re-exports from the
 application layer (the image pipeline ``descriptors``, the experiment
 ``harness`` and the SVG ``plotting``) load their module on first access
-(PEP 562), so a library import or a synthetic run compiles none of it.
+(PEP 562), so a library import compiles none of them.
 """
-
-from importlib import import_module
 
 from .errors import (
     DimensionError,
@@ -111,6 +109,8 @@ def __getattr__(name: str):
     package namespace, so later reads do not come here."""
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
     value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
     return value
 

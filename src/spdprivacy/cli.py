@@ -11,9 +11,9 @@ command line name exactly the flags that win.  ``--timing`` puts real
 release times in ``wall_time_ns``, and with ``--out-csv`` writes the run's
 stage times and counts to ``<out-csv>.manifest.json``.
 
-Building the parser and running a synthetic bench load neither the image
-pipeline nor the plotter: each is imported by the command or flag that
-uses it.
+Building the parser loads neither the image pipeline nor the plotter: the
+commands that read images import the pipeline, and ``--out-plot`` the
+plotter.
 """
 
 from __future__ import annotations
